@@ -126,14 +126,20 @@ def default_support_threshold(M: int) -> float:
     return 1e-6 / math.sqrt(M)
 
 
-def support(rho, threshold: float | None = None) -> tuple[PhasePoint, ...]:
-    """Phase points where |<q|rho|k>| exceeds threshold, row-major in (q, k)."""
+def _magnitudes_and_support(rho, threshold: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """|<q|rho|k>| and the boolean mask of the entries above threshold."""
     mm = np.abs(mixed_element_matrix(rho))
     if threshold is None:
         threshold = default_support_threshold(mm.shape[0])
     elif threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    qs, ks = np.nonzero(mm > threshold)
+    return mm, mm > threshold
+
+
+def support(rho, threshold: float | None = None) -> tuple[PhasePoint, ...]:
+    """Phase points where |<q|rho|k>| exceeds threshold, row-major in (q, k)."""
+    _, mask = _magnitudes_and_support(rho, threshold)
+    qs, ks = np.nonzero(mask)
     return tuple(PhasePoint(int(q), int(k)) for q, k in zip(qs, ks))
 
 
@@ -155,20 +161,22 @@ def classify_vn_state(
     1/sqrt(M).
     """
     M = split.M
-    pts = support(rho, threshold)
-    if len(pts) != M:
-        return NotVN("wrong count", f"support has {len(pts)} points, expected {M}")
-    first = pts[0]
-    lattice = VNLattice(split, first.q % split.M1, first.k % split.M2)
-    if set(pts) != lattice_points(lattice):
+    mm, mask = _magnitudes_and_support(rho, threshold)
+    count = int(np.count_nonzero(mask))
+    if count != M:
+        return NotVN("wrong count", f"support has {count} points, expected {M}")
+    first_q, first_k = divmod(int(np.argmax(mask)), mask.shape[1])  # first row-major point
+    lattice = VNLattice(split, first_q % split.M1, first_k % split.M2)
+    labels = np.arange(M)
+    on_lattice = ((labels % split.M1 == lattice.shift_q)[:, None]
+                  & (labels % split.M2 == lattice.shift_k)[None, :])
+    if not np.array_equal(mask, on_lattice):
         return NotVN(
             "wrong support geometry",
             f"support is not the {split.describe()} lattice shifted to "
             f"({lattice.shift_q}, {lattice.shift_k})",
         )
-    mm = np.abs(mixed_element_matrix(rho))
-    target = 1.0 / math.sqrt(M)
-    dev = max(abs(mm[p.q, p.k] - target) for p in pts)
+    dev = float(np.max(np.abs(mm[mask] - 1.0 / math.sqrt(M))))
     if dev >= default_tolerance(M):
         return NotVN("non-uniform magnitude", f"max deviation from 1/sqrt(M) is {dev:.3e}")
     return lattice

@@ -1,12 +1,15 @@
 """Exact integer machinery: factorization, coprime splits, CRT label maps.
 
-Everything here is plain Python int arithmetic, so every identity is exact.
+Everything here is plain Python int arithmetic, so every identity is exact;
+crt_grid only tabulates it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class NotInvertibleError(ValueError):
@@ -156,3 +159,9 @@ def crt_decompose(split: CoprimeSplit, q: int) -> tuple[int, int]:
     if not 0 <= q < split.M:
         raise ValueError(f"q={q} out of range [0, {split.M})")
     return q % split.M1, q % split.M2
+
+
+def crt_grid(split: CoprimeSplit) -> np.ndarray:
+    """(M1, M2) table grid[q1, q2] = crt_compose(split, q1, q2): the Good-Thomas index map."""
+    return np.array([[crt_compose(split, q1, q2) for q2 in range(split.M2)]
+                     for q1 in range(split.M1)], dtype=np.intp)

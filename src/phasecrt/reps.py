@@ -10,6 +10,9 @@ omega_M1**q1, and translate(M, M1), eigenvalue omega_M2**k2:
   E_MOM  sum over momentum kets k2 + k1*M2
   E_POS  sum over position kets q1 + q2*M1
 
+C2 and E_POS are position combs, C1 and E_MOM momentum combs: one small DFT
+phase table scattered through an index table, the CRT grid (crt_grid, the
+Good-Thomas map) for the C kinds or the Cooley-Tukey table for the E kinds.
 The two E kinds carry no CRT data and exist for any divisor M1 of M; the two
 C kinds need gcd(M1, M2) = 1. C1 and C2 are the same basis vector for vector
 (delta overlap with no phase); the others agree up to label-dependent phases
@@ -37,7 +40,7 @@ from .core import (
     phase_exponent,
     translate,
 )
-from .numtheory import CoprimeSplit, NonCoprimeError, crt_compose, make_split
+from .numtheory import CoprimeSplit, NonCoprimeError, crt_grid, make_split
 
 
 class BasisKind(enum.Enum):
@@ -71,7 +74,7 @@ class RepBasis:
     __slots__ = ("kind", "M1", "M2", "split", "conjugated", "_amps")
 
     def __init__(self, kind: BasisKind, M1: int, M2: int, amps: np.ndarray,
-                 split: CoprimeSplit | None = None, conjugated: bool = False):
+                 conjugated: bool = False):
         amps = np.asarray(amps, dtype=np.complex128)
         if amps.shape != (M1, M2, M1 * M2):
             raise ValueError(f"amplitude block must have shape ({M1}, {M2}, {M1 * M2})")
@@ -79,7 +82,10 @@ class RepBasis:
         self.kind = kind
         self.M1 = M1
         self.M2 = M2
-        self.split = split
+        try:
+            self.split = make_split(M1 * M2, M1)
+        except ValueError:  # (M1, M2) is not a coprime split; E kinds allow that
+            self.split = None
         self.conjugated = conjugated
         self._amps = amps
 
@@ -121,31 +127,36 @@ class RepBasis:
         return f"RepBasis({self.kind.value}, M1={self.M1}, M2={self.M2}{tag})"
 
 
+def _phase_table(n: int, slope: int) -> np.ndarray:
+    """table[a, b] = omega_n**(slope*a*b) / sqrt(n): a small DFT matrix."""
+    r = np.arange(n)
+    return omega_power(n, slope * np.outer(r, r)) / math.sqrt(n)
+
+
+def _position_comb(kind: BasisKind, index: np.ndarray, slope: int) -> RepBasis:
+    """vector(q1,k2) = (1/sqrt(M2)) sum_q2 omega_M2**(slope*k2*q2) |index[q1, q2]>."""
+    M1, M2 = index.shape
+    amps = np.zeros((M1, M2, M1 * M2), dtype=np.complex128)
+    amps[np.arange(M1)[:, None, None], np.arange(M2)[:, None], index[:, None, :]] = \
+        _phase_table(M2, slope)
+    return RepBasis(kind, M1, M2, amps)
+
+
+def _momentum_comb(kind: BasisKind, index: np.ndarray, slope: int) -> RepBasis:
+    """vector(q1,k2) = (1/sqrt(M1)) sum_k1 omega_M1**(-slope*k1*q1) F[:, index[k1, k2]]."""
+    M1, M2 = index.shape
+    columns = fourier_matrix(M1 * M2).T[index]  # columns[k1, k2] = F[:, index[k1, k2]]
+    return RepBasis(kind, M1, M2, np.tensordot(_phase_table(M1, -slope), columns, axes=1))
+
+
 def build_C1(split: CoprimeSplit) -> RepBasis:
     """vector(q1,k2) = (1/sqrt(M1)) sum_k1 omega_M1**(-k1*q1*N1) |k1*N1*L1 + k2*N2*L2>."""
-    M, M1, M2 = split.M, split.M1, split.M2
-    F = fourier_matrix(M)
-    amps = np.zeros((M1, M2, M), dtype=np.complex128)
-    for q1 in range(M1):
-        for k2 in range(M2):
-            acc = np.zeros(M, dtype=np.complex128)
-            for k1 in range(M1):
-                acc += omega_power(M1, -k1 * q1 * split.N1) * F[:, crt_compose(split, k1, k2)]
-            amps[q1, k2] = acc / math.sqrt(M1)
-    return RepBasis(BasisKind.C1, M1, M2, amps, split=split)
+    return _momentum_comb(BasisKind.C1, crt_grid(split), split.N1)
 
 
 def build_C2(split: CoprimeSplit) -> RepBasis:
     """vector(q1,k2) = (1/sqrt(M2)) sum_q2 omega_M2**(k2*q2*N2) |q1*N1*L1 + q2*N2*L2>."""
-    M, M1, M2 = split.M, split.M1, split.M2
-    amps = np.zeros((M1, M2, M), dtype=np.complex128)
-    for q1 in range(M1):
-        for k2 in range(M2):
-            for q2 in range(M2):
-                q = crt_compose(split, q1, q2)
-                amps[q1, k2, q] = omega_power(M2, k2 * q2 * split.N2)
-    amps /= math.sqrt(M2)
-    return RepBasis(BasisKind.C2, M1, M2, amps, split=split)
+    return _position_comb(BasisKind.C2, crt_grid(split), split.N2)
 
 
 def build_pls(split: CoprimeSplit, q01: int, k02: int) -> StateVector:
@@ -159,16 +170,8 @@ def build_pls(split: CoprimeSplit, q01: int, k02: int) -> StateVector:
     if not 0 <= k02 < split.M2:
         raise ValueError(f"k02={k02} out of range [0, {split.M2})")
     amps = np.zeros(split.M, dtype=np.complex128)
-    for q2 in range(split.M2):
-        amps[crt_compose(split, q01, q2)] = omega_power(split.M2, k02 * q2 * split.N2)
+    amps[crt_grid(split)[q01]] = omega_power(split.M2, split.N2 * k02 * np.arange(split.M2))
     return StateVector(amps / math.sqrt(split.M2), normalized=True)
-
-
-def _split_or_none(M: int, M1: int) -> CoprimeSplit | None:
-    try:
-        return make_split(M, M1)
-    except ValueError:
-        return None
 
 
 def _check_divisor(M: int, M1: int) -> int:
@@ -185,13 +188,8 @@ def build_E_pos(M: int, M1: int) -> RepBasis:
     Defined for any divisor M1 of M; no coprimality needed.
     """
     M2 = _check_divisor(M, M1)
-    amps = np.zeros((M1, M2, M), dtype=np.complex128)
-    for q1 in range(M1):
-        for k2 in range(M2):
-            for q2 in range(M2):
-                amps[q1, k2, (q1 + q2 * M1) % M] = omega_power(M2, k2 * q2)
-    amps /= math.sqrt(M2)
-    return RepBasis(BasisKind.E_POS, M1, M2, amps, split=_split_or_none(M, M1))
+    # Cooley-Tukey table index[q1, q2] = q1 + q2*M1
+    return _position_comb(BasisKind.E_POS, np.arange(M).reshape(M2, M1).T, 1)
 
 
 def build_E_mom(M: int, M1: int) -> RepBasis:
@@ -200,15 +198,8 @@ def build_E_mom(M: int, M1: int) -> RepBasis:
     Defined for any divisor M1 of M; no coprimality needed.
     """
     M2 = _check_divisor(M, M1)
-    F = fourier_matrix(M)
-    amps = np.zeros((M1, M2, M), dtype=np.complex128)
-    for q1 in range(M1):
-        for k2 in range(M2):
-            acc = np.zeros(M, dtype=np.complex128)
-            for k1 in range(M1):
-                acc += omega_power(M1, -k1 * q1) * F[:, (k2 + k1 * M2) % M]
-            amps[q1, k2] = acc / math.sqrt(M1)
-    return RepBasis(BasisKind.E_MOM, M1, M2, amps, split=_split_or_none(M, M1))
+    # Cooley-Tukey table index[k1, k2] = k2 + k1*M2
+    return _momentum_comb(BasisKind.E_MOM, np.arange(M).reshape(M1, M2), 1)
 
 
 def build_basis(kind: BasisKind, M: int, M1: int) -> RepBasis:
@@ -243,9 +234,7 @@ def conjugate_basis(basis: RepBasis) -> RepBasis:
     amps = np.zeros((M2, M1, basis.M), dtype=np.complex128)
     for label, vec in basis.items():
         amps[label.k2, label.q1] = conjugate_state(vec).amplitudes
-    split = basis.split.swapped() if basis.split is not None else None
-    return RepBasis(basis.kind, M2, M1, amps, split=split,
-                    conjugated=not basis.conjugated)
+    return RepBasis(basis.kind, M2, M1, amps, conjugated=not basis.conjugated)
 
 
 def factor_kernel(split: CoprimeSplit, k1: int, q1: int) -> complex:

@@ -88,18 +88,22 @@ def basis_to_dict(basis: RepBasis, meta: dict | None = None) -> dict:
 def basis_from_dict(doc: dict) -> RepBasis:
     try:
         kind = BasisKind.parse(doc["kind"])
-        M1, M2 = int(doc["M1"]), int(doc["M2"])
+        M1, M2, dim = int(doc["M1"]), int(doc["M2"]), int(doc["dim"])
         conjugated = bool(doc.get("conjugated", False))
         entries = doc["states"]
     except (KeyError, TypeError, ValueError) as exc:
         raise StateFileError(f"missing or malformed bundle field: {exc}") from exc
     M = M1 * M2
+    if dim != M:
+        raise StateFileError(f"bundle dim {dim} is not M1*M2 = {M}")
     if len(entries) != M:
         raise StateFileError(f"bundle must contain {M} states, got {len(entries)}")
     amps = np.zeros((M1, M2, M), dtype=np.complex128)
     seen = set()
     for entry in entries:
         state, _ = state_from_dict({**entry, "meta": {}})
+        if state.dim != M:
+            raise StateFileError(f"bundle state has dim {state.dim}, expected {M}")
         q1, k2 = int(entry["q1"]), int(entry["k2"])
         if not (0 <= q1 < M1 and 0 <= k2 < M2) or (q1, k2) in seen:
             raise StateFileError(f"bad or repeated label ({q1}, {k2})")

@@ -38,7 +38,7 @@ from .lattice import (
     lattice_points,
     support,
 )
-from .numtheory import chi, crt_compose, crt_decompose, enumerate_splits, factorize
+from .numtheory import chi, crt_compose, crt_decompose, crt_grid, enumerate_splits, factorize
 from .reps import (
     BasisKind,
     build_C1,
@@ -181,20 +181,14 @@ def _check_crt(checks, split, d):
     bad = sum(int(crt_compose(split, *crt_decompose(split, q)) != q) for q in range(M))
     _add(checks, f"crt.roundtrip[{d}]",
          "compose(decompose(q)) = q for every q", bad, 0, 0)
-    image = {crt_compose(split, q1, q2)
-             for q1 in range(split.M1) for q2 in range(split.M2)}
     _add(checks, f"crt.bijection[{d}]",
-         "compose maps the label grid onto [0, M)", len(image), M, 0)
-    bad = 0
-    for q in range(M):
-        for q1 in range(split.M1):
-            for q2 in range(split.M2):
-                lhs = (q - q1 * split.N1 * split.L1 - q2 * split.N2 * split.L2) % M == 0
-                rhs = (q - q1) % split.M1 == 0 and (q - q2) % split.M2 == 0
-                bad += int(lhs != rhs)
+         "compose maps the label grid onto [0, M)", len(np.unique(crt_grid(split))), M, 0)
+    q, q1, q2 = np.ix_(np.arange(M), np.arange(split.M1), np.arange(split.M2))
+    lhs = (q - q1 * split.N1 * split.L1 - q2 * split.N2 * split.L2) % M == 0
+    rhs = ((q - q1) % split.M1 == 0) & ((q - q2) % split.M2 == 0)
     _add(checks, f"crt.delta-identity[{d}]",
          "Delta_M(q - q1*N1*L1 - q2*N2*L2) = Delta_M1(q - q1) * Delta_M2(q - q2)",
-         bad, 0, 0)
+         int(np.count_nonzero(lhs != rhs)), 0, 0)
 
 
 def _check_split_invariants(checks, split, d):
@@ -250,23 +244,18 @@ def _check_bases(checks, split, d, bases, tol):
 
 
 def _check_kernel(checks, split, d, tol):
-    M = split.M
-    F = fourier_matrix(M)
+    M1, M2 = split.M1, split.M2
+    grid = crt_grid(split)
+    brute = np.conj(fourier_matrix(split.M))[grid[:, :, None, None], grid]  # <k|q>
     swapped = split.swapped()
-    dev_inv = 0.0
-    dev_plain = 0.0
-    for q1 in range(split.M1):
-        for q2 in range(split.M2):
-            q = crt_compose(split, q1, q2)
-            for k1 in range(split.M1):
-                for k2 in range(split.M2):
-                    k = crt_compose(split, k1, k2)
-                    brute = np.conj(F[q, k])  # <k|q>
-                    with_inv = factor_kernel(split, k1, q1) * factor_kernel(swapped, k2, q2)
-                    plain = (np.exp(-2j * np.pi * (q1 * k1 * split.L1 + q2 * k2 * split.L2) / M)
-                             / math.sqrt(M))
-                    dev_inv = max(dev_inv, abs(brute - with_inv))
-                    dev_plain = max(dev_plain, abs(brute - plain))
+    kernel1 = np.array([[factor_kernel(split, k1, q1) for k1 in range(M1)] for q1 in range(M1)])
+    kernel2 = np.array([[factor_kernel(swapped, k2, q2) for k2 in range(M2)] for q2 in range(M2)])
+    with_inv = kernel1[:, None, :, None] * kernel2[None, :, None, :]
+    q1, q2, k1, k2 = np.ix_(np.arange(M1), np.arange(M2), np.arange(M1), np.arange(M2))
+    plain = (np.exp(-2j * np.pi * (q1 * k1 * split.L1 + q2 * k2 * split.L2) / split.M)
+             / math.sqrt(split.M))
+    dev_inv = float(np.max(np.abs(brute - with_inv)))
+    dev_plain = float(np.max(np.abs(brute - plain)))
     _add(checks, f"kernel.product[{d}]",
          "<k|q> factorizes into the two single-factor kernels under CRT labels",
          dev_inv, 0.0, tol)
@@ -317,7 +306,7 @@ def _check_pls(checks, split, d, tol):
 
     bad = 0
     seen = set()
-    covered = set()
+    hits = np.zeros((M, M), dtype=np.int64)
     total = 0
     for (q01, k02), state in states.items():
         verdict = classify_vn_state(state, split)
@@ -326,10 +315,10 @@ def _check_pls(checks, split, d, tol):
             continue
         seen.add((verdict.shift_q, verdict.shift_k))
         pts = support(state)
-        covered.update(pts)
+        hits[[p.q for p in pts], [p.k for p in pts]] += 1
         total += len(pts)
     bad += int(len(seen) != M)
-    bad += int(total != M * M or len(covered) != M * M)
+    bad += int(total != M * M or not hits.all())
     _add(checks, f"pls.lattice-bijection[{d}]",
          "each PLS sits over exactly its shifted lattice; supports tile the grid",
          bad, 0, 0)

@@ -1,0 +1,39 @@
+"""The suite's JSON report matches the checked-in golden reports.
+
+Every field is compared exactly except two: duration_seconds, and float
+`measured` values. Those floats are roundoff residuals whose last digits
+depend on summation order; each check's `status` still pins whether its
+residual is under tolerance. Integer `measured` values, ids, descriptions,
+`expected`, `tolerance`, notes, counts, `passed` and splits all count.
+
+Regenerate a golden file only for an intended change of the report:
+    phasecrt suite 6,10,12,15,21,35 --format json --out tests/golden/w1.json
+    phasecrt suite 210 --format json --out tests/golden/210.json
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from phasecrt.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def comparable(text: str) -> str:
+    doc = json.loads(text)
+    for report in doc["reports"]:
+        del report["duration_seconds"]
+        for check in report["checks"]:
+            if isinstance(check["measured"], float):
+                check["measured"] = "<float residual>"
+    return json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("name, dims", [("w1", "6,10,12,15,21,35"), ("210", "210")])
+def test_report_matches_golden(name, dims, tmp_path, monkeypatch):
+    monkeypatch.delenv("PHASECRT_TOLERANCE", raising=False)
+    out = tmp_path / "report.json"
+    assert main(["suite", dims, "--format", "json", "--out", str(out)]) == 0
+    assert comparable(out.read_text()) == comparable((GOLDEN / f"{name}.json").read_text())

@@ -5,7 +5,7 @@ import pytest
 
 from phasecrt.core import StateVector
 from phasecrt.numtheory import make_split
-from phasecrt.reps import build_C2, build_E_pos
+from phasecrt.reps import build_C1, build_C2, build_E_pos, compare_cross_phases
 from phasecrt.statefile import (
     StateFileError,
     basis_from_dict,
@@ -109,6 +109,27 @@ class TestBasisBundle:
         doc = basis_to_dict(build_E_pos(6, 2))
         doc["states"][1]["q1"] = doc["states"][0]["q1"]
         doc["states"][1]["k2"] = doc["states"][0]["k2"]
+        with pytest.raises(StateFileError):
+            basis_from_dict(doc)
+
+    def test_loaded_bundles_keep_their_split(self, tmp_path):
+        split = make_split(15, 3)
+        for name, basis in (("c1", build_C1(split)), ("c2", build_C2(split))):
+            save_basis(tmp_path / f"{name}.json", basis)
+        c1, c2 = load_basis(tmp_path / "c1.json"), load_basis(tmp_path / "c2.json")
+        assert c1.split == split
+        assert compare_cross_phases(c1, c2).status == "pass"
+
+    def test_bundle_rejects_state_of_wrong_dim(self):
+        doc = basis_to_dict(build_E_pos(6, 2))
+        short = state_to_dict(StateVector([1.0, 0.0, 0.0, 0.0]))
+        doc["states"][0].update(dim=short["dim"], amplitudes=short["amplitudes"])
+        with pytest.raises(StateFileError):
+            basis_from_dict(doc)
+
+    def test_bundle_rejects_top_level_dim_mismatch(self):
+        doc = basis_to_dict(build_C2(make_split(15, 3)))
+        doc["dim"] = 99
         with pytest.raises(StateFileError):
             basis_from_dict(doc)
 
