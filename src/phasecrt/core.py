@@ -216,12 +216,11 @@ def global_phase_exponent(a: MonomialOperator, b: MonomialOperator) -> int:
 
 
 def operator_order(op: MonomialOperator) -> int:
-    """Smallest n >= 1 with op**n the exact identity."""
-    # op**(2*dim**2) is always the identity, so the loop terminates.
-    for n in range(1, 2 * op.dim * op.dim + 1):
-        if op.power(n).is_identity():
-            return n
-    raise ArithmeticError("unreachable: order exceeds 2*dim**2")
+    """Smallest n >= 1 with op**n the exact identity; it divides 2*dim."""
+    # op**(2*dim) = 1: its cross term a*s*dim*(2*dim - 1) vanishes mod dim
+    two_dim = 2 * op.dim
+    return next(n for n in range(1, two_dim + 1)
+                if two_dim % n == 0 and op.power(n).is_identity())
 
 
 class DenseOperator:

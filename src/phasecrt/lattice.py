@@ -5,6 +5,10 @@ cell of area 2*pi/M (hbar = 1). A lattice for split (M1, M2) has q-spacing M1
 and k-spacing M2, optionally shifted, and always holds exactly M points. A
 state sits over such a lattice when |<q|rho|k>| = 1/sqrt(M) on every lattice
 point and vanishes elsewhere; that state then covers total area 2*pi exactly.
+
+For a pure state |<q|psi><psi|k>| = |psi(q)| * |psi~(k)|, so support and
+classification of a StateVector need one FFT and no (M, M) array; a
+DensityMatrix keeps the dense path through rho @ F.
 """
 
 from __future__ import annotations
@@ -126,20 +130,46 @@ def default_support_threshold(M: int) -> float:
     return 1e-6 / math.sqrt(M)
 
 
-def _magnitudes_and_support(rho, threshold: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """|<q|rho|k>| and the boolean mask of the entries above threshold."""
-    mm = np.abs(mixed_element_matrix(rho))
-    if threshold is None:
-        threshold = default_support_threshold(mm.shape[0])
-    elif threshold <= 0:
+def _pure_magnitudes_and_support(psi: StateVector, threshold: float | None):
+    """|<q|psi><psi|k>| = a[q]*b[k] with a = |psi|, b = |psi~|, never as an (M, M) array.
+
+    a[q]*x is monotone in x, so each row's support is a tail of sorted b and
+    one sort counts the pairs with a[q]*b[k] > t exactly.
+    """
+    a, b = np.abs(psi.amplitudes), np.abs(psi.momentum_amplitudes())
+    M, t = a.size, default_support_threshold(a.size) if threshold is None else threshold
+    bs = np.sort(b)
+    with np.errstate(divide="ignore", over="ignore"):
+        start = np.searchsorted(bs, t / a, side="right")
+    while True:  # t / a is rounded: step each row to the exact start of a*bs > t
+        down = (start > 0) & (a * bs[np.maximum(start - 1, 0)] > t)
+        up = (start < M) & (a * bs[np.minimum(start, M - 1)] <= t)
+        if not (down.any() or up.any()):
+            break
+        start += up.astype(np.intp) - down
+    q = int(np.argmax(a * bs[-1] > t))
+    first = (q, int(np.argmax(a[q] * b > t)))
+    return M, t, int(np.sum(M - start)), first, lambda rows, cols: np.outer(a[rows], b[cols])
+
+
+def _magnitudes_and_support(rho, threshold: float | None):
+    """(dim, t, support count, first row-major support point, block) for |<q|rho|k>| > t,
+    where block(rows, cols) reads the magnitudes at two label slices."""
+    if threshold is not None and threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    return mm, mm > threshold
+    if isinstance(rho, StateVector):
+        return _pure_magnitudes_and_support(rho, threshold)
+    mm = np.abs(mixed_element_matrix(rho))  # dense: |rho @ F| as one (M, M) array
+    t = default_support_threshold(mm.shape[0]) if threshold is None else threshold
+    mask = mm > t
+    first = divmod(int(np.argmax(mask)), mm.shape[1])
+    return mm.shape[0], t, int(np.count_nonzero(mask)), first, lambda rows, cols: mm[rows, cols]
 
 
 def support(rho, threshold: float | None = None) -> tuple[PhasePoint, ...]:
     """Phase points where |<q|rho|k>| exceeds threshold, row-major in (q, k)."""
-    _, mask = _magnitudes_and_support(rho, threshold)
-    qs, ks = np.nonzero(mask)
+    _, t, _, _, block = _magnitudes_and_support(rho, threshold)
+    qs, ks = np.nonzero(block(slice(None), slice(None)) > t)
     return tuple(PhasePoint(int(q), int(k)) for q, k in zip(qs, ks))
 
 
@@ -158,25 +188,24 @@ def classify_vn_state(
 
     A positive answer requires the support to equal one shifted lattice of the
     given split exactly, with every on-support magnitude within tolerance of
-    1/sqrt(M).
+    1/sqrt(M). A StateVector is read through |psi(q)| * |psi~(k)| (count by
+    one sort, O(M log M)); any other input through the dense |rho @ F|.
     """
     M = split.M
-    mm, mask = _magnitudes_and_support(rho, threshold)
-    count = int(np.count_nonzero(mask))
+    dim, t, count, (first_q, first_k), block = _magnitudes_and_support(rho, threshold)
     if count != M:
         return NotVN("wrong count", f"support has {count} points, expected {M}")
-    first_q, first_k = divmod(int(np.argmax(mask)), mask.shape[1])  # first row-major point
     lattice = VNLattice(split, first_q % split.M1, first_k % split.M2)
-    labels = np.arange(M)
-    on_lattice = ((labels % split.M1 == lattice.shift_q)[:, None]
-                  & (labels % split.M2 == lattice.shift_k)[None, :])
-    if not np.array_equal(mask, on_lattice):
+    on_lattice = block(slice(lattice.shift_q, None, split.M1),
+                       slice(lattice.shift_k, None, split.M2))
+    # M points above t, all of them on the lattice: the support is the lattice
+    if dim != M or not np.all(on_lattice > t):
         return NotVN(
             "wrong support geometry",
             f"support is not the {split.describe()} lattice shifted to "
             f"({lattice.shift_q}, {lattice.shift_k})",
         )
-    dev = float(np.max(np.abs(mm[mask] - 1.0 / math.sqrt(M))))
+    dev = float(np.max(np.abs(on_lattice - 1.0 / math.sqrt(M))))
     if dev >= default_tolerance(M):
         return NotVN("non-uniform magnitude", f"max deviation from 1/sqrt(M) is {dev:.3e}")
     return lattice

@@ -1,7 +1,7 @@
 """Exact integer machinery: factorization, coprime splits, CRT label maps.
 
-Everything here is plain Python int arithmetic, so every identity is exact;
-crt_grid only tabulates it.
+Everything here is exact integer arithmetic: plain Python ints, and in
+crt_grid the same CRT formula broadcast over the whole label grid in intp.
 """
 
 from __future__ import annotations
@@ -163,5 +163,5 @@ def crt_decompose(split: CoprimeSplit, q: int) -> tuple[int, int]:
 
 def crt_grid(split: CoprimeSplit) -> np.ndarray:
     """(M1, M2) table grid[q1, q2] = crt_compose(split, q1, q2): the Good-Thomas index map."""
-    return np.array([[crt_compose(split, q1, q2) for q2 in range(split.M2)]
-                     for q1 in range(split.M1)], dtype=np.intp)
+    q1, q2 = np.arange(split.M1, dtype=np.intp), np.arange(split.M2, dtype=np.intp)
+    return (q1[:, None] * split.N1 * split.L1 + q2[None, :] * split.N2 * split.L2) % split.M

@@ -96,15 +96,20 @@ def basis_from_dict(doc: dict) -> RepBasis:
     M = M1 * M2
     if dim != M:
         raise StateFileError(f"bundle dim {dim} is not M1*M2 = {M}")
+    if not isinstance(entries, list):
+        raise StateFileError(f"bundle states must be a list, got {type(entries).__name__}")
     if len(entries) != M:
         raise StateFileError(f"bundle must contain {M} states, got {len(entries)}")
     amps = np.zeros((M1, M2, M), dtype=np.complex128)
     seen = set()
     for entry in entries:
+        try:
+            q1, k2 = int(entry["q1"]), int(entry["k2"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StateFileError(f"missing or malformed state label: {exc}") from exc
         state, _ = state_from_dict({**entry, "meta": {}})
         if state.dim != M:
             raise StateFileError(f"bundle state has dim {state.dim}, expected {M}")
-        q1, k2 = int(entry["q1"]), int(entry["k2"])
         if not (0 <= q1 < M1 and 0 <= k2 < M2) or (q1, k2) in seen:
             raise StateFileError(f"bad or repeated label ({q1}, {k2})")
         seen.add((q1, k2))

@@ -1,12 +1,13 @@
 """Cross-checks of the whole-array paths against scalar reference loops.
 
 The builders scatter small DFT tables through crt_grid or the Cooley-Tukey
-table, and classify_vn_state reads one |<q|rho|k>| array. The references
-below evaluate the docstring sums label by label with crt_compose and
-omega_power, and classify with support + lattice_points + a per-point
-deviation. Position combs and PLS do the same arithmetic as their reference
-and must match exactly; momentum combs sum M1 terms in another order, so they
-match to a few units of float64 roundoff.
+table. classify_vn_state reads a pure state through |psi(q)| * |psi~(k)| and
+a density matrix through one |rho @ F| array. The references below evaluate
+the docstring sums label by label with crt_compose and omega_power, and
+classify from the dense complex (M, M) product with lattice_points and a
+per-point deviation. Position combs and PLS do the same arithmetic as their
+reference and must match exactly; momentum combs sum M1 terms in another
+order, so they match to a few units of float64 roundoff.
 """
 
 import math
@@ -25,11 +26,11 @@ from phasecrt.core import (
 from phasecrt.lattice import (
     DensityMatrix,
     NotVN,
+    PhasePoint,
     VNLattice,
     classify_vn_state,
     default_support_threshold,
     lattice_points,
-    mixed_element_matrix,
     support,
 )
 from phasecrt.numtheory import crt_compose, crt_grid, enumerate_splits, make_split
@@ -145,11 +146,21 @@ def test_e_builders_match_reference(M, M1):
 
 # ---------------------------------------------------------- classifier --
 
+def seed_magnitudes(rho):
+    """|<q|rho|k>| as the seed formed it: one dense (M, M) complex product."""
+    if isinstance(rho, StateVector):
+        return np.abs(np.outer(rho.amplitudes, np.conj(rho.momentum_amplitudes())))
+    return np.abs(rho.matrix @ fourier_matrix(rho.dim))
+
+
 def reference_classify(rho, split, threshold=None):
     M = split.M
-    pts = support(rho, threshold)
-    if len(pts) != M:
-        return NotVN("wrong count", f"support has {len(pts)} points, expected {M}")
+    mm = seed_magnitudes(rho)
+    mask = mm > (default_support_threshold(M) if threshold is None else threshold)
+    count = int(np.count_nonzero(mask))
+    if count != M:
+        return NotVN("wrong count", f"support has {count} points, expected {M}")
+    pts = [PhasePoint(int(q), int(k)) for q, k in zip(*np.nonzero(mask))]
     first = pts[0]
     lattice = VNLattice(split, first.q % split.M1, first.k % split.M2)
     if set(pts) != lattice_points(lattice):
@@ -158,7 +169,6 @@ def reference_classify(rho, split, threshold=None):
             f"support is not the {split.describe()} lattice shifted to "
             f"({lattice.shift_q}, {lattice.shift_k})",
         )
-    mm = np.abs(mixed_element_matrix(rho))
     target = 1.0 / math.sqrt(M)
     dev = max(abs(mm[p.q, p.k] - target) for p in pts)
     if dev >= default_tolerance(M):
@@ -166,22 +176,35 @@ def reference_classify(rho, split, threshold=None):
     return lattice
 
 
-CLASSIFY_SPLITS = [s for M in (6, 15, 30) for split in enumerate_splits(M)
+def same_verdict(got, want):
+    """Equal, except that a printed magnitude deviation may differ by one step
+    in its last digit: |psi(q)|*|psi~(k)| and |psi(q)*conj(psi~(k))| round
+    differently, by a few units in the last place."""
+    if got == want:
+        return True
+    if not (isinstance(got, NotVN) and isinstance(want, NotVN)
+            and got.reason == want.reason == "non-uniform magnitude"):
+        return False
+    x, y = (float(v.detail.rsplit(" ", 1)[1]) for v in (got, want))
+    return abs(x - y) <= 1.01 * 10.0 ** (math.floor(math.log10(max(x, y))) - 3)
+
+
+CLASSIFY_SPLITS = [s for M in (6, 15, 30, 330) for split in enumerate_splits(M)
                    for s in (split, split.swapped())]
 
 
 @st.composite
 def classify_cases(draw):
-    """(rho, split, threshold): PLS, conjugated PLS, random, perturbed and
-    near-threshold states, as vectors or density matrices, classified against
+    """(psi, split, threshold): PLS, conjugated PLS, random, perturbed and
+    near-threshold vectors, some of them unnormalized, classified against
     every oriented split of their dimension."""
-    built = draw(st.sampled_from(CLASSIFY_SPLITS))
-    M = built.M
+    M = draw(st.sampled_from([6, 15, 30, 330]))
+    built = draw(st.sampled_from([s for s in CLASSIFY_SPLITS if s.M == M]))
     q01 = draw(st.integers(0, built.M1 - 1))
     k02 = draw(st.integers(0, built.M2 - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     noise = rng.normal(size=M) + 1j * rng.normal(size=M)
-    kind = draw(st.sampled_from(["pls", "conjugated", "random", "perturbed"]))
+    kind = draw(st.sampled_from(["pls", "conjugated", "random", "perturbed", "near"]))
     if kind == "random":
         amps = noise
     else:
@@ -192,21 +215,68 @@ def classify_cases(draw):
             # log-uniform scale: below, near and above the support threshold
             # and the magnitude tolerance
             amps = amps + 10.0 ** draw(st.floats(-11, -3)) * noise
-    rho = StateVector(amps)
+        elif kind == "near":
+            # off-lattice products a[q]*b[k] of the order of the default threshold
+            amps = amps + 10.0 ** draw(st.floats(-6.5, -5.5)) * noise
     if draw(st.booleans()):
-        rho = DensityMatrix.from_state(rho)
+        amps = amps * 10.0 ** draw(st.floats(-2, 2))
     split = draw(st.sampled_from([s for s in CLASSIFY_SPLITS if s.M == M]))
     threshold = draw(st.one_of(
         st.none(),
         st.floats(0.1, 10).map(lambda f: f * default_support_threshold(M))))
-    return rho, split, threshold
+    return StateVector(amps), split, threshold
 
 
 @settings(max_examples=300, deadline=None)
 @given(classify_cases())
 def test_classify_matches_reference(case):
-    rho, split, threshold = case
-    assert classify_vn_state(rho, split, threshold) == reference_classify(rho, split, threshold)
+    psi, split, threshold = case
+    pure = classify_vn_state(psi, split, threshold)
+    assert same_verdict(pure, reference_classify(psi, split, threshold))
+    rho = DensityMatrix.from_state(psi)
+    dense = classify_vn_state(rho, split, threshold)
+    assert dense == reference_classify(rho, split, threshold)
+    # both input kinds agree on the normalized state
+    assert same_verdict(classify_vn_state(psi.normalize(), split, threshold), dense)
+    for state, verdict in ((psi, pure), (rho, dense)):
+        if isinstance(verdict, VNLattice):
+            assert set(support(state, threshold)) == lattice_points(verdict)
+
+
+def assert_count_exact(psi, split, t):
+    a, b = np.abs(psi.amplitudes), np.abs(psi.momentum_amplitudes())
+    count = int(np.count_nonzero(np.outer(a, b) > t))
+    verdict = classify_vn_state(psi, split, t)
+    if count != split.M:
+        assert verdict == NotVN("wrong count", f"support has {count} points, expected {split.M}")
+    else:
+        assert not (isinstance(verdict, NotVN) and verdict.reason == "wrong count")
+
+
+def around(product):
+    """The threshold at one product a[q]*b[k] and one float step either side."""
+    return [t for t in (np.nextafter(product, 0), product, np.nextafter(product, np.inf))
+            if t > 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(classify_cases(), st.data())
+def test_pure_count_is_exact_at_the_threshold(case, data):
+    psi, split, _ = case
+    q = data.draw(st.integers(0, split.M - 1))
+    k = data.draw(st.integers(0, split.M - 1))
+    for t in around(np.abs(psi.amplitudes[q]) * np.abs(psi.momentum_amplitudes()[k])):
+        assert_count_exact(psi, split, t)
+
+
+def test_pure_count_is_exact_on_tied_magnitudes():
+    # 29 rows tie at |psi(q)| = 0.1, so every tie straddles the same boundary
+    psi = StateVector(0.1 * np.ones(30) + np.r_[np.zeros(29), 1e-3])
+    a, b = np.abs(psi.amplitudes), np.abs(psi.momentum_amplitudes())
+    for q in (0, 29):
+        for k in range(30):
+            for t in around(a[q] * b[k]):
+                assert_count_exact(psi, make_split(30, 5), t)
 
 
 def test_classify_cases_reach_every_verdict():

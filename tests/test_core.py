@@ -255,6 +255,19 @@ class TestPowersAndOrder:
                     break
             assert operator_order(a) == dense_order
 
+    def test_order_matches_brute_force_scan(self):
+        # every monomial operator up to dim 12 against a composition scan to 2*dim**2
+        for dim in range(2, 13):
+            for s in range(dim):
+                for a in range(dim):
+                    for b in range(dim):
+                        op = MonomialOperator(dim, s, a, b)
+                        acc, n = op, 1
+                        while not acc.is_identity():
+                            acc, n = compose(op, acc), n + 1
+                            assert n <= 2 * dim * dim
+                        assert operator_order(op) == n
+
 
 class TestApply:
     def test_clock_raises_momentum_label(self):

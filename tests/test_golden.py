@@ -9,6 +9,7 @@ residual is under tolerance. Integer `measured` values, ids, descriptions,
 Regenerate a golden file only for an intended change of the report:
     phasecrt suite 6,10,12,15,21,35 --format json --out tests/golden/w1.json
     phasecrt suite 210 --format json --out tests/golden/210.json
+    phasecrt suite 667 --format json --out tests/golden/667.json
 """
 
 import json
@@ -31,7 +32,7 @@ def comparable(text: str) -> str:
     return json.dumps(doc, indent=2)
 
 
-@pytest.mark.parametrize("name, dims", [("w1", "6,10,12,15,21,35"), ("210", "210")])
+@pytest.mark.parametrize("name, dims", [("w1", "6,10,12,15,21,35"), ("210", "210"), ("667", "667")])
 def test_report_matches_golden(name, dims, tmp_path, monkeypatch):
     monkeypatch.delenv("PHASECRT_TOLERANCE", raising=False)
     out = tmp_path / "report.json"

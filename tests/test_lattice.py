@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from phasecrt.core import StateVector, momentum_state, position_state
+from phasecrt.core import StateVector, fourier_matrix, momentum_state, position_state
 from phasecrt.lattice import (
     AreaReport,
     DensityMatrix,
@@ -189,6 +189,17 @@ class TestClassify:
                 verdict = classify_vn_state(conj, SPLIT_15.swapped())
                 assert isinstance(verdict, VNLattice)
                 assert (verdict.shift_q, verdict.shift_k) == (k02, q01)
+
+    def test_support_of_another_dimension_is_wrong_geometry(self):
+        # a 16-dim matrix whose 15 support points sit where the shifted 3x5
+        # lattice would be; the lattice lives in dimension 15, so it is no match
+        M = 16
+        target = np.zeros((M, M), dtype=complex)
+        target[np.ix_([1, 4, 7, 10, 13], [1, 6, 11])] = 1 / math.sqrt(15)
+        rho = target @ np.conj(fourier_matrix(M)).T  # |rho @ F| = |target|
+        verdict = classify_vn_state(rho, SPLIT_15)
+        assert isinstance(verdict, NotVN)
+        assert verdict.reason == "wrong support geometry"
 
     def test_wrong_orientation_rejected(self):
         verdict = classify_vn_state(build_pls(SPLIT_15, 0, 0), SPLIT_15.swapped())

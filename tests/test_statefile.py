@@ -133,6 +133,18 @@ class TestBasisBundle:
         with pytest.raises(StateFileError):
             basis_from_dict(doc)
 
+    def test_bundle_rejects_state_without_label(self):
+        doc = basis_to_dict(build_E_pos(6, 2))
+        del doc["states"][2]["q1"]
+        with pytest.raises(StateFileError):
+            basis_from_dict(doc)
+
+    def test_bundle_rejects_non_list_states(self):
+        doc = basis_to_dict(build_E_pos(6, 2))
+        doc["states"] = 5
+        with pytest.raises(StateFileError):
+            basis_from_dict(doc)
+
     def test_json_is_valid(self, tmp_path):
         path = tmp_path / "bundle.json"
         save_basis(path, build_E_pos(4, 2))

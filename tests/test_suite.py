@@ -1,5 +1,7 @@
 import pytest
 
+from phasecrt import suite
+from phasecrt.lattice import VNLattice
 from phasecrt.suite import format_table, reports_to_dict, run_suite, run_suites
 
 
@@ -78,6 +80,16 @@ class TestSuiteRun:
         check = next(c for c in report.checks if c.check_id == "kernel.label-form[3x5]")
         assert "with-inverse-factors" in check.note
         assert check.status == "pass"
+
+    def test_repeated_shift_fails_lattice_bijection(self, monkeypatch):
+        # a classifier that puts every PLS over the unshifted lattice
+        monkeypatch.setattr(suite, "classify_vn_state",
+                            lambda rho, split, threshold=None: VNLattice(split))
+        report = run_suite(15)
+        check = next(c for c in report.checks if c.check_id == "pls.lattice-bijection[3x5]")
+        assert check.status == "fail"
+        # 14 wrong shifts, one distinct shift instead of 15, and an uncovered grid
+        assert check.measured == 14 + 1 + 1
 
 
 class TestReportSerialization:
