@@ -6,9 +6,9 @@ and k-spacing M2, optionally shifted, and always holds exactly M points. A
 state sits over such a lattice when |<q|rho|k>| = 1/sqrt(M) on every lattice
 point and vanishes elsewhere; that state then covers total area 2*pi exactly.
 
-For a pure state |<q|psi><psi|k>| = |psi(q)| * |psi~(k)|, so support and
-classification of a StateVector need one FFT and no (M, M) array; a
-DensityMatrix keeps the dense path through rho @ F.
+For a pure state |<q|psi><psi|k>| = |psi(q)| * |psi~(k)|, so classifying a
+StateVector needs one FFT and no (M, M) array; a DensityMatrix keeps the
+dense path through rho @ F.
 """
 
 from __future__ import annotations
@@ -131,12 +131,11 @@ def default_support_threshold(M: int) -> float:
 
 
 def _pure_magnitudes_and_support(psi: StateVector, threshold: float | None):
-    """|<q|psi><psi|k>| = a[q]*b[k] with a = |psi|, b = |psi~|, never as an (M, M) array.
-
-    a[q]*x is monotone in x, so each row's support is a tail of sorted b and
-    one sort counts the pairs with a[q]*b[k] > t exactly.
-    """
-    a, b = np.abs(psi.amplitudes), np.abs(psi.momentum_amplitudes())
+    """|<q|psi><psi|k>| = a[q]*b[k] (a = |psi|, b = |psi~|) without an (M, M) array:
+    a[q]*x is monotone in x, so one sort of b counts the pairs a[q]*b[k] > t exactly.
+    The block reads the complex entries of mixed_element_matrix(psi), as the dense path."""
+    v, vk = psi.amplitudes, psi.momentum_amplitudes()
+    a, b = np.abs(v), np.abs(vk)
     M, t = a.size, default_support_threshold(a.size) if threshold is None else threshold
     bs = np.sort(b)
     with np.errstate(divide="ignore", over="ignore"):
@@ -147,9 +146,9 @@ def _pure_magnitudes_and_support(psi: StateVector, threshold: float | None):
         if not (down.any() or up.any()):
             break
         start += up.astype(np.intp) - down
-    q = int(np.argmax(a * bs[-1] > t))
-    first = (q, int(np.argmax(a[q] * b > t)))
-    return M, t, int(np.sum(M - start)), first, lambda rows, cols: np.outer(a[rows], b[cols])
+    q = int(np.argmax(a * bs[-1] > t))  # the first row with support, then its first k
+    return (M, t, int(np.sum(M - start)), (q, int(np.argmax(a[q] * b > t))),
+            lambda rows, cols: np.abs(np.outer(v[rows], np.conj(vk[cols]))))
 
 
 def _magnitudes_and_support(rho, threshold: float | None):
@@ -188,8 +187,8 @@ def classify_vn_state(
 
     A positive answer requires the support to equal one shifted lattice of the
     given split exactly, with every on-support magnitude within tolerance of
-    1/sqrt(M). A StateVector is read through |psi(q)| * |psi~(k)| (count by
-    one sort, O(M log M)); any other input through the dense |rho @ F|.
+    1/sqrt(M). A StateVector's support is counted from |psi(q)| * |psi~(k)| by
+    one sort (O(M log M)); any other input is read through the dense |rho @ F|.
     """
     M = split.M
     dim, t, count, (first_q, first_k), block = _magnitudes_and_support(rho, threshold)

@@ -1,13 +1,14 @@
 """Cross-checks of the whole-array paths against scalar reference loops.
 
 The builders scatter small DFT tables through crt_grid or the Cooley-Tukey
-table. classify_vn_state reads a pure state through |psi(q)| * |psi~(k)| and
-a density matrix through one |rho @ F| array. The references below evaluate
-the docstring sums label by label with crt_compose and omega_power, and
-classify from the dense complex (M, M) product with lattice_points and a
-per-point deviation. Position combs and PLS do the same arithmetic as their
-reference and must match exactly; momentum combs sum M1 terms in another
-order, so they match to a few units of float64 roundoff.
+table. classify_vn_state counts a pure state's support through
+|psi(q)| * |psi~(k)| and reads a density matrix through one |rho @ F| array.
+The references below evaluate the docstring sums label by label with
+crt_compose and omega_power, and classify from the dense complex (M, M)
+product with lattice_points and a per-point deviation. Position combs and
+PLS do the same arithmetic as their reference and must match exactly;
+momentum combs sum M1 terms in another order, so they match to a few units
+of float64 roundoff.
 """
 
 import math
@@ -176,19 +177,6 @@ def reference_classify(rho, split, threshold=None):
     return lattice
 
 
-def same_verdict(got, want):
-    """Equal, except that a printed magnitude deviation may differ by one step
-    in its last digit: |psi(q)|*|psi~(k)| and |psi(q)*conj(psi~(k))| round
-    differently, by a few units in the last place."""
-    if got == want:
-        return True
-    if not (isinstance(got, NotVN) and isinstance(want, NotVN)
-            and got.reason == want.reason == "non-uniform magnitude"):
-        return False
-    x, y = (float(v.detail.rsplit(" ", 1)[1]) for v in (got, want))
-    return abs(x - y) <= 1.01 * 10.0 ** (math.floor(math.log10(max(x, y))) - 3)
-
-
 CLASSIFY_SPLITS = [s for M in (6, 15, 30, 330) for split in enumerate_splits(M)
                    for s in (split, split.swapped())]
 
@@ -232,12 +220,12 @@ def classify_cases(draw):
 def test_classify_matches_reference(case):
     psi, split, threshold = case
     pure = classify_vn_state(psi, split, threshold)
-    assert same_verdict(pure, reference_classify(psi, split, threshold))
+    assert pure == reference_classify(psi, split, threshold)
     rho = DensityMatrix.from_state(psi)
     dense = classify_vn_state(rho, split, threshold)
     assert dense == reference_classify(rho, split, threshold)
     # both input kinds agree on the normalized state
-    assert same_verdict(classify_vn_state(psi.normalize(), split, threshold), dense)
+    assert classify_vn_state(psi.normalize(), split, threshold) == dense
     for state, verdict in ((psi, pure), (rho, dense)):
         if isinstance(verdict, VNLattice):
             assert set(support(state, threshold)) == lattice_points(verdict)
