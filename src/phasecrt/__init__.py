@@ -78,7 +78,6 @@ from .reps import (
     eigen_residuals,
     factor_kernel,
     overlap_matrix,
-    overlap_phase_table,
 )
 from .statefile import StateFileError, load_basis, load_state, save_basis, save_state
 from .suite import CheckRecord, VerificationReport, run_suite, run_suites

@@ -254,13 +254,17 @@ def apply(op: MonomialOperator | DenseOperator, state: StateVector) -> StateVect
     if op.dim != state.dim:
         raise DimensionMismatchError(f"dims differ: {op.dim} vs {state.dim}")
     if isinstance(op, MonomialOperator):
-        M = op.dim
-        q = np.arange(M)
-        phases = omega_power(M, op.phase_slope * q + op.phase_offset)
-        out = np.zeros(M, dtype=np.complex128)
-        out[(q - op.shift) % M] = phases * state.amplitudes
-        return StateVector(out, normalized=state.normalized)
+        return StateVector(_apply_rows(op, state.amplitudes), normalized=state.normalized)
     return StateVector(op.matrix @ state.amplitudes)
+
+
+def _apply_rows(op: MonomialOperator, amps: np.ndarray) -> np.ndarray:
+    """op acting on every row of amps, positions along the last axis."""
+    M = op.dim
+    q = np.arange(M)
+    out = np.empty(amps.shape, dtype=np.complex128)
+    out[..., (q - op.shift) % M] = omega_power(M, op.phase_slope * q + op.phase_offset) * amps
+    return out
 
 
 def overlap(v: StateVector, w: StateVector) -> complex:

@@ -16,7 +16,8 @@ Good-Thomas map) for the C kinds or the Cooley-Tukey table for the E kinds.
 The two E kinds carry no CRT data and exist for any divisor M1 of M; the two
 C kinds need gcd(M1, M2) = 1. C1 and C2 are the same basis vector for vector
 (delta overlap with no phase); the others agree up to label-dependent phases
-tabulated in CROSS_PHASE_FORMS and checked by compare_cross_phases.
+tabulated in CROSS_PHASE_FORMS and checked by compare_cross_phases. The
+checks are batched over vectors and labels; factor_kernel takes label arrays.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from .core import (
     PHASE_EXPONENT_RESIDUAL_TOL,
     DimensionMismatchError,
     StateVector,
-    apply,
+    _apply_rows,
     clock,
     default_tolerance,
     fourier_matrix,
     omega_power,
-    phase_exponent,
     translate,
 )
 from .numtheory import CoprimeSplit, NonCoprimeError, crt_grid, make_split
@@ -120,7 +120,8 @@ class RepBasis:
     def gram_residual(self) -> float:
         mat = self.as_matrix()
         g = mat.conj().T @ mat
-        return float(np.max(np.abs(g - np.eye(self.M))))
+        g.flat[::self.M + 1] -= 1.0
+        return float(np.max(np.abs(g)))
 
     def __repr__(self) -> str:
         tag = ", conjugated" if self.conjugated else ""
@@ -230,24 +231,25 @@ def conjugate_state(state: StateVector) -> StateVector:
 def conjugate_basis(basis: RepBasis) -> RepBasis:
     """Conjugate every vector and relabel: orientation (M1, M2) -> (M2, M1),
     vector (q1, k2) -> (k2, q1)."""
-    M1, M2 = basis.M1, basis.M2
-    amps = np.zeros((M2, M1, basis.M), dtype=np.complex128)
-    for label, vec in basis.items():
-        amps[label.k2, label.q1] = conjugate_state(vec).amplitudes
-    return RepBasis(basis.kind, M2, M1, amps, conjugated=not basis.conjugated)
+    amps = np.conj(np.fft.fft(basis._amps, axis=-1) / math.sqrt(basis.M))
+    return RepBasis(basis.kind, basis.M2, basis.M1, amps.transpose(1, 0, 2).copy(),
+                    conjugated=not basis.conjugated)
 
 
-def factor_kernel(split: CoprimeSplit, k1: int, q1: int) -> complex:
+def factor_kernel(split: CoprimeSplit, k1, q1) -> complex | np.ndarray:
     """<k1|q1> = omega_M1**(-q1*k1*N1) / sqrt(M1) for the first factor.
 
-    The second factor's kernel is factor_kernel(split.swapped(), k2, q2), and
-    the product of the two equals <k|q> under CRT-composed labels.
+    Labels are integers or broadcasting integer arrays in [0, M1). The second
+    factor's kernel is factor_kernel(split.swapped(), k2, q2), and the product
+    of the two equals <k|q> under CRT-composed labels.
     """
-    if not 0 <= k1 < split.M1:
-        raise ValueError(f"k1={k1} out of range [0, {split.M1})")
-    if not 0 <= q1 < split.M1:
-        raise ValueError(f"q1={q1} out of range [0, {split.M1})")
-    return omega_power(split.M1, -q1 * k1 * split.N1) / math.sqrt(split.M1)
+    k1, q1 = np.asarray(k1), np.asarray(q1)
+    for name, labels in (("k1", k1), ("q1", q1)):
+        bad = labels[(labels < 0) | (labels >= split.M1)]
+        if bad.size:
+            raise ValueError(f"{name}={bad.flat[0]} out of range [0, {split.M1})")
+    # numpy divides scalars and arrays alike (Python's complex division rounds otherwise)
+    return np.asarray(omega_power(split.M1, -q1 * k1 * split.N1)) / math.sqrt(split.M1)
 
 
 def overlap_matrix(basis_a: RepBasis, basis_b: RepBasis) -> np.ndarray:
@@ -255,20 +257,6 @@ def overlap_matrix(basis_a: RepBasis, basis_b: RepBasis) -> np.ndarray:
     if basis_a.M != basis_b.M:
         raise DimensionMismatchError(f"dims differ: {basis_a.M} vs {basis_b.M}")
     return basis_a.as_matrix().conj().T @ basis_b.as_matrix()
-
-
-def overlap_phase_table(
-    basis_a: RepBasis, basis_b: RepBasis
-) -> dict[tuple[TorusLabel, TorusLabel], complex]:
-    """Full overlap map (label_a, label_b) -> <a|b>."""
-    g = overlap_matrix(basis_a, basis_b)
-    labels_a = list(basis_a.labels())
-    labels_b = list(basis_b.labels())
-    return {
-        (la, lb): complex(g[i, j])
-        for i, la in enumerate(labels_a)
-        for j, lb in enumerate(labels_b)
-    }
 
 
 # Claimed closed forms for the diagonal phase of each cross-basis overlap,
@@ -325,24 +313,22 @@ def compare_cross_phases(
     M = basis_a.M
     if tol is None:
         tol = default_tolerance(M)
-    claimed = CROSS_PHASE_FORMS[key]
     g = overlap_matrix(basis_a, basis_b)
+    diag = np.diag(g).copy()
+    # with |diag| - 1 on the diagonal, max |g| covers both modulus conditions
+    g.flat[::M + 1] = np.abs(diag) - 1.0
+    max_mod_err = float(np.max(np.abs(g)))
 
-    mask = np.eye(M, dtype=bool)
-    max_off = float(np.max(np.abs(g[~mask]))) if M > 1 else 0.0
-    diag = np.diag(g)
-    max_diag_dev = float(np.max(np.abs(np.abs(diag) - 1.0)))
-    max_mod_err = max(max_off, max_diag_dev)
-
-    max_residual = 0.0
-    mismatches = []
-    labels = list(basis_a.labels())
-    for i, label in enumerate(labels):
-        n, residual = phase_exponent(diag[i], M)
-        max_residual = max(max_residual, residual)
-        want = claimed(split, label.q1, label.k2) % M
-        if n != want:
-            mismatches.append(PhaseDiscrepancy(label, n, want))
+    # phase_exponent, for every diagonal entry at once
+    x = np.angle(diag) * M / (2.0 * np.pi)
+    n = np.round(x)
+    max_residual = float(np.max(np.abs(x - n)))
+    measured = n.astype(np.int64) % M
+    q1, k2 = np.divmod(np.arange(M), basis_a.M2)  # labels in row-major (q1, k2) order
+    claimed = np.broadcast_to(CROSS_PHASE_FORMS[key](split, q1, k2), (M,)) % M
+    mismatches = tuple(
+        PhaseDiscrepancy(TorusLabel(int(q1[i]), int(k2[i])), int(measured[i]), int(claimed[i]))
+        for i in np.flatnonzero(measured != claimed))
 
     if max_mod_err >= tol or max_residual >= PHASE_EXPONENT_RESIDUAL_TOL:
         status = "fail"
@@ -351,7 +337,7 @@ def compare_cross_phases(
     else:
         status = "pass"
     return OverlapComparison(
-        basis_a.kind, basis_b.kind, status, max_mod_err, max_residual, tuple(mismatches)
+        basis_a.kind, basis_b.kind, status, max_mod_err, max_residual, mismatches
     )
 
 
@@ -361,13 +347,15 @@ def eigen_residuals(basis: RepBasis) -> float:
     Relations: clock(M, M1) v = omega_M1**q1 v and
     translate(M, M1) v = omega_M2**k2 v (the step size M1 equals L2 = M/M2).
     """
-    M = basis.M
-    cl = clock(M, basis.M1)
-    tr = translate(M, basis.M1 % M)
+    M, M1, M2 = basis.M, basis.M1, basis.M2
+    cl = clock(M, M1)
+    tr = translate(M, M1 % M)
+    tr_eigenvalues = omega_power(M2, np.arange(M2))[:, None]
     worst = 0.0
-    for label, vec in basis.items():
-        want = omega_power(basis.M1, label.q1) * vec.amplitudes
-        worst = max(worst, float(np.linalg.norm(apply(cl, vec).amplitudes - want)))
-        want = omega_power(basis.M2, label.k2) * vec.amplitudes
-        worst = max(worst, float(np.linalg.norm(apply(tr, vec).amplitudes - want)))
+    for q1 in range(M1):  # one (M2, M) block of vectors at a time
+        block = basis._amps[q1]
+        dev = np.linalg.norm(_apply_rows(cl, block) - omega_power(M1, q1) * block, axis=-1)
+        worst = max(worst, float(np.max(dev)))
+        dev = np.linalg.norm(_apply_rows(tr, block) - tr_eigenvalues * block, axis=-1)
+        worst = max(worst, float(np.max(dev)))
     return worst

@@ -9,6 +9,15 @@ product with lattice_points and a per-point deviation. Position combs and
 PLS do the same arithmetic as their reference and must match exactly;
 momentum combs sum M1 terms in another order, so they match to a few units
 of float64 roundoff.
+
+The suite's batched checks keep their per-vector loops here as references:
+eigen_residuals (per-vector apply; norms summed in another order, so within
+rtol 1e-12), scalar factor_kernel calls, compare_cross_phases with one
+phase_exponent per label, conjugate_basis with one conjugate_state per
+vector, and the shift and kernel checks with single states and a dense F.
+Kernel tables, comparisons and conjugated bases must match exactly; the
+shift and kernel records match in status, integers and notes, and their
+float residuals within rtol 1e-12.
 """
 
 import math
@@ -18,11 +27,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phasecrt import suite
 from phasecrt.core import (
+    PHASE_EXPONENT_RESIDUAL_TOL,
     StateVector,
+    apply,
+    clock,
     default_tolerance,
     fourier_matrix,
+    momentum_state,
     omega_power,
+    phase_exponent,
+    position_state,
+    translate,
 )
 from phasecrt.lattice import (
     DensityMatrix,
@@ -36,12 +53,23 @@ from phasecrt.lattice import (
 )
 from phasecrt.numtheory import crt_compose, crt_grid, enumerate_splits, make_split
 from phasecrt.reps import (
+    CROSS_PHASE_FORMS,
+    BasisKind,
+    OverlapComparison,
+    PhaseDiscrepancy,
+    RepBasis,
+    build_basis,
     build_C1,
     build_C2,
     build_E_mom,
     build_E_pos,
     build_pls,
+    compare_cross_phases,
+    conjugate_basis,
     conjugate_state,
+    eigen_residuals,
+    factor_kernel,
+    overlap_matrix,
 )
 
 MOMENTUM_ATOL = 4 * np.finfo(np.float64).eps
@@ -286,3 +314,181 @@ def test_classify_cases_reach_every_verdict():
         assert verdict == reference_classify(rho, s)
         got.append(verdict.reason if isinstance(verdict, NotVN) else "vn")
     assert got == ["vn", "wrong count", "wrong support geometry", "non-uniform magnitude", "vn"]
+
+
+# ------------------------------------------------ eigen, kernel, phases --
+
+def reference_eigen_residuals(basis):
+    M = basis.M
+    cl = clock(M, basis.M1)
+    tr = translate(M, basis.M1 % M)
+    worst = 0.0
+    for label, vec in basis.items():
+        want = omega_power(basis.M1, label.q1) * vec.amplitudes
+        worst = max(worst, float(np.linalg.norm(apply(cl, vec).amplitudes - want)))
+        want = omega_power(basis.M2, label.k2) * vec.amplitudes
+        worst = max(worst, float(np.linalg.norm(apply(tr, vec).amplitudes - want)))
+    return worst
+
+
+def reference_compare_cross_phases(basis_a, basis_b, tol):
+    M = basis_a.M
+    split = basis_a.split or basis_b.split
+    claimed = CROSS_PHASE_FORMS[(basis_a.kind, basis_b.kind)]
+    g = overlap_matrix(basis_a, basis_b)
+    mask = np.eye(M, dtype=bool)
+    diag = np.diag(g)
+    max_mod_err = max(float(np.max(np.abs(g[~mask]))),
+                      float(np.max(np.abs(np.abs(diag) - 1.0))))
+    max_residual = 0.0
+    mismatches = []
+    for i, label in enumerate(basis_a.labels()):
+        n, residual = phase_exponent(diag[i], M)
+        max_residual = max(max_residual, residual)
+        want = claimed(split, label.q1, label.k2) % M
+        if n != want:
+            mismatches.append(PhaseDiscrepancy(label, n, want))
+    if max_mod_err >= tol or max_residual >= PHASE_EXPONENT_RESIDUAL_TOL:
+        status = "fail"
+    elif mismatches:
+        status = "discrepancy"
+    else:
+        status = "pass"
+    return OverlapComparison(basis_a.kind, basis_b.kind, status, max_mod_err, max_residual,
+                             tuple(mismatches))
+
+
+def reference_conjugate_basis(basis):
+    amps = np.zeros((basis.M2, basis.M1, basis.M), dtype=np.complex128)
+    for label, vec in basis.items():
+        amps[label.k2, label.q1] = conjugate_state(vec).amplitudes
+    return amps
+
+
+def reference_check_shift_relations(checks, M, tol):
+    u, v = clock(M, M), translate(M, 1)
+    dev = 0.0
+    for k in range(M):
+        got = apply(u, momentum_state(M, k)).amplitudes
+        want = momentum_state(M, (k + 1) % M).amplitudes
+        dev = max(dev, float(np.max(np.abs(got - want))))
+    suite._add(checks, "operators.shift.momentum-raise",
+               "clock(M,M) maps |k> to |k+1>", dev, 0.0, tol)
+    bad = 0
+    for q in range(M):
+        got = apply(v, position_state(M, q)).amplitudes
+        want = position_state(M, (q - 1) % M).amplitudes
+        bad += int(not np.array_equal(got, want))
+    suite._add(checks, "operators.shift.position-lower",
+               "translate(M,1) maps |q> to |q-1> exactly", bad, 0, 0)
+
+
+def reference_check_kernel(checks, split, d, tol):
+    M1, M2 = split.M1, split.M2
+    grid = crt_grid(split)
+    brute = np.conj(fourier_matrix(split.M))[grid[:, :, None, None], grid]  # <k|q>
+    swapped = split.swapped()
+    kernel1 = np.array([[factor_kernel(split, k1, q1) for k1 in range(M1)] for q1 in range(M1)])
+    kernel2 = np.array([[factor_kernel(swapped, k2, q2) for k2 in range(M2)] for q2 in range(M2)])
+    with_inv = kernel1[:, None, :, None] * kernel2[None, :, None, :]
+    q1, q2, k1, k2 = np.ix_(np.arange(M1), np.arange(M2), np.arange(M1), np.arange(M2))
+    plain = (np.exp(-2j * np.pi * (q1 * k1 * split.L1 + q2 * k2 * split.L2) / split.M)
+             / math.sqrt(split.M))
+    dev_inv = float(np.max(np.abs(brute - with_inv)))
+    dev_plain = float(np.max(np.abs(brute - plain)))
+    suite._add(checks, f"kernel.product[{d}]",
+               "<k|q> factorizes into the two single-factor kernels under CRT labels",
+               dev_inv, 0.0, tol)
+    matches = [name for name, dev in
+               [("with-inverse-factors", dev_inv), ("inverse-free", dev_plain)]
+               if dev < tol]
+    suite._add(checks, f"kernel.label-form[{d}]",
+               "which factorized kernel form matches brute force",
+               dev_inv, 0.0, tol,
+               note=f"matching forms: {matches or ['none']}; "
+                    f"inverse-free form max deviation {dev_plain:.3e}",
+               status="pass" if "with-inverse-factors" in matches else "fail")
+
+
+def all_bases(M, M1):
+    """The four kinds at one orientation; E kinds only when gcd(M1, M/M1) > 1."""
+    kinds = BasisKind if math.gcd(M1, M // M1) == 1 else (BasisKind.E_POS, BasisKind.E_MOM)
+    return {kind: build_basis(kind, M, M1) for kind in kinds}
+
+
+def corrupted(basis):
+    """basis with one entry of one vector re-phased and one entry of another moved."""
+    amps = amplitudes(basis).copy()
+    v = amps[0, 1]
+    v[np.flatnonzero(v)[0]] *= np.exp(0.5j)
+    w = amps[-1, -1]
+    j = np.flatnonzero(w)[-1]
+    w[(j + 1) % basis.M] += w[j]
+    w[j] = 0
+    return RepBasis(basis.kind, basis.M1, basis.M2, amps)
+
+
+SPLITS_30_210 = [s for M in (30, 210) for split in enumerate_splits(M)
+                 for s in (split, split.swapped())]
+EIGEN_CASES = [(15, 3), (15, 5)] + [(s.M, s.M1) for s in SPLITS_30_210] + [(12, 2), (12, 6)]
+
+
+@pytest.mark.parametrize("M, M1", EIGEN_CASES)
+def test_eigen_residuals_match_reference(M, M1):
+    for basis in all_bases(M, M1).values():
+        assert eigen_residuals(basis) == pytest.approx(reference_eigen_residuals(basis),
+                                                       rel=1e-12, abs=0)
+        bad = corrupted(basis)
+        got = eigen_residuals(bad)
+        assert got == pytest.approx(reference_eigen_residuals(bad), rel=1e-12, abs=0)
+        assert got > default_tolerance(M)
+
+
+@pytest.mark.parametrize("split", SPLITS_30_210, ids=lambda s: f"{s.M}:{s.describe()}")
+def test_factor_kernel_arrays_match_scalar_calls(split):
+    r = np.arange(split.M1)
+    table = factor_kernel(split, r, r[:, None])  # [q1, k1]
+    assert np.array_equal(table, [[factor_kernel(split, k1, q1) for k1 in r] for q1 in r])
+    with pytest.raises(ValueError, match="k1"):
+        factor_kernel(split, np.arange(split.M1 + 1), 0)
+    with pytest.raises(ValueError, match="q1"):
+        factor_kernel(split, r, np.array([[0], [-1]]))
+
+
+@pytest.mark.parametrize("split", SPLITS_30_210, ids=lambda s: f"{s.M}:{s.describe()}")
+def test_compare_cross_phases_matches_reference(split):
+    bases = all_bases(split.M, split.M1)
+    tol = default_tolerance(split.M)
+    for kind_a, kind_b in CROSS_PHASE_FORMS:
+        got = compare_cross_phases(bases[kind_a], bases[kind_b], tol=tol)
+        assert got == reference_compare_cross_phases(bases[kind_a], bases[kind_b], tol)
+
+
+@pytest.mark.parametrize("M, M1", [(15, 3), (30, 5), (210, 14), (667, 23), (12, 2)])
+def test_conjugate_basis_matches_reference(M, M1):
+    for basis in all_bases(M, M1).values():
+        conj = conjugate_basis(basis)
+        assert (conj.M1, conj.M2, conj.conjugated) == (basis.M2, basis.M1, True)
+        assert np.array_equal(amplitudes(conj), reference_conjugate_basis(basis))
+
+
+def same_records(got, want):
+    assert [(c.check_id, c.status, c.note) for c in got] == \
+        [(c.check_id, c.status, c.note) for c in want]
+    for g, w in zip(got, want):
+        if isinstance(w.measured, int):
+            assert g.measured == w.measured and isinstance(g.measured, int)
+        else:
+            assert g.measured == pytest.approx(w.measured, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("M", [6, 30, 210])
+def test_shift_and_kernel_records_match_reference(M):
+    tol = default_tolerance(M)
+    got, want = [], []
+    suite._check_shift_relations(got, M, tol, fourier_matrix(M))
+    reference_check_shift_relations(want, M, tol)
+    for split in enumerate_splits(M):
+        suite._check_kernel(got, split, split.describe(), tol)
+        reference_check_kernel(want, split, split.describe(), tol)
+    same_records(got, want)

@@ -22,7 +22,6 @@ from phasecrt.reps import (
     eigen_residuals,
     factor_kernel,
     overlap_matrix,
-    overlap_phase_table,
 )
 
 
@@ -283,11 +282,13 @@ class TestFactorKernel:
 class TestOverlapTables:
     def test_table_matches_pairwise_overlaps(self):
         c1, c2 = build_C1(SPLIT_6), build_C2(SPLIT_6)
-        table = overlap_phase_table(c1, c2)
-        assert len(table) == 36
-        for (la, lb), z in table.items():
-            want = overlap(c1.vector(la.q1, la.k2), c2.vector(lb.q1, lb.k2))
-            assert abs(z - want) < 1e-13
+        table = overlap_matrix(c1, c2)
+        assert table.shape == (6, 6)
+        labels_a, labels_b = list(c1.labels()), list(c2.labels())
+        for i, la in enumerate(labels_a):
+            for j, lb in enumerate(labels_b):
+                want = overlap(c1.vector(la.q1, la.k2), c2.vector(lb.q1, lb.k2))
+                assert abs(table[i, j] - want) < 1e-13
 
     def test_all_pairs_have_modulus_zero_or_one(self):
         bases = [build_C1(SPLIT_15), build_C2(SPLIT_15),

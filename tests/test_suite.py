@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from phasecrt import suite
@@ -90,6 +92,19 @@ class TestSuiteRun:
         assert check.status == "fail"
         # 14 wrong shifts, one distinct shift instead of 15, and an uncovered grid
         assert check.measured == 14 + 1 + 1
+
+
+class TestWorkingSet:
+    def test_suite_heap_peak_stays_within_eight_square_arrays(self):
+        # the first call also allocates for lazy imports; that is not working set
+        run_suite(15)
+        tracemalloc.start()
+        try:
+            run_suite(210)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 16 * 210 ** 2, f"peak {peak / (16 * 210 ** 2):.2f} (M, M) arrays"
 
 
 class TestReportSerialization:
