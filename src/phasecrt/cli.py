@@ -1,7 +1,8 @@
 """Command-line surface: factor, splits, crt, basis, map, suite, classify.
 
 Exit codes: 0 = success (a NotVN classification is still an answer),
-1 = invariant failure or refused construction, 2 = usage or parse error.
+1 = a suite check failed, 2 = usage or parse error; main maps every package
+error (a non-coprime or trivial split, a bad state file) to 2 in one place.
 PHASECRT_TOLERANCE overrides the comparison tolerance (default 1e-9*sqrt(M)).
 """
 
@@ -21,7 +22,6 @@ from .lattice import (
     mixed_element_matrix,
 )
 from .numtheory import (
-    NonCoprimeError,
     chi,
     crt_compose,
     crt_decompose,
@@ -71,13 +71,7 @@ def cmd_crt(args) -> int:
 
 def cmd_basis(args) -> int:
     kind = BasisKind.parse(args.kind)
-    try:
-        basis = build_basis(kind, args.M, args.M1)
-    except NonCoprimeError:
-        print(f"error: kind {kind.value} requires a coprime split: "
-              f"gcd(M1, M2) = 1, but gcd({args.M1}, {args.M // args.M1}) != 1",
-              file=sys.stderr)
-        return 1
+    basis = build_basis(kind, args.M, args.M1)
     if args.conjugate:
         basis = conjugate_basis(basis)
     out = Path(args.out) if args.out else Path(

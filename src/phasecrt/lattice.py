@@ -59,7 +59,7 @@ def lattice_points(lattice: VNLattice) -> frozenset[PhasePoint]:
 
 
 class DensityMatrix:
-    """Hermitian unit-trace M x M matrix; positivity is reported, not enforced."""
+    """Hermitian unit-trace M x M matrix; positivity is not checked."""
 
     __slots__ = ("matrix",)
 
@@ -88,10 +88,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def min_eigenvalue(self) -> float:
-        """Smallest eigenvalue; negative values flag a non-physical matrix."""
-        return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
 def _as_matrix(rho) -> np.ndarray:

@@ -12,12 +12,16 @@ omega_M1**q1, and translate(M, M1), eigenvalue omega_M2**k2:
 
 C2 and E_POS are position combs, C1 and E_MOM momentum combs: one small DFT
 phase table scattered through an index table, the CRT grid (crt_grid, the
-Good-Thomas map) for the C kinds or the Cooley-Tukey table for the E kinds.
-The two E kinds carry no CRT data and exist for any divisor M1 of M; the two
-C kinds need gcd(M1, M2) = 1. C1 and C2 are the same basis vector for vector
-(delta overlap with no phase); the others agree up to label-dependent phases
-tabulated in CROSS_PHASE_FORMS and checked by compare_cross_phases. The
-checks are batched over vectors and labels; factor_kernel takes label arrays.
+Good-Thomas map) for the C kinds or the Cooley-Tukey table for the E kinds;
+a momentum comb is the orthonormal inverse FFT of its momentum scatter. Built
+bases keep that structure, so a Gram or overlap is a small block per class
+for two combs of one side and classes, a gather over the smaller class for a
+position against a momentum comb, and else (or if its integer checks fail)
+one dense product. The two E kinds carry no CRT data and exist for any
+divisor M1 of M; the two C kinds need gcd(M1, M2) = 1. C1 and C2 are the
+same basis vector for vector (delta overlap with no phase); the others agree
+up to label-dependent phases tabulated in CROSS_PHASE_FORMS and checked by
+compare_cross_phases.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .core import (
     _apply_rows,
     clock,
     default_tolerance,
-    fourier_matrix,
     omega_power,
     translate,
 )
@@ -71,7 +74,7 @@ class TorusLabel:
 class RepBasis:
     """M orthonormal vectors labeled by (q1, k2) in [0, M1) x [0, M2)."""
 
-    __slots__ = ("kind", "M1", "M2", "split", "conjugated", "_amps")
+    __slots__ = ("kind", "M1", "M2", "split", "conjugated", "_amps", "_comb")
 
     def __init__(self, kind: BasisKind, M1: int, M2: int, amps: np.ndarray,
                  conjugated: bool = False):
@@ -88,6 +91,7 @@ class RepBasis:
             self.split = None
         self.conjugated = conjugated
         self._amps = amps
+        self._comb = None  # a builder's (side, class points, coefficients); see _product
 
     @property
     def M(self) -> int:
@@ -109,17 +113,12 @@ class RepBasis:
         for label in self.labels():
             yield label, self.vector(label.q1, label.k2)
 
-    @property
-    def vectors(self) -> dict[TorusLabel, StateVector]:
-        return dict(self.items())
-
     def as_matrix(self) -> np.ndarray:
         """Columns are the basis vectors, labels in row-major (q1, k2) order."""
         return self._amps.reshape(self.M, self.M).T
 
     def gram_residual(self) -> float:
-        mat = self.as_matrix()
-        g = mat.conj().T @ mat
+        g = _product(self, self)
         g.flat[::self.M + 1] -= 1.0
         return float(np.max(np.abs(g)))
 
@@ -134,30 +133,41 @@ def _phase_table(n: int, slope: int) -> np.ndarray:
     return omega_power(n, slope * np.outer(r, r)) / math.sqrt(n)
 
 
-def _position_comb(kind: BasisKind, index: np.ndarray, slope: int) -> RepBasis:
-    """vector(q1,k2) = (1/sqrt(M2)) sum_q2 omega_M2**(slope*k2*q2) |index[q1, q2]>."""
-    M1, M2 = index.shape
-    amps = np.zeros((M1, M2, M1 * M2), dtype=np.complex128)
-    amps[np.arange(M1)[:, None, None], np.arange(M2)[:, None], index[:, None, :]] = \
-        _phase_table(M2, slope)
-    return RepBasis(kind, M1, M2, amps)
+def _scatter(side: str, points: np.ndarray, coefficients: np.ndarray, shape) -> np.ndarray:
+    """(M1, M2, M) amplitudes, coefficients[c, v, j] at points[c, j] for vector v
+    of class c; classes run along q1 in position and along k2 in momentum."""
+    out = np.zeros(shape, dtype=np.complex128)
+    view = out if side == "position" else out.transpose(1, 0, 2)
+    C, V, _ = coefficients.shape
+    view[np.arange(C)[:, None, None], np.arange(V)[:, None], points[:, None, :]] = coefficients
+    return out
 
 
-def _momentum_comb(kind: BasisKind, index: np.ndarray, slope: int) -> RepBasis:
-    """vector(q1,k2) = (1/sqrt(M1)) sum_k1 omega_M1**(-slope*k1*q1) F[:, index[k1, k2]]."""
+def _comb(kind: BasisKind, side: str, index: np.ndarray, slope: int) -> RepBasis:
+    """position: vector(q1,k2) = (1/sqrt(M2)) sum_q2 omega_M2**(slope*k2*q2) |q = index[q1, q2]>
+    momentum: vector(q1,k2) = (1/sqrt(M1)) sum_k1 omega_M1**(-slope*k1*q1) |k = index[k1, k2]>"""
     M1, M2 = index.shape
-    columns = fourier_matrix(M1 * M2).T[index]  # columns[k1, k2] = F[:, index[k1, k2]]
-    return RepBasis(kind, M1, M2, np.tensordot(_phase_table(M1, -slope), columns, axes=1))
+    points = index if side == "position" else index.T  # a row per class
+    C, S = points.shape
+    coefficients = np.broadcast_to(_phase_table(S, slope if side == "position" else -slope),
+                                   (C, S, S))
+    amps = _scatter(side, points, coefficients, (M1, M2, M1 * M2))
+    if side == "momentum":  # <q|k> = omega_M**(q*k) / sqrt(M): the orthonormal inverse DFT
+        np.fft.ifft(amps, axis=-1, norm="ortho", out=amps)
+    basis = RepBasis(kind, M1, M2, amps)
+    # a position comb's amplitudes are its coefficients
+    basis._comb = (side, points, coefficients if side == "momentum" else None)
+    return basis
 
 
 def build_C1(split: CoprimeSplit) -> RepBasis:
     """vector(q1,k2) = (1/sqrt(M1)) sum_k1 omega_M1**(-k1*q1*N1) |k1*N1*L1 + k2*N2*L2>."""
-    return _momentum_comb(BasisKind.C1, crt_grid(split), split.N1)
+    return _comb(BasisKind.C1, "momentum", crt_grid(split), split.N1)
 
 
 def build_C2(split: CoprimeSplit) -> RepBasis:
     """vector(q1,k2) = (1/sqrt(M2)) sum_q2 omega_M2**(k2*q2*N2) |q1*N1*L1 + q2*N2*L2>."""
-    return _position_comb(BasisKind.C2, crt_grid(split), split.N2)
+    return _comb(BasisKind.C2, "position", crt_grid(split), split.N2)
 
 
 def build_pls(split: CoprimeSplit, q01: int, k02: int) -> StateVector:
@@ -190,7 +200,7 @@ def build_E_pos(M: int, M1: int) -> RepBasis:
     """
     M2 = _check_divisor(M, M1)
     # Cooley-Tukey table index[q1, q2] = q1 + q2*M1
-    return _position_comb(BasisKind.E_POS, np.arange(M).reshape(M2, M1).T, 1)
+    return _comb(BasisKind.E_POS, "position", np.arange(M).reshape(M2, M1).T, 1)
 
 
 def build_E_mom(M: int, M1: int) -> RepBasis:
@@ -200,7 +210,7 @@ def build_E_mom(M: int, M1: int) -> RepBasis:
     """
     M2 = _check_divisor(M, M1)
     # Cooley-Tukey table index[k1, k2] = k2 + k1*M2
-    return _momentum_comb(BasisKind.E_MOM, np.arange(M).reshape(M1, M2), 1)
+    return _comb(BasisKind.E_MOM, "momentum", np.arange(M).reshape(M1, M2), 1)
 
 
 def build_basis(kind: BasisKind, M: int, M1: int) -> RepBasis:
@@ -256,7 +266,63 @@ def overlap_matrix(basis_a: RepBasis, basis_b: RepBasis) -> np.ndarray:
     """<a(row)|b(col)> for all label pairs, labels in row-major (q1, k2) order."""
     if basis_a.M != basis_b.M:
         raise DimensionMismatchError(f"dims differ: {basis_a.M} vs {basis_b.M}")
-    return basis_a.as_matrix().conj().T @ basis_b.as_matrix()
+    return _product(basis_a, basis_b)
+
+
+def _on_side(basis: RepBasis, side: str) -> np.ndarray:
+    """(M1, M2, M) amplitudes over positions or momenta; a momentum comb's
+    momenta are the coefficients it was built from."""
+    if side == "position":
+        return basis._amps
+    if basis._comb and basis._comb[0] == side:
+        return _scatter(*basis._comb, basis._amps.shape)
+    return np.fft.fft(basis._amps, norm="ortho")
+
+
+def _class_blocks(basis: RepBasis, side: str, points: np.ndarray) -> np.ndarray | list | None:
+    """The basis' amplitudes on side at points[c], class c by class; None unless
+    the points tile [0, M) and hold every nonzero (exact integer checks)."""
+    if not np.array_equal(np.sort(points, axis=None), np.arange(basis.M)):
+        return None
+    if basis._comb[1] is points and basis._comb[2] is not None:
+        return basis._comb[2]  # a momentum comb's own coefficients
+    # momentum classes run along k2
+    full = _on_side(basis, side).transpose((0, 1, 2) if side == "position" else (1, 0, 2))
+    blocks = [np.take(vectors, pts, axis=1) for vectors, pts in zip(full, points)]
+    return blocks if sum(map(np.count_nonzero, blocks)) == np.count_nonzero(full) else None
+
+
+def _product(a: RepBasis, b: RepBasis) -> np.ndarray:
+    """a^H b, labels row-major. Of two combs, c has the smaller class. With the
+    other on c's side and classes: a block per class, exact zeros between; else
+    c's classes gather the other on c's side (M**2 * class size work)."""
+    M = a.M
+    if a._comb and b._comb:
+        c, other = (a, b) if a._comb[1].shape[1] <= b._comb[1].shape[1] else (b, a)
+        side, points, _ = c._comb
+        kc = _class_blocks(c, side, points)
+        same = other._comb[0] == side and (a.M1, a.M2) == (b.M1, b.M2)
+        ko = kc if other is c else _class_blocks(other, side, points) if same else None
+        if kc is not None and ko is not None:
+            g = np.zeros((a.M1, a.M2, a.M1, a.M2), dtype=np.complex128)
+            view = g if side == "position" else g.transpose(1, 0, 3, 2)
+            for cls, (block_a, block_b) in enumerate(zip(kc, ko)):
+                np.matmul(block_a.conj(), block_b.T, out=view[cls, :, cls, :])
+            return g.reshape(M, M)
+        if kc is not None:
+            gathered = _on_side(other, side).reshape(M, M).T[points]  # [class, point, label]
+            g = np.empty((c.M1, c.M2, M), dtype=np.complex128)
+            np.matmul(np.conj(kc), gathered, out=g if side == "position" else g.transpose(1, 0, 2))
+            g = g.reshape(M, M)
+            return g if c is a else np.conjugate(g, out=g).T
+    return a.as_matrix().conj().T @ b.as_matrix()
+
+
+def _worst(dev: np.ndarray, a: RepBasis, b: RepBasis) -> tuple[float, str]:
+    """The largest entry of an (M, M) label-pair array, and where it sits."""
+    i, j = divmod(int(np.argmax(dev)), a.M)
+    (q1, k2), (r1, r2) = divmod(i, a.M2), divmod(j, b.M2)
+    return float(dev[i, j]), f"worst at (q1={q1}, k2={k2}) x (q1={r1}, k2={r2})"
 
 
 # Claimed closed forms for the diagonal phase of each cross-basis overlap,
@@ -285,7 +351,8 @@ class OverlapComparison:
     status is "pass" when the delta-times-phase structure holds and every
     diagonal exponent matches the claimed form; "discrepancy" when the
     structure holds but some exponents differ (they are then listed); "fail"
-    when the structure itself is broken.
+    when the structure itself is broken; worst then names the label pair of
+    the largest modulus error.
     """
 
     kind_a: BasisKind
@@ -294,14 +361,17 @@ class OverlapComparison:
     max_modulus_error: float
     max_exponent_residual: float
     discrepancies: tuple[PhaseDiscrepancy, ...]
+    worst: str = ""
 
 
 def compare_cross_phases(
     basis_a: RepBasis,
     basis_b: RepBasis,
     tol: float | None = None,
+    overlap: np.ndarray | None = None,
 ) -> OverlapComparison:
-    """Check <a'|b> = delta*delta*phase against the claimed exponent table."""
+    """Check <a'|b> = delta*delta*phase against the claimed exponent table;
+    overlap is overlap_matrix(basis_a, basis_b) when the caller formed it."""
     key = (basis_a.kind, basis_b.kind)
     if key not in CROSS_PHASE_FORMS:
         raise ValueError(f"no claimed closed form for pair {key}")
@@ -313,11 +383,12 @@ def compare_cross_phases(
     M = basis_a.M
     if tol is None:
         tol = default_tolerance(M)
-    g = overlap_matrix(basis_a, basis_b)
-    diag = np.diag(g).copy()
-    # with |diag| - 1 on the diagonal, max |g| covers both modulus conditions
-    g.flat[::M + 1] = np.abs(diag) - 1.0
-    max_mod_err = float(np.max(np.abs(g)))
+    g = overlap_matrix(basis_a, basis_b) if overlap is None else overlap
+    diag = np.diag(g)
+    # with ||diag| - 1| on the diagonal, max |g| covers both modulus conditions
+    dev = np.abs(g)
+    dev.flat[::M + 1] = np.abs(dev.flat[::M + 1] - 1.0)
+    max_mod_err, worst = _worst(dev, basis_a, basis_b)
 
     # phase_exponent, for every diagonal entry at once
     x = np.angle(diag) * M / (2.0 * np.pi)
@@ -336,9 +407,8 @@ def compare_cross_phases(
         status = "discrepancy"
     else:
         status = "pass"
-    return OverlapComparison(
-        basis_a.kind, basis_b.kind, status, max_mod_err, max_residual, mismatches
-    )
+    return OverlapComparison(basis_a.kind, basis_b.kind, status, max_mod_err, max_residual,
+                             mismatches, worst if status == "fail" else "")
 
 
 def eigen_residuals(basis: RepBasis) -> float:

@@ -41,6 +41,8 @@ from .lattice import (
 from .numtheory import chi, crt_compose, crt_decompose, crt_grid, enumerate_splits, factorize
 from .reps import (
     BasisKind,
+    RepBasis,
+    _worst,
     build_C1,
     build_C2,
     build_E_mom,
@@ -224,16 +226,22 @@ def _bases(split):
 
 def _check_bases(checks, split, d, bases, tol):
     for kind, basis in bases.items():
+        residual = basis.gram_residual()
+        # only a failing record names its worst label pair, from a second Gram
+        note = "" if residual <= tol else _worst(
+            np.abs(overlap_matrix(basis, basis) - np.eye(basis.M)), basis, basis)[1]
         _add(checks, f"basis.gram.{kind.value}[{d}]",
              f"{kind.value} Gram matrix equals the identity",
-             basis.gram_residual(), 0.0, tol)
+             residual, 0.0, tol, note=note)
         _add(checks, f"basis.eigen.{kind.value}[{d}]",
              f"every {kind.value} vector satisfies both eigen-relations",
              eigen_residuals(basis), 0.0, tol)
-    diag = np.diag(overlap_matrix(bases[BasisKind.C1], bases[BasisKind.C2]))
+    c1c2 = overlap_matrix(bases[BasisKind.C1], bases[BasisKind.C2])
     _add(checks, f"basis.c1c2-identity[{d}]",
          "C1 and C2 agree vector for vector (overlap exactly 1)",
-         float(np.max(np.abs(diag - 1.0))), 0.0, tol)
+         float(np.max(np.abs(np.diag(c1c2) - 1.0))), 0.0, tol)
+    # the C1-C2 phase check reads the same matrix; keep its result, not the matrix
+    return compare_cross_phases(bases[BasisKind.C1], bases[BasisKind.C2], tol=tol, overlap=c1c2)
 
 
 def _check_kernel(checks, split, d, tol):
@@ -277,16 +285,18 @@ _PHASE_PAIRS = (
 )
 
 
-def _check_cross_phases(checks, split, d, bases, tol):
+def _check_cross_phases(checks, split, d, bases, tol, c1c2):
     for kind_a, kind_b in _PHASE_PAIRS:
-        cmp = compare_cross_phases(bases[kind_a], bases[kind_b], tol=tol)
-        note = ""
+        cmp = c1c2 if (kind_a, kind_b) == (BasisKind.C1, BasisKind.C2) else \
+            compare_cross_phases(bases[kind_a], bases[kind_b], tol=tol)
+        notes = [cmp.worst] if cmp.worst else []
         if cmp.discrepancies:
             first = cmp.discrepancies[0]
-            note = (f"{len(cmp.discrepancies)} labels disagree with the claimed "
-                    f"exponent; e.g. (q1={first.label.q1}, k2={first.label.k2}) "
-                    f"measured {first.measured_exponent}, "
-                    f"claimed {first.claimed_exponent} (mod {split.M})")
+            notes.append(f"{len(cmp.discrepancies)} labels disagree with the claimed "
+                         f"exponent; e.g. (q1={first.label.q1}, k2={first.label.k2}) "
+                         f"measured {first.measured_exponent}, "
+                         f"claimed {first.claimed_exponent} (mod {split.M})")
+        note = "; ".join(notes)
         _add(checks, f"overlap.phase.{kind_a.value}-{kind_b.value}[{d}]",
              f"<{kind_a.value}'|{kind_b.value}> is delta * root-of-unity phase, "
              "checked against its claimed exponent",
@@ -297,12 +307,12 @@ def _check_pls(checks, split, d, tol):
     M = split.M
     states = {(q01, k02): build_pls(split, q01, k02)
               for q01 in range(split.M1) for k02 in range(split.M2)}
-    mat = np.stack([s.amplitudes for s in states.values()], axis=1)
-    gram = mat.conj().T @ mat
-    gram.flat[::M + 1] -= 1.0
+    stack = RepBasis(BasisKind.C2, split.M1, split.M2, np.reshape(
+        [s.amplitudes for s in states.values()], (split.M1, split.M2, M)))
+    stack._comb = ("position", crt_grid(split), None)  # checked exactly by the product
     _add(checks, f"pls.orthonormal[{d}]",
          "the M partially localized states are orthonormal",
-         float(np.max(np.abs(gram))), 0.0, tol)
+         stack.gram_residual(), 0.0, tol)
 
     bad = 0
     seen = set()
@@ -369,10 +379,10 @@ def run_suite(M: int, tolerance: float | None = None) -> VerificationReport:
         _check_crt(checks, split, d)
         _check_operator_splitting(checks, split, d)
         bases = _bases(split)
-        _check_bases(checks, split, d, bases, tol)
+        c1c2 = _check_bases(checks, split, d, bases, tol)
         _check_kernel(checks, split, d, tol)
-        _check_cross_phases(checks, split, d, bases, tol)
-        del bases  # the PLS check reads none of them
+        _check_cross_phases(checks, split, d, bases, tol, c1c2)
+        del bases, c1c2  # the PLS check reads none of them
         _check_pls(checks, split, d, tol)
         _check_area(checks, M, split, d)
 

@@ -10,6 +10,11 @@ PLS do the same arithmetic as their reference and must match exactly;
 momentum combs sum M1 terms in another order, so they match to a few units
 of float64 roundoff.
 
+Grams and cross-basis overlaps are read from the comb structure of the
+bases (a block per class, or a gather over the smaller class); they are
+checked against the dense A^H B of the stored amplitudes, and the IFFT-built
+momentum combs against their former construction from columns of a dense F.
+
 The suite's batched checks keep their per-vector loops here as references:
 eigen_residuals (per-vector apply; norms summed in another order, so within
 rtol 1e-12), scalar factor_kernel calls, compare_cross_phases with one
@@ -71,6 +76,7 @@ from phasecrt.reps import (
     factor_kernel,
     overlap_matrix,
 )
+from phasecrt.reps import _phase_table
 
 MOMENTUM_ATOL = 4 * np.finfo(np.float64).eps
 
@@ -492,3 +498,127 @@ def test_shift_and_kernel_records_match_reference(M):
         suite._check_kernel(got, split, split.describe(), tol)
         reference_check_kernel(want, split, split.describe(), tol)
     same_records(got, want)
+
+
+# ------------------------------------------------- structured products --
+
+PRODUCT_ATOL = 1e-13
+
+
+def dense_product(basis_a, basis_b):
+    return basis_a.as_matrix().conj().T @ basis_b.as_matrix()
+
+
+def class_of(basis, side):
+    """Each vector's class, row-major labels: q1 for position combs, k2 for momentum."""
+    q1, k2 = np.divmod(np.arange(basis.M), basis.M2)
+    return q1 if side == "position" else k2
+
+
+SIDE = {BasisKind.C1: "momentum", BasisKind.E_MOM: "momentum",
+        BasisKind.C2: "position", BasisKind.E_POS: "position"}
+
+
+def pls_stack(split):
+    """The suite's PLS stack: a position comb over crt_grid."""
+    amps = np.reshape([build_pls(split, q01, k02).amplitudes
+                       for q01 in range(split.M1) for k02 in range(split.M2)],
+                      (split.M1, split.M2, split.M))
+    stack = RepBasis(BasisKind.C2, split.M1, split.M2, amps)
+    stack._comb = ("position", crt_grid(split), None)
+    return stack
+
+
+def assert_products_match_dense(bases):
+    pairs = [(a, a) for a in bases] + [p for p in suite._PHASE_PAIRS if set(p) <= set(bases)]
+    for kind_a, kind_b in pairs:
+        a, b = bases[kind_a], bases[kind_b]
+        got = overlap_matrix(a, b)
+        np.testing.assert_allclose(got, dense_product(a, b), rtol=0, atol=PRODUCT_ATOL)
+        if SIDE[kind_a] == SIDE[kind_b]:
+            # the block route leaves exact zeros between classes
+            side = SIDE[kind_a]
+            between = class_of(a, side)[:, None] != class_of(b, side)
+            assert not np.any(got[between])
+    for kind, basis in bases.items():
+        g = dense_product(basis, basis)
+        g.flat[::basis.M + 1] -= 1.0
+        assert basis.gram_residual() == pytest.approx(float(np.max(np.abs(g))), abs=PRODUCT_ATOL)
+
+
+PRODUCT_SPLITS = [s for M in (15, 30, 210, 667) for split in enumerate_splits(M)
+                  for s in (split, split.swapped())]
+
+
+@pytest.mark.parametrize("split", PRODUCT_SPLITS, ids=lambda s: f"{s.M}:{s.describe()}")
+def test_structured_products_match_dense(split):
+    bases = all_bases(split.M, split.M1)
+    assert_products_match_dense(bases)
+    stack = pls_stack(split)
+    np.testing.assert_allclose(overlap_matrix(stack, stack), dense_product(stack, stack),
+                               rtol=0, atol=PRODUCT_ATOL)
+    # the momentum combs against their former construction from columns of a dense F
+    F = fourier_matrix(split.M)
+    for basis, index, slope in ((bases[BasisKind.C1], crt_grid(split), split.N1),
+                                (bases[BasisKind.E_MOM], np.arange(split.M).reshape(split.M1, split.M2), 1)):
+        former = np.tensordot(_phase_table(split.M1, -slope), F.T[index], axes=1)
+        np.testing.assert_allclose(amplitudes(basis), former, rtol=1e-12, atol=MOMENTUM_ATOL)
+
+
+@pytest.mark.parametrize("M, M1", [(12, 2), (12, 6)])
+def test_structured_products_of_non_coprime_e_kinds(M, M1):
+    assert_products_match_dense(all_bases(M, M1))
+
+
+@st.composite
+def small_coprime_splits(draw):
+    M1 = draw(st.integers(2, 20))
+    M2 = draw(st.integers(2, 20).filter(lambda m: math.gcd(m, M1) == 1))
+    return make_split(M1 * M2, M1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_coprime_splits())
+def test_structured_products_match_dense_on_random_splits(split):
+    assert_products_match_dense(all_bases(split.M, split.M1))
+
+
+def corrupted_c2(split):
+    """C2 of split with one nonzero amplitude off the class of vector (0, 1)."""
+    basis = build_C2(split)
+    amps = amplitudes(basis).copy()
+    amps[0, 1, crt_grid(split)[1, 0]] = 0.5
+    bad = RepBasis(BasisKind.C2, split.M1, split.M2, amps)
+    bad._comb = basis._comb
+    return bad
+
+
+def test_corrupted_position_comb_falls_back_to_dense():
+    split = make_split(15, 3)
+    bad = corrupted_c2(split)
+    g = dense_product(bad, bad)
+    g.flat[::bad.M + 1] -= 1.0
+    assert bad.gram_residual() == float(np.max(np.abs(g)))
+    epos = build_E_pos(15, 3)
+    assert np.array_equal(overlap_matrix(bad, epos), dense_product(bad, epos))
+    # as the other operand of a gather the off-class weight is read, not checked
+    for other in (epos, build_C1(split)):
+        np.testing.assert_allclose(overlap_matrix(other, bad), dense_product(other, bad),
+                                   rtol=0, atol=PRODUCT_ATOL)
+    bases = {**all_bases(15, 3), BasisKind.C2: bad}
+    checks = []
+    suite._check_bases(checks, split, "3x5", bases, default_tolerance(15))
+    statuses = {c.check_id: c.status for c in checks}
+    assert statuses["basis.gram.C2[3x5]"] == "fail"
+    assert statuses["basis.gram.C1[3x5]"] == "pass"
+
+
+def test_comb_with_overlapping_classes_falls_back_to_dense():
+    split = make_split(15, 3)
+    amps = amplitudes(build_C2(split)).copy()
+    amps[1] = amps[0]  # class 1 repeats the vectors and the points of class 0
+    points = crt_grid(split).copy()
+    points[1] = points[0]
+    bad = RepBasis(BasisKind.C2, 3, 5, amps)
+    bad._comb = ("position", points, None)
+    assert np.array_equal(overlap_matrix(bad, bad), dense_product(bad, bad))

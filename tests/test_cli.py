@@ -84,9 +84,9 @@ class TestBasis:
         bundle = load_basis(tmp_path / "basis_M15_M13_C2.json")
         assert bundle.M == 15
 
-    def test_non_coprime_c_kind_exits_one(self, capsys):
+    def test_non_coprime_c_kind_is_usage_error(self, capsys):
         code, _, err = run(capsys, "basis", "4", "2", "C1")
-        assert code == 1
+        assert code == 2
         assert "gcd(M1, M2) = 1" in err
 
     def test_e_kind_allows_non_coprime(self, capsys, tmp_path):

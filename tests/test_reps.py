@@ -362,7 +362,7 @@ class TestBuildDispatch:
 
     def test_vectors_property_and_label_checks(self):
         basis = build_E_pos(6, 2)
-        vecs = basis.vectors
+        vecs = dict(basis.items())
         assert set(vecs) == set(basis.labels())
         with pytest.raises(ValueError):
             basis.vector(2, 0)
