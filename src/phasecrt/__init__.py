@@ -9,7 +9,6 @@ The suite submodule verifies every identity numerically.
 
 from .core import (
     FOURIER_SIGN,
-    DenseOperator,
     DimensionMismatchError,
     MonomialOperator,
     StateVector,
@@ -20,12 +19,10 @@ from .core import (
     equal_up_to_global_phase,
     fourier_matrix,
     global_phase_exponent,
-    identity_operator,
     momentum_state,
     norm_tolerance,
     omega_power,
     operator_order,
-    overlap,
     phase_exponent,
     position_state,
     translate,
@@ -33,16 +30,13 @@ from .core import (
 from .lattice import (
     AreaReport,
     DensityMatrix,
-    LineSupport,
     NotVN,
     PhasePoint,
     VNLattice,
     area_report,
-    classify_any,
     classify_vn_state,
     default_support_threshold,
     lattice_points,
-    mixed_element,
     mixed_element_matrix,
     support,
 )

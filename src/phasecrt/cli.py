@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success (a NotVN classification is still an answer),
 1 = a suite check failed, 2 = usage or parse error; main maps every package
-error (a non-coprime or trivial split, a bad state file) to 2 in one place.
+error (a non-coprime or trivial split, a bad state file, a tolerance or
+support threshold out of range) to 2 in one place.
 PHASECRT_TOLERANCE overrides the comparison tolerance (default 1e-9*sqrt(M)).
 """
 
@@ -14,13 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .core import default_tolerance
-from .lattice import (
-    VNLattice,
-    classify_vn_state,
-    default_support_threshold,
-    mixed_element_matrix,
-)
+from .lattice import VNLattice, _support_threshold, classify_vn_state, mixed_element_matrix
 from .numtheory import (
     chi,
     crt_compose,
@@ -30,7 +25,7 @@ from .numtheory import (
     make_split,
 )
 from .reps import BasisKind, build_basis, build_pls, conjugate_basis
-from .statefile import StateFileError, load_state, save_basis
+from .statefile import load_state, save_basis
 from .suite import format_table, reports_to_dict, run_suites
 
 import numpy as np
@@ -103,11 +98,10 @@ def _map_csv(mm):
 
 
 def cmd_map(args) -> int:
+    threshold = _support_threshold(args.M, args.threshold)
     split = make_split(args.M, args.M1)
     state = build_pls(split, args.q01, args.k02)
     mm = np.abs(mixed_element_matrix(state))
-    threshold = args.threshold if args.threshold is not None \
-        else default_support_threshold(args.M)
     if args.format == "csv":
         print(_map_csv(mm), end="")
     else:
@@ -234,9 +228,6 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except StateFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,9 +6,9 @@ Conventions, fixed once for the whole package (c = hbar = 1):
 * Fourier kernel <q|k> = omega_M**(FOURIER_SIGN*q*k) / sqrt(M) with
   FOURIER_SIGN = +1, so <k|q> is its complex conjugate.
 
-Monomial operators act as |q> -> omega_M**(a*q + b) |q - s> and keep
-(s, a, b) as exact integers mod M. Operator identities are therefore integer
-statements; floats enter only when amplitudes are evaluated.
+Every operator is monomial: |q> -> omega_M**(a*q + b) |q - s>, with
+(s, a, b) kept as exact integers mod M. Operator identities are therefore
+integer statements; floats enter only when amplitudes are evaluated.
 """
 
 from __future__ import annotations
@@ -170,10 +170,6 @@ class MonomialOperator:
         return mat
 
 
-def identity_operator(M: int) -> MonomialOperator:
-    return MonomialOperator(M)
-
-
 def clock(M: int, d: int) -> MonomialOperator:
     """Diagonal unitary exp(2j*pi*x/d) = omega_M**(q*(M/d)) on |q>; d must divide M."""
     if M < 2:
@@ -223,39 +219,11 @@ def operator_order(op: MonomialOperator) -> int:
                 if two_dim % n == 0 and op.power(n).is_identity())
 
 
-class DenseOperator:
-    """Dense M x M operator for generic numerical checks.
-
-    Unitarity is measured (unitarity_residual), never assumed.
-    """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        arr = np.array(matrix, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
-            raise ValueError("matrix must be square with dim >= 2")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        arr.setflags(write=False)
-        self.matrix = arr
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def unitarity_residual(self) -> float:
-        g = self.matrix.conj().T @ self.matrix
-        return float(np.max(np.abs(g - np.eye(self.dim))))
-
-
-def apply(op: MonomialOperator | DenseOperator, state: StateVector) -> StateVector:
-    """op acting on state; exact index/phase arithmetic for monomials."""
+def apply(op: MonomialOperator, state: StateVector) -> StateVector:
+    """op acting on state by exact index/phase arithmetic."""
     if op.dim != state.dim:
         raise DimensionMismatchError(f"dims differ: {op.dim} vs {state.dim}")
-    if isinstance(op, MonomialOperator):
-        return StateVector(_apply_rows(op, state.amplitudes), normalized=state.normalized)
-    return StateVector(op.matrix @ state.amplitudes)
+    return StateVector(_apply_rows(op, state.amplitudes), normalized=state.normalized)
 
 
 def _apply_rows(op: MonomialOperator, amps: np.ndarray) -> np.ndarray:
@@ -265,10 +233,3 @@ def _apply_rows(op: MonomialOperator, amps: np.ndarray) -> np.ndarray:
     out = np.empty(amps.shape, dtype=np.complex128)
     out[..., (q - op.shift) % M] = omega_power(M, op.phase_slope * q + op.phase_offset) * amps
     return out
-
-
-def overlap(v: StateVector, w: StateVector) -> complex:
-    """<v|w> = sum conj(v_q) * w_q."""
-    if v.dim != w.dim:
-        raise DimensionMismatchError(f"dims differ: {v.dim} vs {w.dim}")
-    return complex(np.vdot(v.amplitudes, w.amplitudes))

@@ -6,9 +6,11 @@ and k-spacing M2, optionally shifted, and always holds exactly M points. A
 state sits over such a lattice when |<q|rho|k>| = 1/sqrt(M) on every lattice
 point and vanishes elsewhere; that state then covers total area 2*pi exactly.
 
-For a pure state |<q|psi><psi|k>| = |psi(q)| * |psi~(k)|, so classifying a
-StateVector needs one FFT and no (M, M) array; a DensityMatrix keeps the
-dense path through rho @ F.
+The mixed-element, support and classification functions take a StateVector
+or a DensityMatrix and nothing else, so every matrix input has passed the
+DensityMatrix checks. For a pure state |<q|psi><psi|k>| = |psi(q)| * |psi~(k)|,
+so classifying a StateVector needs one FFT and no (M, M) array; a
+DensityMatrix keeps the dense path through rho @ F.
 """
 
 from __future__ import annotations
@@ -19,14 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import (
-    StateVector,
-    default_tolerance,
-    fourier_matrix,
-    momentum_state,
-    norm_tolerance,
-)
-from .numtheory import CoprimeSplit, enumerate_splits
+from .core import StateVector, default_tolerance, fourier_matrix, norm_tolerance
+from .numtheory import CoprimeSplit
 
 
 @dataclass(frozen=True, order=True)
@@ -90,35 +86,13 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def _as_matrix(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    arr = np.asarray(rho, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("expected a StateVector, DensityMatrix or square matrix")
-    return arr
-
-
-def mixed_element_matrix(rho: StateVector | DensityMatrix | np.ndarray) -> np.ndarray:
+def mixed_element_matrix(rho: StateVector | DensityMatrix) -> np.ndarray:
     """<q|rho|k> for all (q, k); rows are position, columns momentum."""
     if isinstance(rho, StateVector):
         return np.outer(rho.amplitudes, np.conj(rho.momentum_amplitudes()))
-    mat = _as_matrix(rho)
-    return mat @ fourier_matrix(mat.shape[0])
-
-
-def mixed_element(rho: StateVector | DensityMatrix | np.ndarray, q: int, k: int) -> complex:
-    """<q|rho|k> for a single phase point."""
-    if isinstance(rho, StateVector):
-        M = rho.dim
-        if not (0 <= q < M and 0 <= k < M):
-            raise ValueError(f"(q, k) = ({q}, {k}) out of range [0, {M})^2")
-        return complex(rho.amplitudes[q] * np.conj(rho.momentum_amplitudes()[k]))
-    mat = _as_matrix(rho)
-    M = mat.shape[0]
-    if not (0 <= q < M and 0 <= k < M):
-        raise ValueError(f"(q, k) = ({q}, {k}) out of range [0, {M})^2")
-    return complex(mat[q] @ momentum_state(M, k).amplitudes)
+    if isinstance(rho, DensityMatrix):
+        return rho.matrix @ fourier_matrix(rho.dim)
+    raise ValueError(f"expected a StateVector or DensityMatrix, got {type(rho).__name__}")
 
 
 def default_support_threshold(M: int) -> float:
@@ -126,13 +100,22 @@ def default_support_threshold(M: int) -> float:
     return 1e-6 / math.sqrt(M)
 
 
-def _pure_magnitudes_and_support(psi: StateVector, threshold: float | None):
+def _support_threshold(M: int, threshold: float | None) -> float:
+    """The one threshold rule: None means default_support_threshold(M); any
+    other value must be finite and positive."""
+    t = default_support_threshold(M) if threshold is None else threshold
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
+    return t
+
+
+def _pure_magnitudes_and_support(psi: StateVector, t: float):
     """|<q|psi><psi|k>| = a[q]*b[k] (a = |psi|, b = |psi~|) without an (M, M) array:
     a[q]*x is monotone in x, so one sort of b counts the pairs a[q]*b[k] > t exactly.
     The block reads the complex entries of mixed_element_matrix(psi), as the dense path."""
     v, vk = psi.amplitudes, psi.momentum_amplitudes()
     a, b = np.abs(v), np.abs(vk)
-    M, t = a.size, default_support_threshold(a.size) if threshold is None else threshold
+    M = a.size
     bs = np.sort(b)
     with np.errstate(divide="ignore", over="ignore"):
         start = np.searchsorted(bs, t / a, side="right")
@@ -150,18 +133,18 @@ def _pure_magnitudes_and_support(psi: StateVector, threshold: float | None):
 def _magnitudes_and_support(rho, threshold: float | None):
     """(dim, t, support count, first row-major support point, block) for |<q|rho|k>| > t,
     where block(rows, cols) reads the magnitudes at two label slices."""
-    if threshold is not None and threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
     if isinstance(rho, StateVector):
-        return _pure_magnitudes_and_support(rho, threshold)
+        return _pure_magnitudes_and_support(rho, _support_threshold(rho.dim, threshold))
     mm = np.abs(mixed_element_matrix(rho))  # dense: |rho @ F| as one (M, M) array
-    t = default_support_threshold(mm.shape[0]) if threshold is None else threshold
+    t = _support_threshold(rho.dim, threshold)
     mask = mm > t
     first = divmod(int(np.argmax(mask)), mm.shape[1])
     return mm.shape[0], t, int(np.count_nonzero(mask)), first, lambda rows, cols: mm[rows, cols]
 
 
-def support(rho, threshold: float | None = None) -> tuple[PhasePoint, ...]:
+def support(
+    rho: StateVector | DensityMatrix, threshold: float | None = None
+) -> tuple[PhasePoint, ...]:
     """Phase points where |<q|rho|k>| exceeds threshold, row-major in (q, k)."""
     _, t, _, _, block = _magnitudes_and_support(rho, threshold)
     qs, ks = np.nonzero(block(slice(None), slice(None)) > t)
@@ -177,14 +160,14 @@ class NotVN:
 
 
 def classify_vn_state(
-    rho, split: CoprimeSplit, threshold: float | None = None
+    rho: StateVector | DensityMatrix, split: CoprimeSplit, threshold: float | None = None
 ) -> VNLattice | NotVN:
     """The shifted lattice carrying rho, or NotVN with the violated condition.
 
     A positive answer requires the support to equal one shifted lattice of the
     given split exactly, with every on-support magnitude within tolerance of
     1/sqrt(M). A StateVector's support is counted from |psi(q)| * |psi~(k)| by
-    one sort (O(M log M)); any other input is read through the dense |rho @ F|.
+    one sort (O(M log M)); a DensityMatrix's is read through the dense |rho @ F|.
     """
     M = split.M
     dim, t, count, (first_q, first_k), block = _magnitudes_and_support(rho, threshold)
@@ -207,50 +190,12 @@ def classify_vn_state(
 
 
 @dataclass(frozen=True)
-class LineSupport:
-    """Support along one full row or column: the degenerate M1 in {1, M} case.
-
-    orientation "position" means a fixed-q column (a position eigenstate);
-    "momentum" means a fixed-k row.
-    """
-
-    orientation: str
-    index: int
-
-
-def classify_any(rho, M: int, threshold: float | None = None):
-    """Try every coprime split in both orientations, then the degenerate lines."""
-    for split in enumerate_splits(M):
-        for oriented in (split, split.swapped()):
-            verdict = classify_vn_state(rho, oriented, threshold)
-            if isinstance(verdict, VNLattice):
-                return verdict
-    pts = support(rho, threshold)
-    if len(pts) == M:
-        qs = {p.q for p in pts}
-        ks = {p.k for p in pts}
-        if len(qs) == 1 and len(ks) == M:
-            return LineSupport("position", next(iter(qs)))
-        if len(ks) == 1 and len(qs) == M:
-            return LineSupport("momentum", next(iter(ks)))
-    return NotVN("no lattice match", f"support of {len(pts)} points fits no split of {M}")
-
-
-@dataclass(frozen=True)
 class AreaReport:
     """Phase-space areas in units of 2*pi (Planck's h for hbar = 1), exact."""
 
     cell_area: Fraction
     points_per_state: int
     state_area: Fraction
-
-    @property
-    def cell_area_value(self) -> float:
-        return 2.0 * math.pi * float(self.cell_area)
-
-    @property
-    def state_area_value(self) -> float:
-        return 2.0 * math.pi * float(self.state_area)
 
 
 def area_report(M: int, split: CoprimeSplit) -> AreaReport:

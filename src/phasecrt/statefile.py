@@ -22,6 +22,14 @@ class StateFileError(ValueError):
     """Malformed state-file content."""
 
 
+def _integer(doc: dict, key: str) -> int:
+    """doc[key] as a JSON integer; a bool or a float is malformed, not truncated."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def state_to_dict(state: StateVector, meta: dict | None = None) -> dict:
     return {
         "dim": state.dim,
@@ -34,7 +42,7 @@ def state_from_dict(doc: dict) -> tuple[StateVector, dict]:
     if not isinstance(doc, dict):
         raise StateFileError("state document must be a JSON object")
     try:
-        dim = int(doc["dim"])
+        dim = _integer(doc, "dim")
         pairs = doc["amplitudes"]
     except (KeyError, TypeError, ValueError) as exc:
         raise StateFileError(f"missing or malformed field: {exc}") from exc
@@ -88,8 +96,10 @@ def basis_to_dict(basis: RepBasis, meta: dict | None = None) -> dict:
 def basis_from_dict(doc: dict) -> RepBasis:
     try:
         kind = BasisKind.parse(doc["kind"])
-        M1, M2, dim = int(doc["M1"]), int(doc["M2"]), int(doc["dim"])
-        conjugated = bool(doc.get("conjugated", False))
+        M1, M2, dim = _integer(doc, "M1"), _integer(doc, "M2"), _integer(doc, "dim")
+        conjugated = doc.get("conjugated", False)
+        if not isinstance(conjugated, bool):
+            raise TypeError(f"conjugated must be a boolean, got {conjugated!r}")
         entries = doc["states"]
     except (KeyError, TypeError, ValueError) as exc:
         raise StateFileError(f"missing or malformed bundle field: {exc}") from exc
@@ -104,7 +114,7 @@ def basis_from_dict(doc: dict) -> RepBasis:
     seen = set()
     for entry in entries:
         try:
-            q1, k2 = int(entry["q1"]), int(entry["k2"])
+            q1, k2 = _integer(entry, "q1"), _integer(entry, "k2")
         except (KeyError, TypeError, ValueError) as exc:
             raise StateFileError(f"missing or malformed state label: {exc}") from exc
         state, _ = state_from_dict({**entry, "meta": {}})

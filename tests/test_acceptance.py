@@ -19,7 +19,6 @@ from phasecrt.core import (
     global_phase_exponent,
     momentum_state,
     operator_order,
-    overlap,
     phase_exponent,
     position_state,
     translate,
@@ -231,7 +230,7 @@ def test_criterion_9_mub_property():
         dev = float(np.max(np.abs(np.abs(F) - 1 / math.sqrt(M))))
         worst = max(worst, dev)
         ok &= dev < 1e-12 * math.sqrt(M)
-        z = overlap(position_state(M, M // 2), momentum_state(M, 1))
+        z = np.vdot(position_state(M, M // 2).amplitudes, momentum_state(M, 1).amplitudes)
         ok &= abs(abs(z) - 1 / math.sqrt(M)) < 1e-12 * math.sqrt(M)
     assert _line(9, ok, f"max | |<q|k>| - 1/sqrt(M) | = {worst:.2e} over M <= 35")
     assert ok

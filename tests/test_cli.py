@@ -10,6 +10,9 @@ from phasecrt.reps import build_pls
 from phasecrt.statefile import load_basis, save_state
 
 
+BAD_THRESHOLDS = ["nan", "inf", "0", "-1"]
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -152,6 +155,11 @@ class TestMap:
         code, _, _ = run(capsys, "map", "15", "3", "3", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("threshold", BAD_THRESHOLDS)
+    def test_bad_threshold_is_usage_error(self, capsys, threshold):
+        code, out, err = run(capsys, "map", "15", "3", "0", "0", f"--threshold={threshold}")
+        assert code == 2 and out == "" and "threshold" in err
+
 
 class TestSuiteCommand:
     def test_pass_exit_zero(self, capsys):
@@ -208,6 +216,12 @@ class TestSuiteCommand:
         code, _, err = run(capsys, "suite", "15")
         assert code == 2 and "PHASECRT_TOLERANCE" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_tolerance_env_must_be_finite_and_non_negative(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PHASECRT_TOLERANCE", value)
+        code, out, err = run(capsys, "suite", "6")
+        assert code == 2 and out == "" and "tolerance" in err
+
 
 class TestClassify:
     def test_pls_file(self, capsys, tmp_path):
@@ -233,6 +247,13 @@ class TestClassify:
         save_state(path, momentum_state(15, 4))
         code, out, _ = run(capsys, "classify", str(path), "3")
         assert code == 0 and out.startswith("NotVN:")
+
+    @pytest.mark.parametrize("threshold", BAD_THRESHOLDS)
+    def test_bad_threshold_is_usage_error(self, capsys, tmp_path, threshold):
+        path = tmp_path / "pls.json"
+        save_state(path, build_pls(make_split(15, 3), 1, 2))
+        code, out, err = run(capsys, "classify", str(path), "3", f"--threshold={threshold}")
+        assert code == 2 and out == "" and "threshold" in err
 
     def test_malformed_file(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

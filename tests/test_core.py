@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from phasecrt.core import (
-    DenseOperator,
     DimensionMismatchError,
     MonomialOperator,
     StateVector,
@@ -15,11 +14,9 @@ from phasecrt.core import (
     equal_up_to_global_phase,
     fourier_matrix,
     global_phase_exponent,
-    identity_operator,
     momentum_state,
     omega_power,
     operator_order,
-    overlap,
     phase_exponent,
     position_state,
     translate,
@@ -110,7 +107,7 @@ class TestMub:
         target = 1 / math.sqrt(M)
         for q0 in range(M):
             for k0 in range(M):
-                z = overlap(position_state(M, q0), momentum_state(M, k0))
+                z = np.vdot(position_state(M, q0).amplitudes, momentum_state(M, k0).amplitudes)
                 assert abs(abs(z) - target) < 1e-12 * math.sqrt(M)
 
 
@@ -169,7 +166,7 @@ class TestCompose:
 
     def test_identity_neutral(self):
         a = MonomialOperator(15, 4, 7, 2)
-        e = identity_operator(15)
+        e = MonomialOperator(15)
         assert compose(a, e) == a
         assert compose(e, a) == a
 
@@ -203,7 +200,7 @@ class TestCompose:
     def test_long_random_composition_matches_dense_product(self):
         M = 15
         rng = np.random.default_rng(11)
-        total = identity_operator(M)
+        total = MonomialOperator(M)
         dense = np.eye(M, dtype=complex)
         for _ in range(10_000):
             op = MonomialOperator(M, *rng.integers(0, M, size=3))
@@ -217,7 +214,7 @@ class TestPowersAndOrder:
         rng = np.random.default_rng(5)
         for _ in range(20):
             a = MonomialOperator(12, *rng.integers(0, 12, size=3))
-            acc = identity_operator(12)
+            acc = MonomialOperator(12)
             for n in range(8):
                 assert a.power(n) == acc
                 acc = compose(a, acc)
@@ -233,7 +230,7 @@ class TestPowersAndOrder:
     def test_minimal_periods(self):
         assert operator_order(clock(15, 15)) == 15
         assert operator_order(translate(15, 1)) == 15
-        assert operator_order(identity_operator(15)) == 1
+        assert operator_order(MonomialOperator(15)) == 1
 
     def test_order_can_exceed_dim(self):
         # at M = 2 the product UV has order 4: the cross term delays the offset
@@ -288,40 +285,11 @@ class TestApply:
 
     def test_identity_apply(self):
         v = momentum_state(8, 3)
-        assert np.array_equal(apply(identity_operator(8), v).amplitudes, v.amplitudes)
-
-    def test_dense_apply_and_residual(self):
-        M = 10
-        op = DenseOperator(fourier_matrix(M))
-        assert op.unitarity_residual() < 1e-14
-        v = position_state(M, 2)
-        # F applied to |q=2> is the k-column read as a state
-        assert np.allclose(apply(op, v).amplitudes, momentum_state(M, 2).amplitudes)
-        skew = DenseOperator(np.eye(M) * 2)
-        assert skew.unitarity_residual() == pytest.approx(3.0)
+        assert np.array_equal(apply(MonomialOperator(8), v).amplitudes, v.amplitudes)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             apply(clock(6, 6), position_state(8, 0))
-
-
-class TestOverlap:
-    def test_self_overlap(self):
-        v = momentum_state(9, 4)
-        assert overlap(v, v) == pytest.approx(1.0)
-
-    def test_orthogonal_positions(self):
-        assert overlap(position_state(5, 0), position_state(5, 1)) == 0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            overlap(position_state(5, 0), position_state(6, 0))
-
-    def test_conjugate_linearity_order(self):
-        # <v|w> conjugates the first argument
-        v = StateVector([1j, 0.0])
-        w = StateVector([1.0, 0.0])
-        assert overlap(v, w) == pytest.approx(-1j)
 
 
 class TestPhaseHelpers:

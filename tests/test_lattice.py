@@ -5,20 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from phasecrt.core import StateVector, fourier_matrix, momentum_state, position_state
+from phasecrt.core import StateVector, momentum_state, position_state
 from phasecrt.lattice import (
     AreaReport,
     DensityMatrix,
-    LineSupport,
     NotVN,
     PhasePoint,
     VNLattice,
     area_report,
-    classify_any,
     classify_vn_state,
     default_support_threshold,
     lattice_points,
-    mixed_element,
     mixed_element_matrix,
     support,
 )
@@ -27,6 +24,12 @@ from phasecrt.reps import build_pls, conjugate_state
 
 SPLIT_15 = make_split(15, 3)
 SPLIT_6 = make_split(6, 2)
+BAD_THRESHOLDS = [0.0, -1.0, math.nan, math.inf]
+
+
+def brute_mixed_element(rho: DensityMatrix, q: int, k: int) -> complex:
+    """<q|rho|k> as row q of rho against the momentum state |k>."""
+    return complex(rho.matrix[q] @ momentum_state(rho.dim, k).amplitudes)
 
 
 class TestLatticePoints:
@@ -77,16 +80,21 @@ class TestDensityMatrix:
 class TestMixedElement:
     def test_pls_on_and_off_lattice(self):
         pls = build_pls(SPLIT_15, 0, 0)
-        assert abs(mixed_element(pls, 0, 0)) == pytest.approx(1 / math.sqrt(15))
-        assert abs(mixed_element(pls, 1, 0)) < 1e-12
+        mm = mixed_element_matrix(pls)
+        assert abs(mm[0, 0]) == pytest.approx(1 / math.sqrt(15))
+        assert abs(mm[1, 0]) < 1e-12
+        rho = DensityMatrix.from_state(pls)
+        for q, k in [(0, 0), (1, 0)]:
+            assert cmath.isclose(mm[q, k], brute_mixed_element(rho, q, k), abs_tol=1e-14)
 
     def test_maximally_mixed(self):
         M = 15
         rho = DensityMatrix(np.eye(M) / M)
+        mm = mixed_element_matrix(rho)
         for q in range(M):
             for k in range(M):
                 want = cmath.exp(2j * cmath.pi * q * k / M) / (M * math.sqrt(M))
-                assert cmath.isclose(mixed_element(rho, q, k), want, abs_tol=1e-13)
+                assert cmath.isclose(mm[q, k], want, abs_tol=1e-13)
 
     def test_pure_state_matches_density_matrix_path(self):
         state = build_pls(SPLIT_15, 1, 2)
@@ -98,15 +106,20 @@ class TestMixedElement:
     def test_matrix_matches_single_elements(self):
         state = momentum_state(6, 2)
         mm = mixed_element_matrix(state)
+        rho = DensityMatrix.from_state(state)
         for q in range(6):
             for k in range(6):
-                assert cmath.isclose(mm[q, k], mixed_element(state, q, k), abs_tol=1e-14)
+                assert cmath.isclose(mm[q, k], brute_mixed_element(rho, q, k), abs_tol=1e-14)
 
-    def test_range_checks(self):
+    def test_raw_array_rejected(self):
+        # a bare matrix would skip the Hermitian and trace checks of DensityMatrix
+        raw = np.eye(15) / 15
         with pytest.raises(ValueError):
-            mixed_element(build_pls(SPLIT_15, 0, 0), 15, 0)
+            mixed_element_matrix(raw)
         with pytest.raises(ValueError):
-            mixed_element(np.eye(4) / 4, 0, -1)
+            support(raw)
+        with pytest.raises(ValueError):
+            classify_vn_state(raw, SPLIT_15)
 
 
 class TestSupport:
@@ -120,15 +133,16 @@ class TestSupport:
         assert set(pts) == {PhasePoint(0, k) for k in range(15)}
 
     def test_zero_matrix_empty(self):
-        assert support(np.zeros((6, 6))) == ()
+        assert support(StateVector(np.zeros(6))) == ()
 
     def test_row_major_ordering(self):
         pts = support(build_pls(SPLIT_15, 0, 0))
         assert list(pts) == sorted(pts)
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            support(position_state(6, 0), threshold=0.0)
+        for threshold in BAD_THRESHOLDS:
+            with pytest.raises(ValueError):
+                support(position_state(6, 0), threshold=threshold)
 
     def test_default_threshold_value(self):
         assert default_support_threshold(15) == pytest.approx(1e-6 / math.sqrt(15))
@@ -146,14 +160,21 @@ class TestClassify:
         assert verdict.reason == "wrong support geometry"
 
     def test_empty_support_is_wrong_count(self):
-        verdict = classify_vn_state(np.zeros((15, 15)), SPLIT_15)
+        verdict = classify_vn_state(StateVector(np.zeros(15)), SPLIT_15)
         assert isinstance(verdict, NotVN)
         assert verdict.reason == "wrong count"
+
+    def test_threshold_validation(self):
+        state = build_pls(SPLIT_15, 0, 0)
+        for threshold in BAD_THRESHOLDS:
+            for rho in (state, DensityMatrix.from_state(state)):
+                with pytest.raises(ValueError):
+                    classify_vn_state(rho, SPLIT_15, threshold=threshold)
 
     def test_scaled_state_is_non_uniform(self):
         # right geometry, magnitudes 0.5/sqrt(M) instead of 1/sqrt(M)
         state = build_pls(SPLIT_15, 0, 0)
-        half = 0.5 * np.outer(state.amplitudes, state.amplitudes.conj())
+        half = StateVector(math.sqrt(0.5) * state.amplitudes)
         verdict = classify_vn_state(half, SPLIT_15)
         assert isinstance(verdict, NotVN)
         assert verdict.reason == "non-uniform magnitude"
@@ -190,39 +211,22 @@ class TestClassify:
                 assert (verdict.shift_q, verdict.shift_k) == (k02, q01)
 
     def test_support_of_another_dimension_is_wrong_geometry(self):
-        # a 16-dim matrix whose 15 support points sit where the shifted 3x5
-        # lattice would be; the lattice lives in dimension 15, so it is no match
-        M = 16
-        target = np.zeros((M, M), dtype=complex)
-        target[np.ix_([1, 4, 7, 10, 13], [1, 6, 11])] = 1 / math.sqrt(15)
-        rho = target @ np.conj(fourier_matrix(M)).T  # |rho @ F| = |target|
-        verdict = classify_vn_state(rho, SPLIT_15)
-        assert isinstance(verdict, NotVN)
-        assert verdict.reason == "wrong support geometry"
+        # a 16-dim state with a threshold between its 15th and 16th largest
+        # magnitudes: 15 support points, but the 3x5 lattice lives in dimension
+        # 15, so it is no match on either path
+        rng = np.random.default_rng(4)
+        state = StateVector(rng.normal(size=16) + 1j * rng.normal(size=16)).normalize()
+        mags = np.sort(np.abs(mixed_element_matrix(state)), axis=None)
+        threshold = float(mags[-16] + mags[-15]) / 2
+        for rho in (state, DensityMatrix.from_state(state)):
+            assert len(support(rho, threshold)) == 15
+            verdict = classify_vn_state(rho, SPLIT_15, threshold)
+            assert isinstance(verdict, NotVN)
+            assert verdict.reason == "wrong support geometry"
 
     def test_wrong_orientation_rejected(self):
         verdict = classify_vn_state(build_pls(SPLIT_15, 0, 0), SPLIT_15.swapped())
         assert isinstance(verdict, NotVN)
-
-
-class TestClassifyAny:
-    def test_finds_split_and_orientation(self):
-        verdict = classify_any(build_pls(SPLIT_15, 1, 2), 15)
-        assert isinstance(verdict, VNLattice)
-        assert (verdict.split.M1, verdict.shift_q, verdict.shift_k) == (3, 1, 2)
-        conj = classify_any(conjugate_state(build_pls(SPLIT_15, 1, 2)), 15)
-        assert isinstance(conj, VNLattice)
-        assert (conj.split.M1, conj.shift_q, conj.shift_k) == (5, 2, 1)
-
-    def test_degenerate_lines(self):
-        assert classify_any(position_state(15, 4), 15) == LineSupport("position", 4)
-        assert classify_any(momentum_state(15, 4), 15) == LineSupport("momentum", 4)
-
-    def test_generic_state_matches_nothing(self):
-        rng = np.random.default_rng(2)
-        raw = rng.normal(size=15) + 1j * rng.normal(size=15)
-        state = StateVector(raw / np.linalg.norm(raw), normalized=True)
-        assert isinstance(classify_any(state, 15), NotVN)
 
 
 class TestArea:
@@ -232,8 +236,6 @@ class TestArea:
         report = area_report(M, split)
         assert report == AreaReport(Fraction(1, M), M, Fraction(1))
         assert report.cell_area * report.points_per_state == Fraction(1)
-        assert report.state_area_value == pytest.approx(2 * math.pi)
-        assert report.cell_area_value == pytest.approx(2 * math.pi / M)
 
     def test_split_dimension_must_match(self):
         with pytest.raises(ValueError):

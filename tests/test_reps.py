@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from phasecrt.core import StateVector, momentum_state, overlap, position_state
+from phasecrt.core import StateVector, momentum_state, position_state
 from phasecrt.numtheory import NonCoprimeError, crt_compose, enumerate_splits, make_split
 from phasecrt.reps import (
     BasisKind,
@@ -119,7 +119,7 @@ class TestOrthonormality:
         for i, (_, v) in enumerate(vecs):
             for j, (_, w) in enumerate(vecs):
                 want = 1.0 if i == j else 0.0
-                assert abs(overlap(v, w) - want) < 1e-12
+                assert abs(np.vdot(v.amplitudes, w.amplitudes) - want) < 1e-12
 
 
 class TestEigenRelations:
@@ -158,7 +158,8 @@ class TestC2Structure:
     def test_c1_equals_c2_vector_for_vector(self):
         c1, c2 = build_C1(SPLIT_15), build_C2(SPLIT_15)
         for label in c1.labels():
-            z = overlap(c1.vector(label.q1, label.k2), c2.vector(label.q1, label.k2))
+            z = np.vdot(c1.vector(label.q1, label.k2).amplitudes,
+                        c2.vector(label.q1, label.k2).amplitudes)
             assert abs(z - 1.0) < 1e-9
 
 
@@ -194,7 +195,7 @@ class TestPls:
         for i, v in enumerate(states):
             for j, w in enumerate(states):
                 want = 1.0 if i == j else 0.0
-                assert abs(overlap(v, w) - want) < 1e-12
+                assert abs(np.vdot(v.amplitudes, w.amplitudes) - want) < 1e-12
 
     def test_label_ranges(self):
         with pytest.raises(ValueError):
@@ -287,7 +288,8 @@ class TestOverlapTables:
         labels_a, labels_b = list(c1.labels()), list(c2.labels())
         for i, la in enumerate(labels_a):
             for j, lb in enumerate(labels_b):
-                want = overlap(c1.vector(la.q1, la.k2), c2.vector(lb.q1, lb.k2))
+                want = np.vdot(c1.vector(la.q1, la.k2).amplitudes,
+                               c2.vector(lb.q1, lb.k2).amplitudes)
                 assert abs(table[i, j] - want) < 1e-13
 
     def test_all_pairs_have_modulus_zero_or_one(self):

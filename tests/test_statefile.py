@@ -64,6 +64,10 @@ class TestStateErrors:
         with pytest.raises(StateFileError):
             state_from_dict({"dim": 2, "amplitudes": [["x", 0], [0, 0]]})
 
+    def test_float_dim(self):
+        with pytest.raises(StateFileError):
+            state_from_dict({"dim": 2.9, "amplitudes": [[1, 0], [0, 0]]})
+
     def test_bad_meta(self):
         with pytest.raises(StateFileError):
             state_from_dict({"dim": 2, "amplitudes": [[1, 0], [0, 0]], "meta": 3})
@@ -142,6 +146,29 @@ class TestBasisBundle:
     def test_bundle_rejects_non_list_states(self):
         doc = basis_to_dict(build_E_pos(6, 2))
         doc["states"] = 5
+        with pytest.raises(StateFileError):
+            basis_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["dim", "M1", "M2"])
+    def test_bundle_rejects_float_size(self, field):
+        doc = basis_to_dict(build_E_pos(6, 2))
+        doc[field] += 0.9  # int() would truncate it back to the right value
+        with pytest.raises(StateFileError):
+            basis_from_dict(doc)
+
+    @pytest.mark.parametrize("field", ["q1", "k2"])
+    @pytest.mark.parametrize("value", [1.9, True])
+    def test_bundle_rejects_non_integer_label(self, field, value):
+        # int() reads both as the label 1 that the entry already has
+        doc = basis_to_dict(build_E_pos(6, 2))
+        next(e for e in doc["states"] if e[field] == 1)[field] = value
+        with pytest.raises(StateFileError):
+            basis_from_dict(doc)
+
+    @pytest.mark.parametrize("value", ["false", 0])
+    def test_bundle_rejects_non_boolean_conjugated(self, value):
+        doc = basis_to_dict(build_E_pos(6, 2))
+        doc["conjugated"] = value
         with pytest.raises(StateFileError):
             basis_from_dict(doc)
 

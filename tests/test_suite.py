@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -167,3 +168,11 @@ class TestReportSerialization:
     def test_custom_tolerance_is_recorded(self):
         report = run_suite(15, tolerance=1e-7)
         assert report.tolerance == pytest.approx(1e-7)
+
+    @pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1.0])
+    def test_rejects_tolerance_that_is_not_finite_and_non_negative(self, tolerance):
+        with pytest.raises(ValueError):
+            run_suite(7, tolerance=tolerance)
+
+    def test_zero_tolerance_is_legal(self):
+        assert run_suite(7, tolerance=0.0).tolerance == 0.0
