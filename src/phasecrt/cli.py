@@ -15,6 +15,8 @@ import os
 import sys
 from pathlib import Path
 
+# map shares lattice's private threshold rule on purpose: one rule for the
+# classifier and the commands, without a second public name for it
 from .lattice import VNLattice, _support_threshold, classify_vn_state, mixed_element_matrix
 from .numtheory import (
     chi,

@@ -135,8 +135,10 @@ def _magnitudes_and_support(rho, threshold: float | None):
     where block(rows, cols) reads the magnitudes at two label slices."""
     if isinstance(rho, StateVector):
         return _pure_magnitudes_and_support(rho, _support_threshold(rho.dim, threshold))
-    mm = np.abs(mixed_element_matrix(rho))  # dense: |rho @ F| as one (M, M) array
+    if not isinstance(rho, DensityMatrix):
+        raise ValueError(f"expected a StateVector or DensityMatrix, got {type(rho).__name__}")
     t = _support_threshold(rho.dim, threshold)
+    mm = np.abs(mixed_element_matrix(rho))  # dense: |rho @ F| as one (M, M) array
     mask = mm > t
     first = divmod(int(np.argmax(mask)), mm.shape[1])
     return mm.shape[0], t, int(np.count_nonzero(mask)), first, lambda rows, cols: mm[rows, cols]

@@ -211,15 +211,20 @@ class TestClassify:
                 assert (verdict.shift_q, verdict.shift_k) == (k02, q01)
 
     def test_support_of_another_dimension_is_wrong_geometry(self):
-        # a 16-dim state with a threshold between its 15th and 16th largest
-        # magnitudes: 15 support points, but the 3x5 lattice lives in dimension
-        # 15, so it is no match on either path
-        rng = np.random.default_rng(4)
-        state = StateVector(rng.normal(size=16) + 1j * rng.normal(size=16)).normalize()
+        # a 6-dim state with a threshold between its 15th and 16th largest
+        # magnitudes: 15 support points, and every grid entry of the shifted
+        # 3x5 lattice that exists in dimension 6 is among them; the lattice
+        # lives in dimension 15, so the dimension alone makes it no match
+        rng = np.random.default_rng(17)
+        state = StateVector(rng.normal(size=6) + 1j * rng.normal(size=6)).normalize()
         mags = np.sort(np.abs(mixed_element_matrix(state)), axis=None)
         threshold = float(mags[-16] + mags[-15]) / 2
         for rho in (state, DensityMatrix.from_state(state)):
-            assert len(support(rho, threshold)) == 15
+            points = {(p.q, p.k) for p in support(rho, threshold)}
+            assert len(points) == 15
+            q0, k0 = min(points)
+            grid = {(q, k) for q in range(q0 % 3, 6, 3) for k in range(k0 % 5, 6, 5)}
+            assert len(grid) == 4 and grid <= points
             verdict = classify_vn_state(rho, SPLIT_15, threshold)
             assert isinstance(verdict, NotVN)
             assert verdict.reason == "wrong support geometry"
