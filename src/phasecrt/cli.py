@@ -92,11 +92,8 @@ def _map_grid(mm, threshold):
 
 def _map_csv(mm):
     M = mm.shape[0]
-    lines = ["q,k,magnitude"]
-    for q in range(M):
-        for k in range(M):
-            lines.append(f"{q},{k},{mm[q, k]:.11e}")
-    return "\n".join(lines) + "\n"
+    rows = (f"{q},{k},{mm[q, k]:.11e}\n" for q in range(M) for k in range(M))
+    return "q,k,magnitude\n" + "".join(rows)
 
 
 def cmd_map(args) -> int:
@@ -104,14 +101,15 @@ def cmd_map(args) -> int:
     split = make_split(args.M, args.M1)
     state = build_pls(split, args.q01, args.k02)
     mm = np.abs(mixed_element_matrix(state))
+    csv = _map_csv(mm) if args.format == "csv" or args.out else None
     if args.format == "csv":
-        print(_map_csv(mm), end="")
+        print(csv, end="")
     else:
         print(f"phase-space map  M={args.M}  M1={args.M1}  "
               f"shift=({args.q01},{args.k02})  threshold={threshold:.5e}")
         print(_map_grid(mm, threshold))
     if args.out:
-        Path(args.out).write_text(_map_csv(mm))
+        Path(args.out).write_text(csv)
         print(f"wrote magnitudes to {args.out}")
     return 0
 

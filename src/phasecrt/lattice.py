@@ -10,7 +10,7 @@ The mixed-element, support and classification functions take a StateVector
 or a DensityMatrix and nothing else, so every matrix input has passed the
 DensityMatrix checks. For a pure state |<q|psi><psi|k>| = |psi(q)| * |psi~(k)|,
 so classifying a StateVector needs one FFT and no (M, M) array; a
-DensityMatrix keeps the dense path through rho @ F.
+DensityMatrix is read through rho @ F as one row FFT, O(M^2 log M), no F.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import StateVector, default_tolerance, fourier_matrix, norm_tolerance
+from .core import StateVector, default_tolerance, norm_tolerance
 from .numtheory import CoprimeSplit
 
 
@@ -87,11 +87,11 @@ class DensityMatrix:
 
 
 def mixed_element_matrix(rho: StateVector | DensityMatrix) -> np.ndarray:
-    """<q|rho|k> for all (q, k); rows are position, columns momentum."""
+    """<q|rho|k> for all (q, k); rows position, columns momentum; rho @ F is a row ifft."""
     if isinstance(rho, StateVector):
         return np.outer(rho.amplitudes, np.conj(rho.momentum_amplitudes()))
     if isinstance(rho, DensityMatrix):
-        return rho.matrix @ fourier_matrix(rho.dim)
+        return np.fft.ifft(rho.matrix, axis=1, norm="ortho")
     raise ValueError(f"expected a StateVector or DensityMatrix, got {type(rho).__name__}")
 
 
@@ -138,7 +138,7 @@ def _magnitudes_and_support(rho, threshold: float | None):
     if not isinstance(rho, DensityMatrix):
         raise ValueError(f"expected a StateVector or DensityMatrix, got {type(rho).__name__}")
     t = _support_threshold(rho.dim, threshold)
-    mm = np.abs(mixed_element_matrix(rho))  # dense: |rho @ F| as one (M, M) array
+    mm = np.abs(mixed_element_matrix(rho))  # |rho @ F| by one row FFT, no F
     mask = mm > t
     first = divmod(int(np.argmax(mask)), mm.shape[1])
     return mm.shape[0], t, int(np.count_nonzero(mask)), first, lambda rows, cols: mm[rows, cols]
@@ -169,7 +169,7 @@ def classify_vn_state(
     A positive answer requires the support to equal one shifted lattice of the
     given split exactly, with every on-support magnitude within tolerance of
     1/sqrt(M). A StateVector's support is counted from |psi(q)| * |psi~(k)| by
-    one sort (O(M log M)); a DensityMatrix's is read through the dense |rho @ F|.
+    one sort (O(M log M)); a DensityMatrix's is read from |rho @ F| by one row FFT.
     """
     M = split.M
     dim, t, count, (first_q, first_k), block = _magnitudes_and_support(rho, threshold)

@@ -251,21 +251,23 @@ def _check_kernel(checks, split, d, tol):
     kernel1 = factor_kernel(split, r1, r1[:, None])  # [q1, k1]
     kernel2 = factor_kernel(split.swapped(), r2, r2[:, None])  # [q2, k2]
     q2, k1, k2 = np.ix_(r2, r1, r2)
-    dev_inv = dev_plain = 0.0
+    dev_inv, dev_plain, worst = 0.0, 0.0, ""
     for q1 in range(M1):  # one (M2, M1, M2) block of [q2, k1, k2] at a time
         # <k|q> = conj(F[q, k]) at CRT-composed labels, without a dense F
         brute = np.conj(omega_power(M, FOURIER_SIGN * grid[q1, :, None, None] * grid)
                         / math.sqrt(M))
-        with_inv = kernel1[q1, None, :, None] * kernel2[:, None, :]
-        dev_inv = max(dev_inv, float(np.max(np.abs(brute - with_inv))))
-        del with_inv  # the dels keep at most two blocks alive at a time
+        err = np.abs(brute - kernel1[q1, None, :, None] * kernel2[:, None, :])
+        at = np.unravel_index(int(np.argmax(err)), err.shape)  # (q2, k1, k2)
+        if err[at] > dev_inv:  # the worst point so far, in CRT-composed labels
+            dev_inv, worst = float(err[at]), f"(q={grid[q1, at[0]]}, k={grid[at[1], at[2]]})"
+        del err  # the dels keep at most two blocks alive at a time
         plain = (np.exp(-2j * np.pi * (q1 * k1 * split.L1 + q2 * k2 * split.L2) / M)
                  / math.sqrt(M))
         dev_plain = max(dev_plain, float(np.max(np.abs(brute - plain))))
         del brute, plain
     _add(checks, f"kernel.product[{d}]",
          "<k|q> factorizes into the two single-factor kernels under CRT labels",
-         dev_inv, 0.0, tol)
+         dev_inv, 0.0, tol, note=f"worst at {worst}" if dev_inv > tol else "")
     matches = [name for name, dev in
                [("with-inverse-factors", dev_inv), ("inverse-free", dev_plain)]
                if dev < tol]

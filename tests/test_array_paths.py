@@ -2,7 +2,8 @@
 
 The builders scatter small DFT tables through crt_grid or the Cooley-Tukey
 table. classify_vn_state counts a pure state's support through
-|psi(q)| * |psi~(k)| and reads a density matrix through one |rho @ F| array.
+|psi(q)| * |psi~(k)| and reads a density matrix through |rho @ F|, formed by
+one row FFT and checked against the seed's dense rho @ F.
 The references below evaluate the docstring sums label by label with
 crt_compose and omega_power, and classify from the dense complex (M, M)
 product with lattice_points and a per-point deviation. Position combs and
@@ -54,6 +55,7 @@ from phasecrt.lattice import (
     classify_vn_state,
     default_support_threshold,
     lattice_points,
+    mixed_element_matrix,
     support,
 )
 from phasecrt.numtheory import crt_compose, crt_grid, enumerate_splits, make_split
@@ -181,16 +183,36 @@ def test_e_builders_match_reference(M, M1):
 
 # ---------------------------------------------------------- classifier --
 
-def seed_magnitudes(rho):
-    """|<q|rho|k>| as the seed formed it: one dense (M, M) complex product."""
+def seed_product(rho):
+    """<q|rho|k> as the seed formed it: one dense (M, M) complex product."""
     if isinstance(rho, StateVector):
-        return np.abs(np.outer(rho.amplitudes, np.conj(rho.momentum_amplitudes())))
-    return np.abs(rho.matrix @ fourier_matrix(rho.dim))
+        return np.outer(rho.amplitudes, np.conj(rho.momentum_amplitudes()))
+    return rho.matrix @ fourier_matrix(rho.dim)
+
+
+def random_mixed_state(rng, M, rank):
+    """sum_i p_i |v_i><v_i| over rank random unit vectors and random weights."""
+    v = rng.normal(size=(rank, M)) + 1j * rng.normal(size=(rank, M))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    p = rng.random(rank)
+    return DensityMatrix(np.einsum("i,iq,ik->qk", p / p.sum(), v, v.conj()))
+
+
+@pytest.mark.parametrize("M", [6, 15, 30, 210, 330, 331, 667])
+def test_density_row_fft_matches_the_dense_product(M):
+    # the row FFT sums in another order than rho @ F: within 16 ulp of the largest entry
+    rng = np.random.default_rng(M)
+    for rank in range(1, 5):
+        rho = random_mixed_state(rng, M, rank)
+        oracle = seed_product(rho)
+        got = mixed_element_matrix(rho)
+        assert got.shape == (M, M)
+        assert np.max(np.abs(got - oracle)) <= 16 * np.finfo(float).eps * np.max(np.abs(oracle))
 
 
 def reference_classify(rho, split, threshold=None):
     M = split.M
-    mm = seed_magnitudes(rho)
+    mm = np.abs(seed_product(rho))
     mask = mm > (default_support_threshold(M) if threshold is None else threshold)
     count = int(np.count_nonzero(mask))
     if count != M:
@@ -265,6 +287,38 @@ def test_classify_matches_reference(case):
             assert set(support(state, threshold)) == lattice_points(verdict)
 
 
+MIXTURE_SPLITS = [s for s in CLASSIFY_SPLITS if s.M in (6, 15, 30)]
+
+
+@st.composite
+def pls_mixtures(draw):
+    """A DensityMatrix mixing one to three PLS (some conjugated) with log-uniform
+    weights, plus Hermitian noise of the order of the support threshold."""
+    M = draw(st.sampled_from([6, 15, 30]))
+    rho = np.zeros((M, M), dtype=complex)
+    for i in range(draw(st.integers(1, 3))):
+        built = draw(st.sampled_from([s for s in MIXTURE_SPLITS if s.M == M]))
+        pls = build_pls(built, draw(st.integers(0, built.M1 - 1)),
+                        draw(st.integers(0, built.M2 - 1)))
+        if draw(st.booleans()):
+            pls = conjugate_state(pls)
+        weight = 1.0 if i == 0 else 10.0 ** draw(st.floats(-14, 0))
+        rho += weight * np.outer(pls.amplitudes, pls.amplitudes.conj())
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+        scale = default_support_threshold(M) * 10.0 ** draw(st.floats(-2, 0.5))
+        rho += scale * (g + g.conj().T) / 2
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pls_mixtures())
+def test_classify_pls_mixtures_matches_reference(rho):
+    for split in (s for s in MIXTURE_SPLITS if s.M == rho.dim):
+        assert classify_vn_state(rho, split) == reference_classify(rho, split)
+
+
 def assert_count_exact(psi, split, t):
     a, b = np.abs(psi.amplitudes), np.abs(psi.momentum_amplitudes())
     count = int(np.count_nonzero(np.outer(a, b) > t))
@@ -301,6 +355,12 @@ def test_pure_count_is_exact_on_tied_magnitudes():
                 assert_count_exact(psi, make_split(30, 5), t)
 
 
+def mixture(a, b, w):
+    """(1 - w)|a><a| + w|b><b| for two normalized states."""
+    return DensityMatrix((1 - w) * np.outer(a.amplitudes, a.amplitudes.conj())
+                         + w * np.outer(b.amplitudes, b.amplitudes.conj()))
+
+
 def test_classify_cases_reach_every_verdict():
     # the strategy above is only worth its examples if it reaches every branch
     split = make_split(15, 3)
@@ -313,13 +373,20 @@ def test_classify_cases_reach_every_verdict():
         (pls, split.swapped()),
         (StateVector(pls.amplitudes + 1e-8 * noise), split),
         (DensityMatrix.from_state(conjugate_state(pls)), split.swapped()),
+        # a weight-w second PLS on a disjoint lattice: at w = 1/2 its M points join
+        # the support; at w = 1e-7 they stay below the threshold, but the lattice
+        # magnitudes fall by w/sqrt(15), above the magnitude tolerance
+        (mixture(pls, build_pls(split, 0, 0), 0.5), split),
+        (DensityMatrix.from_state(pls), split.swapped()),
+        (mixture(pls, build_pls(split, 0, 0), 1e-7), split),
     ]
     got = []
     for rho, s in cases:
         verdict = classify_vn_state(rho, s)
         assert verdict == reference_classify(rho, s)
         got.append(verdict.reason if isinstance(verdict, NotVN) else "vn")
-    assert got == ["vn", "wrong count", "wrong support geometry", "non-uniform magnitude", "vn"]
+    verdicts = ["vn", "wrong count", "wrong support geometry", "non-uniform magnitude"]
+    assert got == verdicts + ["vn"] + verdicts[1:]
 
 
 # ------------------------------------------------ eigen, kernel, phases --

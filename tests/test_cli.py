@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from phasecrt import cli
 from phasecrt.cli import main
 from phasecrt.core import StateVector
 from phasecrt.numtheory import make_split
@@ -150,6 +151,28 @@ class TestMap:
         q, k, mag = lines[1].split(",")
         assert (q, k) == ("0", "0")
         assert float(mag) == pytest.approx(1 / 15**0.5)
+
+    def test_csv_to_stdout_and_file_is_formatted_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = cli._map_csv
+        monkeypatch.setattr(cli, "_map_csv", lambda mm: calls.append(1) or real(mm))
+        out_path = tmp_path / "map.csv"
+        code, out, _ = run(capsys, "map", "15", "3", "1", "2",
+                           "--format", "csv", "--out", str(out_path))
+        assert code == 0 and len(calls) == 1
+        text = out_path.read_text()
+        assert out == text + f"wrote magnitudes to {out_path}\n"
+        assert len(text.splitlines()) == 1 + 15 * 15
+
+    def test_grid_with_out_file_formats_csv_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = cli._map_csv
+        monkeypatch.setattr(cli, "_map_csv", lambda mm: calls.append(1) or real(mm))
+        out_path = tmp_path / "map.csv"
+        code, out, _ = run(capsys, "map", "15", "3", "0", "0", "--out", str(out_path))
+        assert code == 0 and len(calls) == 1
+        assert "q,k,magnitude" not in out
+        assert out_path.read_text().startswith("q,k,magnitude\n")
 
     def test_label_out_of_range(self, capsys):
         code, _, _ = run(capsys, "map", "15", "3", "3", "0")

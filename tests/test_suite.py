@@ -2,12 +2,13 @@ import math
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from phasecrt import suite
 from phasecrt.core import default_tolerance
 from phasecrt.lattice import VNLattice
-from phasecrt.numtheory import crt_grid, make_split
+from phasecrt.numtheory import crt_compose, crt_grid, make_split
 from phasecrt.reps import BasisKind, RepBasis, build_basis
 from phasecrt.suite import format_table, reports_to_dict, run_suite, run_suites
 
@@ -125,6 +126,31 @@ class TestWorstLocation:
                               "overlap.phase.C1-C2[3x5]", "overlap.phase.C2-Epos[3x5]"}
         passing = [c for c in checks if c.status == "pass"]
         assert passing and all(c.note == "" for c in passing)
+
+    def test_failing_kernel_names_its_worst_phase_point(self, monkeypatch):
+        # scaling <k1=1|q1=2> and <k2=3|q2=4> by 1.5 moves their product by
+        # 1.25/sqrt(15) and every other entry by at most 0.5/sqrt(15); the joint
+        # point sits in the last q1 block, so the worst is kept across blocks
+        real = suite.factor_kernel
+
+        def perturbed(split, k, q):
+            out = np.array(real(split, k, q))
+            out[(2, 1) if split.M1 == 3 else (4, 3)] *= 1.5
+            return out
+
+        split = make_split(15, 3)
+        tol = default_tolerance(15)
+        checks = []
+        suite._check_kernel(checks, split, "3x5", tol)
+        assert checks[0].status == "pass" and checks[0].note == ""
+        monkeypatch.setattr(suite, "factor_kernel", perturbed)
+        checks = []
+        suite._check_kernel(checks, split, "3x5", tol)
+        product = checks[0]
+        assert product.check_id == "kernel.product[3x5]" and product.status == "fail"
+        assert product.measured == pytest.approx(1.25 / math.sqrt(15))
+        q, k = crt_compose(split, 2, 4), crt_compose(split, 1, 3)
+        assert product.note == f"worst at (q={q}, k={k})"
 
 
 class TestWorkingSet:
