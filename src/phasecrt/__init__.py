@@ -73,7 +73,7 @@ from .reps import (
     factor_kernel,
     overlap_matrix,
 )
-from .statefile import StateFileError, load_basis, load_state, save_basis, save_state
+from .statefile import StateFileError, load_state, save_basis, save_state
 from .suite import CheckRecord, VerificationReport, run_suite, run_suites
 
 __version__ = "0.1.0"

@@ -67,7 +67,7 @@ def cmd_crt(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    kind = BasisKind.parse(args.kind)
+    kind = BasisKind(args.kind)
     basis = build_basis(kind, args.M, args.M1)
     if args.conjugate:
         basis = conjugate_basis(basis)

@@ -56,14 +56,6 @@ class BasisKind(enum.Enum):
     def needs_coprime(self) -> bool:
         return self in (BasisKind.C1, BasisKind.C2)
 
-    @classmethod
-    def parse(cls, text: str) -> "BasisKind":
-        for kind in cls:
-            if text.lower() in (kind.value.lower(), kind.name.lower()):
-                return kind
-        raise ValueError(f"unknown basis kind {text!r}; expected one of "
-                         f"{[k.value for k in cls]}")
-
 
 @dataclass(frozen=True)
 class TorusLabel:

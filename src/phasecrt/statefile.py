@@ -3,6 +3,7 @@
 State schema: {"dim": int, "amplitudes": [[re, im], ...], "meta": {...}}.
 A bundle is {"dim", "kind", "M1", "M2", "conjugated", "meta", "states": [...]}
 where each entry carries its (q1, k2) label next to the state fields.
+`phasecrt basis` writes bundles; the package does not read them back.
 Floats are written with repr precision, so parse/serialize round-trips are
 bit-faithful for finite values.
 """
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import StateVector
-from .reps import BasisKind, RepBasis
+from .reps import RepBasis
 
 
 class StateFileError(ValueError):
@@ -49,9 +50,12 @@ def state_from_dict(doc: dict) -> tuple[StateVector, dict]:
     if not isinstance(pairs, list) or len(pairs) != dim:
         raise StateFileError(f"expected {dim} amplitude pairs, got {len(pairs) if isinstance(pairs, list) else type(pairs).__name__}")
     try:
-        amps = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+        amps = np.array([complex(re, im) for re, im in pairs
+                         if type(re) is not bool and type(im) is not bool], dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise StateFileError(f"amplitudes must be [re, im] pairs: {exc}") from exc
+    if len(amps) != dim:  # complex() reads a JSON true as 1, so bool pairs were dropped above
+        raise StateFileError("amplitudes must be numbers, not booleans")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise StateFileError("meta must be an object")
@@ -93,47 +97,6 @@ def basis_to_dict(basis: RepBasis, meta: dict | None = None) -> dict:
     }
 
 
-def basis_from_dict(doc: dict) -> RepBasis:
-    try:
-        kind = BasisKind.parse(doc["kind"])
-        M1, M2, dim = _integer(doc, "M1"), _integer(doc, "M2"), _integer(doc, "dim")
-        conjugated = doc.get("conjugated", False)
-        if not isinstance(conjugated, bool):
-            raise TypeError(f"conjugated must be a boolean, got {conjugated!r}")
-        entries = doc["states"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StateFileError(f"missing or malformed bundle field: {exc}") from exc
-    M = M1 * M2
-    if dim != M:
-        raise StateFileError(f"bundle dim {dim} is not M1*M2 = {M}")
-    if not isinstance(entries, list):
-        raise StateFileError(f"bundle states must be a list, got {type(entries).__name__}")
-    if len(entries) != M:
-        raise StateFileError(f"bundle must contain {M} states, got {len(entries)}")
-    amps = np.zeros((M1, M2, M), dtype=np.complex128)
-    seen = set()
-    for entry in entries:
-        try:
-            q1, k2 = _integer(entry, "q1"), _integer(entry, "k2")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise StateFileError(f"missing or malformed state label: {exc}") from exc
-        state, _ = state_from_dict({**entry, "meta": {}})
-        if state.dim != M:
-            raise StateFileError(f"bundle state has dim {state.dim}, expected {M}")
-        if not (0 <= q1 < M1 and 0 <= k2 < M2) or (q1, k2) in seen:
-            raise StateFileError(f"bad or repeated label ({q1}, {k2})")
-        seen.add((q1, k2))
-        amps[q1, k2] = state.amplitudes
-    return RepBasis(kind, M1, M2, amps, conjugated=conjugated)
-
-
 def save_basis(path: str | Path, basis: RepBasis, meta: dict | None = None) -> None:
     Path(path).write_text(json.dumps(basis_to_dict(basis, meta), indent=1) + "\n")
 
-
-def load_basis(path: str | Path) -> RepBasis:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StateFileError(f"cannot read bundle {path}: {exc}") from exc
-    return basis_from_dict(doc)

@@ -7,11 +7,26 @@ from phasecrt import cli
 from phasecrt.cli import main
 from phasecrt.core import StateVector
 from phasecrt.numtheory import make_split
-from phasecrt.reps import build_pls
-from phasecrt.statefile import load_basis, save_state
+from phasecrt.reps import BasisKind, build_basis, build_pls, conjugate_basis
+from phasecrt.statefile import save_state
 
 
 BAD_THRESHOLDS = ["nan", "inf", "0", "-1"]
+
+
+def assert_bundle(path, kind, M, M1, conjugated=False):
+    """The written bundle holds build_basis(kind, M, M1), conjugated if asked, bit for bit."""
+    basis = build_basis(kind, M, M1)
+    if conjugated:
+        basis = conjugate_basis(basis)
+    doc = json.loads(path.read_text())
+    assert (doc["kind"], doc["M1"], doc["M2"]) == (kind.value, basis.M1, basis.M2)
+    assert doc["conjugated"] is conjugated and len(doc["states"]) == M
+    for entry in doc["states"]:
+        amps = np.array([complex(re, im) for re, im in entry["amplitudes"]])
+        assert np.array_equal(amps, basis.vector(entry["q1"], entry["k2"]).amplitudes)
+    assert len({(e["q1"], e["k2"]) for e in doc["states"]}) == M
+    return doc
 
 
 def run(capsys, *argv):
@@ -85,8 +100,7 @@ class TestBasis:
         assert "wrote 15 states to basis_M15_M13_C2.json" in out
         residual = float(out.splitlines()[-1].split("=")[1])
         assert residual < 1e-9
-        bundle = load_basis(tmp_path / "basis_M15_M13_C2.json")
-        assert bundle.M == 15
+        assert_bundle(tmp_path / "basis_M15_M13_C2.json", BasisKind.C2, 15, 3)
 
     def test_non_coprime_c_kind_is_usage_error(self, capsys):
         code, _, err = run(capsys, "basis", "4", "2", "C1")
@@ -97,15 +111,15 @@ class TestBasis:
         out_path = tmp_path / "e.json"
         code, out, _ = run(capsys, "basis", "4", "2", "Epos", "--out", str(out_path))
         assert code == 0
-        assert load_basis(out_path).M == 4
+        assert_bundle(out_path, BasisKind.E_POS, 4, 2)
 
     def test_conjugate_flag(self, capsys, tmp_path):
         out_path = tmp_path / "c2c.json"
         code, out, _ = run(capsys, "basis", "15", "3", "C2", "--conjugate",
                            "--out", str(out_path))
         assert code == 0
-        bundle = load_basis(out_path)
-        assert bundle.conjugated and (bundle.M1, bundle.M2) == (5, 3)
+        doc = assert_bundle(out_path, BasisKind.C2, 15, 3, conjugated=True)
+        assert (doc["M1"], doc["M2"]) == (5, 3)
 
     def test_unknown_kind_is_usage_error(self, capsys):
         code, _, _ = run(capsys, "basis", "15", "3", "Q9")

@@ -165,10 +165,14 @@ class TestC2Structure:
 
 class TestPls:
     def test_equals_c2_vector(self):
-        c2 = build_C2(SPLIT_15)
-        for label in c2.labels():
-            pls = build_pls(SPLIT_15, label.q1, label.k2)
-            assert np.allclose(pls.amplitudes, c2.vector(label.q1, label.k2).amplitudes)
+        for M in (6, 10, 12, 15, 21, 35, 210, 667):
+            for canonical in enumerate_splits(M):
+                for split in (canonical, canonical.swapped()):
+                    c2 = build_C2(split)
+                    for label in c2.labels():
+                        pls = build_pls(split, label.q1, label.k2)
+                        assert np.array_equal(pls.amplitudes,
+                                              c2.vector(label.q1, label.k2).amplitudes)
 
     def test_support_is_position_residue_class(self):
         pls = build_pls(SPLIT_15, 1, 2)
@@ -355,12 +359,13 @@ class TestBuildDispatch:
         with pytest.raises(NonCoprimeError):
             build_basis(BasisKind.C2, 12, 2)
 
-    def test_kind_parse(self):
-        assert BasisKind.parse("C1") is BasisKind.C1
-        assert BasisKind.parse("Epos") is BasisKind.E_POS
-        assert BasisKind.parse("e_mom") is BasisKind.E_MOM
-        with pytest.raises(ValueError):
-            BasisKind.parse("Q7")
+    def test_split_follows_orientation(self):
+        for M in (6, 15, 210):
+            for split in enumerate_splits(M):
+                assert build_C2(split).split == split
+                assert conjugate_basis(build_C2(split)).split == split.swapped()
+                assert build_C2(split.swapped()).split == split.swapped()
+        assert build_E_pos(12, 2).split is None
 
     def test_vectors_property_and_label_checks(self):
         basis = build_E_pos(6, 2)
