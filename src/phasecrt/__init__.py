@@ -28,12 +28,10 @@ from .core import (
     translate,
 )
 from .lattice import (
-    AreaReport,
     DensityMatrix,
     NotVN,
     PhasePoint,
     VNLattice,
-    area_report,
     classify_vn_state,
     default_support_threshold,
     lattice_points,

@@ -1,9 +1,10 @@
 """Command-line surface: factor, splits, crt, basis, map, suite, classify.
 
 Exit codes: 0 = success (a NotVN classification is still an answer),
-1 = a suite check failed, 2 = usage or parse error; main maps every package
-error (a non-coprime or trivial split, a bad state file, a tolerance or
-support threshold out of range) to 2 in one place.
+1 = a suite check failed, 2 = usage, parse or file error; main maps every
+package error (a non-coprime or trivial split, a bad state file, a tolerance
+or support threshold out of range) and every OSError (an unwritable --out)
+to 2 in one place.
 PHASECRT_TOLERANCE overrides the comparison tolerance (default 1e-9*sqrt(M)).
 """
 
@@ -228,7 +229,7 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -189,20 +188,3 @@ def classify_vn_state(
     if dev >= default_tolerance(M):
         return NotVN("non-uniform magnitude", f"max deviation from 1/sqrt(M) is {dev:.3e}")
     return lattice
-
-
-@dataclass(frozen=True)
-class AreaReport:
-    """Phase-space areas in units of 2*pi (Planck's h for hbar = 1), exact."""
-
-    cell_area: Fraction
-    points_per_state: int
-    state_area: Fraction
-
-
-def area_report(M: int, split: CoprimeSplit) -> AreaReport:
-    """Cell and per-state areas; M cells of 1/M each make the state area exactly 1."""
-    if split.M != M:
-        raise ValueError(f"split belongs to M={split.M}, not {M}")
-    cell = Fraction(1, M)
-    return AreaReport(cell_area=cell, points_per_state=M, state_area=cell * M)

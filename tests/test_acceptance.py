@@ -25,7 +25,6 @@ from phasecrt.core import (
 )
 from phasecrt.lattice import (
     VNLattice,
-    area_report,
     classify_vn_state,
     mixed_element_matrix,
     support,
@@ -210,15 +209,16 @@ def test_criterion_7_pls_lattice_bijection():
 
 
 def test_criterion_8_area_accounting():
+    # each PLS's area in units of 2*pi: its support count times the cell area 1/M
     results = []
     for M in (6, 10, 12, 15, 21, 30, 35, 210):
         for split in enumerate_splits(M):
-            report = area_report(M, split)
-            results.append(report.cell_area == Fraction(1, M)
-                           and report.points_per_state == M
-                           and report.state_area == Fraction(1))
+            for q01 in range(split.M1):
+                for k02 in range(split.M2):
+                    area = Fraction(len(support(build_pls(split, q01, k02))), M)
+                    results.append(area == 1)
     ok = all(results)
-    assert _line(8, ok, f"state area exactly 2*pi for {len(results)} split(s)")
+    assert _line(8, ok, f"measured state area exactly 2*pi for {len(results)} PLS")
     assert ok
 
 

@@ -303,6 +303,18 @@ class TestClassify:
         assert code == 2
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("argv", [["suite", "7"], ["basis", "15", "3", "C2"],
+                                      ["map", "15", "3", "0", "0"]],
+                             ids=["suite", "basis", "map"])
+    def test_is_an_error_not_a_failed_check(self, capsys, tmp_path, argv):
+        out = tmp_path / "missing" / "out"
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: ") and str(out) in err
+        assert not out.exists()
+
+
 class TestParser:
     def test_no_command_is_usage_error(self, capsys):
         assert run(capsys, )[0] == 2

@@ -1,18 +1,15 @@
 import cmath
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from phasecrt.core import StateVector, momentum_state, position_state
 from phasecrt.lattice import (
-    AreaReport,
     DensityMatrix,
     NotVN,
     PhasePoint,
     VNLattice,
-    area_report,
     classify_vn_state,
     default_support_threshold,
     lattice_points,
@@ -232,16 +229,3 @@ class TestClassify:
     def test_wrong_orientation_rejected(self):
         verdict = classify_vn_state(build_pls(SPLIT_15, 0, 0), SPLIT_15.swapped())
         assert isinstance(verdict, NotVN)
-
-
-class TestArea:
-    @pytest.mark.parametrize("M, M1", [(15, 3), (6, 2), (12, 4), (35, 5)])
-    def test_exact_rational_accounting(self, M, M1):
-        split = make_split(M, M1)
-        report = area_report(M, split)
-        assert report == AreaReport(Fraction(1, M), M, Fraction(1))
-        assert report.cell_area * report.points_per_state == Fraction(1)
-
-    def test_split_dimension_must_match(self):
-        with pytest.raises(ValueError):
-            area_report(30, SPLIT_15)

@@ -1,12 +1,14 @@
+import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phasecrt import suite
-from phasecrt.core import default_tolerance
+from phasecrt import reps, suite
+from phasecrt.core import StateVector, default_tolerance
 from phasecrt.lattice import VNLattice
 from phasecrt.numtheory import crt_compose, crt_grid, make_split
 from phasecrt.reps import BasisKind, RepBasis, build_basis
@@ -98,6 +100,59 @@ class TestSuiteRun:
         assert check.status == "fail"
         # 14 wrong shifts, one distinct shift instead of 15, and an uncovered grid
         assert check.measured == 14 + 1 + 1
+
+
+class TestPlsRecords:
+    def test_moved_pls_amplitude_fails_every_pls_record(self, monkeypatch):
+        # PLS (0, 0) of 3x5 moves its amplitude at crt_grid[0, 1] one position on,
+        # into class q1 = 1, with its norm kept
+        real = suite.build_pls
+
+        def moved(split, q01, k02):
+            state = real(split, q01, k02)
+            if (q01, k02) != (0, 0):
+                return state
+            amps = state.amplitudes.copy()
+            q = crt_grid(split)[0, 1]
+            amps[q + 1], amps[q] = amps[q], 0
+            return StateVector(amps, normalized=True)
+
+        monkeypatch.setattr(suite, "build_pls", moved)
+        report = run_suite(15)
+        golden = json.loads((Path(__file__).parent / "golden" / "w1.json").read_text())
+        expected = {c["id"]: c["status"]
+                    for r in golden["reports"] if r["M"] == 15 for c in r["checks"]}
+        failed = {c.check_id: c.measured for c in report.checks if c.status == "fail"}
+        # |<PLS(0, 0)|PLS(1, k2)>| = (1/sqrt(5))**2 at the moved position
+        assert failed.pop("pls.orthonormal[3x5]") == pytest.approx(0.2)
+        # one wrong verdict, 14 distinct shifts, an uncovered lattice
+        assert failed == {"pls.lattice-bijection[3x5]": 3, "conjugate.duality[3x5]": 1,
+                          "lattice.area[3x5]": 1}
+        for c in report.checks:
+            if c.status != "fail":
+                assert c.status == expected[c.check_id], c.check_id
+        assert len(report.checks) == len(expected)
+
+    def test_calls_per_split(self, monkeypatch):
+        # the benchmark harness traces build_pls through suite and records one
+        # verdict latency per classify_vn_state call; the PLS are conjugated
+        # as one stack, not one conjugate_state call each
+        calls = dict.fromkeys(["build_pls", "classify_vn_state", "conjugate_state"], 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, fn in [("build_pls", suite.build_pls),
+                         ("classify_vn_state", suite.classify_vn_state),
+                         ("conjugate_state", reps.conjugate_state)]:
+            monkeypatch.setattr(suite, name, counted(name, fn), raising=False)
+        report = run_suite(30)
+        assert report.passed
+        n = 30 * len(report.splits)
+        assert calls == {"build_pls": n, "classify_vn_state": 2 * n, "conjugate_state": 0}
 
 
 class TestWorstLocation:
