@@ -4,13 +4,16 @@ The phase space is the M x M grid of (q, k) labels; each point stands for a
 cell of area 2*pi/M (hbar = 1). A lattice for split (M1, M2) has q-spacing M1
 and k-spacing M2, optionally shifted, and always holds exactly M points. A
 state sits over such a lattice when |<q|rho|k>| = 1/sqrt(M) on every lattice
-point and vanishes elsewhere; that state then covers total area 2*pi exactly.
+point and vanishes elsewhere. A state's area is its support count times
+2*pi/M, so it is exactly 2*pi unless the classifier finds a support of other
+than M points (NotVN "wrong count").
 
 The mixed-element, support and classification functions take a StateVector
 or a DensityMatrix and nothing else, so every matrix input has passed the
-DensityMatrix checks. For a pure state |<q|psi><psi|k>| = |psi(q)| * |psi~(k)|,
-so classifying a StateVector needs one FFT and no (M, M) array; a
-DensityMatrix is read through rho @ F as one row FFT, O(M^2 log M), no F.
+DensityMatrix checks. support() thresholds |mixed_element_matrix(rho)|. For a
+pure state |<q|psi><psi|k>| = |psi(q)| * |psi~(k)|, so classifying a
+StateVector needs one FFT and no (M, M) array; a DensityMatrix is read
+through rho @ F as one row FFT, O(M^2 log M), no F.
 """
 
 from __future__ import annotations
@@ -78,6 +81,8 @@ class DensityMatrix:
     def from_state(cls, state: StateVector) -> "DensityMatrix":
         v = state.amplitudes
         n2 = float(np.sum(np.abs(v) ** 2))
+        if n2 == 0.0:
+            raise ValueError("cannot build a density matrix from the zero vector")
         return cls(np.outer(v, v.conj()) / n2)
 
     @property
@@ -85,13 +90,19 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
+def _dim(rho) -> int:
+    """rho's dimension; a bare array would skip the DensityMatrix checks."""
+    if not isinstance(rho, (StateVector, DensityMatrix)):
+        raise ValueError(f"expected a StateVector or DensityMatrix, got {type(rho).__name__}")
+    return rho.dim
+
+
 def mixed_element_matrix(rho: StateVector | DensityMatrix) -> np.ndarray:
     """<q|rho|k> for all (q, k); rows position, columns momentum; rho @ F is a row ifft."""
+    _dim(rho)
     if isinstance(rho, StateVector):
         return np.outer(rho.amplitudes, np.conj(rho.momentum_amplitudes()))
-    if isinstance(rho, DensityMatrix):
-        return np.fft.ifft(rho.matrix, axis=1, norm="ortho")
-    raise ValueError(f"expected a StateVector or DensityMatrix, got {type(rho).__name__}")
+    return np.fft.ifft(rho.matrix, axis=1, norm="ortho")
 
 
 def default_support_threshold(M: int) -> float:
@@ -108,10 +119,12 @@ def _support_threshold(M: int, threshold: float | None) -> float:
     return t
 
 
-def _pure_magnitudes_and_support(psi: StateVector, t: float):
-    """|<q|psi><psi|k>| = a[q]*b[k] (a = |psi|, b = |psi~|) without an (M, M) array:
-    a[q]*x is monotone in x, so one sort of b counts the pairs a[q]*b[k] > t exactly.
-    The block reads the complex entries of mixed_element_matrix(psi), as the dense path."""
+def _pure_support(psi: StateVector, t: float):
+    """(count, first row-major point, block) of |<q|psi><psi|k>| > t, where
+    block(rows, cols) reads the magnitudes at two label slices. |<q|psi><psi|k>| =
+    a[q]*b[k] (a = |psi|, b = |psi~|) needs no (M, M) array: a[q]*x is monotone in x,
+    so one sort of b counts the pairs a[q]*b[k] > t exactly. The block reads the
+    complex entries of mixed_element_matrix(psi), as the dense path."""
     v, vk = psi.amplitudes, psi.momentum_amplitudes()
     a, b = np.abs(v), np.abs(vk)
     M = a.size
@@ -125,30 +138,16 @@ def _pure_magnitudes_and_support(psi: StateVector, t: float):
             break
         start += up.astype(np.intp) - down
     q = int(np.argmax(a * bs[-1] > t))  # the first row with support, then its first k
-    return (M, t, int(np.sum(M - start)), (q, int(np.argmax(a[q] * b > t))),
+    return (int(np.sum(M - start)), (q, int(np.argmax(a[q] * b > t))),
             lambda rows, cols: np.abs(np.outer(v[rows], np.conj(vk[cols]))))
-
-
-def _magnitudes_and_support(rho, threshold: float | None):
-    """(dim, t, support count, first row-major support point, block) for |<q|rho|k>| > t,
-    where block(rows, cols) reads the magnitudes at two label slices."""
-    if isinstance(rho, StateVector):
-        return _pure_magnitudes_and_support(rho, _support_threshold(rho.dim, threshold))
-    if not isinstance(rho, DensityMatrix):
-        raise ValueError(f"expected a StateVector or DensityMatrix, got {type(rho).__name__}")
-    t = _support_threshold(rho.dim, threshold)
-    mm = np.abs(mixed_element_matrix(rho))  # |rho @ F| by one row FFT, no F
-    mask = mm > t
-    first = divmod(int(np.argmax(mask)), mm.shape[1])
-    return mm.shape[0], t, int(np.count_nonzero(mask)), first, lambda rows, cols: mm[rows, cols]
 
 
 def support(
     rho: StateVector | DensityMatrix, threshold: float | None = None
 ) -> tuple[PhasePoint, ...]:
     """Phase points where |<q|rho|k>| exceeds threshold, row-major in (q, k)."""
-    _, t, _, _, block = _magnitudes_and_support(rho, threshold)
-    qs, ks = np.nonzero(block(slice(None), slice(None)) > t)
+    t = _support_threshold(_dim(rho), threshold)
+    qs, ks = np.nonzero(np.abs(mixed_element_matrix(rho)) > t)
     return tuple(PhasePoint(int(q), int(k)) for q, k in zip(qs, ks))
 
 
@@ -171,14 +170,22 @@ def classify_vn_state(
     one sort (O(M log M)); a DensityMatrix's is read from |rho @ F| by one row FFT.
     """
     M = split.M
-    dim, t, count, (first_q, first_k), block = _magnitudes_and_support(rho, threshold)
+    t = _support_threshold(_dim(rho), threshold)
+    if isinstance(rho, StateVector):
+        count, (first_q, first_k), block = _pure_support(rho, t)
+    else:
+        mm = np.abs(mixed_element_matrix(rho))  # |rho @ F| by one row FFT, no F
+        mask = mm > t
+        count, (first_q, first_k) = (int(np.count_nonzero(mask)),
+                                     divmod(int(np.argmax(mask)), rho.dim))
+        block = lambda rows, cols: mm[rows, cols]
     if count != M:
         return NotVN("wrong count", f"support has {count} points, expected {M}")
     lattice = VNLattice(split, first_q % split.M1, first_k % split.M2)
     on_lattice = block(slice(lattice.shift_q, None, split.M1),
                        slice(lattice.shift_k, None, split.M2))
     # M points above t, all of them on the lattice: the support is the lattice
-    if dim != M or not np.all(on_lattice > t):
+    if rho.dim != M or not np.all(on_lattice > t):
         return NotVN(
             "wrong support geometry",
             f"support is not the {split.describe()} lattice shifted to "

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from phasecrt import lattice
 from phasecrt.core import StateVector, momentum_state, position_state
 from phasecrt.lattice import (
     DensityMatrix,
@@ -57,6 +58,10 @@ class TestDensityMatrix:
         rho = DensityMatrix.from_state(build_pls(SPLIT_15, 0, 0))
         assert rho.dim == 15
         assert abs(np.trace(rho.matrix) - 1) < 1e-12
+
+    def test_from_state_rejects_the_zero_vector(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            DensityMatrix.from_state(StateVector(np.zeros(6)))
 
     def test_rejects_non_hermitian(self):
         mat = np.eye(4, dtype=complex) / 4
@@ -140,6 +145,17 @@ class TestSupport:
         for threshold in BAD_THRESHOLDS:
             with pytest.raises(ValueError):
                 support(position_state(6, 0), threshold=threshold)
+
+    def test_rejects_before_forming_the_matrix(self, monkeypatch):
+        def unreachable(rho):
+            raise AssertionError("an (M, M) array was formed")
+
+        monkeypatch.setattr(lattice, "mixed_element_matrix", unreachable)
+        for threshold in BAD_THRESHOLDS:
+            with pytest.raises(ValueError, match="threshold"):
+                support(position_state(6, 0), threshold=threshold)
+        with pytest.raises(ValueError, match="StateVector or DensityMatrix"):
+            support(np.eye(6) / 6)
 
     def test_default_threshold_value(self):
         assert default_support_threshold(15) == pytest.approx(1e-6 / math.sqrt(15))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from phasecrt import reps, suite
-from phasecrt.core import StateVector, default_tolerance
+from phasecrt.core import StateVector, default_tolerance, fourier_matrix
 from phasecrt.lattice import VNLattice
 from phasecrt.numtheory import crt_compose, crt_grid, make_split
 from phasecrt.reps import BasisKind, RepBasis, build_basis
@@ -133,11 +133,22 @@ class TestPlsRecords:
                 assert c.status == expected[c.check_id], c.check_id
         assert len(report.checks) == len(expected)
 
+    def test_pls_on_another_lattice_keeps_its_area(self, monkeypatch):
+        # PLS (0, 0) replaced by PLS (1, 0): M support points on the wrong lattice
+        real = suite.build_pls
+        monkeypatch.setattr(suite, "build_pls", lambda split, q01, k02: real(
+            split, *((1, 0) if (q01, k02) == (0, 0) else (q01, k02))))
+        failed = {c.check_id: c.measured for c in run_suite(15).checks if c.status == "fail"}
+        assert failed.pop("pls.orthonormal[3x5]") == pytest.approx(1.0)
+        assert failed == {"pls.lattice-bijection[3x5]": 3, "conjugate.duality[3x5]": 1}
+
     def test_calls_per_split(self, monkeypatch):
         # the benchmark harness traces build_pls through suite and records one
         # verdict latency per classify_vn_state call; the PLS are conjugated
-        # as one stack, not one conjugate_state call each
-        calls = dict.fromkeys(["build_pls", "classify_vn_state", "conjugate_state"], 0)
+        # as one stack, not one conjugate_state call each, and each PLS and
+        # conjugated PLS is validated as a StateVector once
+        calls = dict.fromkeys(
+            ["build_pls", "classify_vn_state", "conjugate_state", "StateVector"], 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -149,10 +160,12 @@ class TestPlsRecords:
                          ("classify_vn_state", suite.classify_vn_state),
                          ("conjugate_state", reps.conjugate_state)]:
             monkeypatch.setattr(suite, name, counted(name, fn), raising=False)
+        monkeypatch.setattr(StateVector, "__init__", counted("StateVector", StateVector.__init__))
         report = run_suite(30)
         assert report.passed
         n = 30 * len(report.splits)
-        assert calls == {"build_pls": n, "classify_vn_state": 2 * n, "conjugate_state": 0}
+        assert calls == {"build_pls": n, "classify_vn_state": 2 * n, "conjugate_state": 0,
+                         "StateVector": 2 * n}
 
 
 class TestWorstLocation:
@@ -181,6 +194,41 @@ class TestWorstLocation:
                               "overlap.phase.C1-C2[3x5]", "overlap.phase.C2-Epos[3x5]"}
         passing = [c for c in checks if c.status == "pass"]
         assert passing and all(c.note == "" for c in passing)
+
+    def test_failing_c1c2_identity_names_its_worst_label(self):
+        # C2 vector (2, 3) times 1j: unit norm and the same eigenvalues, but
+        # <C1(2, 3)|C2(2, 3)> = 1j
+        split = make_split(15, 3)
+        bases = {kind: build_basis(kind, 15, 3) for kind in BasisKind}
+        checks = []
+        suite._check_bases(checks, split, "3x5", bases, default_tolerance(15))
+        assert all(c.status == "pass" and c.note == "" for c in checks)
+        amps = bases[BasisKind.C2].as_matrix().T.reshape(3, 5, 15).copy()
+        amps[2, 3] *= 1j
+        bad = RepBasis(BasisKind.C2, 3, 5, amps)
+        bad._comb = bases[BasisKind.C2]._comb
+        bases[BasisKind.C2] = bad
+        checks = []
+        suite._check_bases(checks, split, "3x5", bases, default_tolerance(15))
+        identity = next(c for c in checks if c.check_id == "basis.c1c2-identity[3x5]")
+        assert identity.status == "fail"
+        assert identity.measured == pytest.approx(math.sqrt(2))
+        assert identity.note == "worst at (q1=2, k2=3)"
+        assert [c.check_id for c in checks if c.status == "fail"] == [identity.check_id]
+
+    def test_failing_mub_names_its_worst_point(self):
+        F = fourier_matrix(15)
+        checks = []
+        suite._check_mub(checks, 15, F)
+        assert checks[0].status == "pass" and checks[0].note == ""
+        F = F.copy()
+        F[4, 11] *= 1.5  # the smaller twin at (11, 4) tells (q, k) from (k, q)
+        F[11, 4] *= 1.25
+        checks = []
+        suite._check_mub(checks, 15, F)
+        assert checks[0].status == "fail"
+        assert checks[0].measured == pytest.approx(0.5 / math.sqrt(15))
+        assert checks[0].note == "worst at (q=4, k=11)"
 
     def test_failing_kernel_names_its_worst_phase_point(self, monkeypatch):
         # scaling <k1=1|q1=2> and <k2=3|q2=4> by 1.5 moves their product by
