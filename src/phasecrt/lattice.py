@@ -12,8 +12,12 @@ The mixed-element, support and classification functions take a StateVector
 or a DensityMatrix and nothing else, so every matrix input has passed the
 DensityMatrix checks. support() thresholds |mixed_element_matrix(rho)|. For a
 pure state |<q|psi><psi|k>| = |psi(q)| * |psi~(k)|, so classifying a
-StateVector needs one FFT and no (M, M) array; a DensityMatrix is read
-through rho @ F as one row FFT, O(M^2 log M), no F.
+StateVector needs one FFT and no (M, M) array. The classifier streams a
+DensityMatrix: |rho @ F| is read one row block at a time, each block a row FFT
+(O(M^2 log M) in all, no F), and only the lattice magnitudes are kept, so
+rho.matrix is the only (M, M) array of a dense verdict. DensityMatrix checks
+its Hermitian residual over tiles, and from_state keeps the outer product it
+builds without a copy.
 """
 
 from __future__ import annotations
@@ -56,26 +60,58 @@ def lattice_points(lattice: VNLattice) -> frozenset[PhasePoint]:
     )
 
 
+# Scratch budget, in bytes, of one Hermitian-check tile pair or one classifier
+# row block. Every ufunc reads and writes contiguous scratch: on a strided
+# operand numpy would allocate a buffer of its own.
+_SCRATCH_BYTES = 1 << 18
+# a tile pair: two complex tiles, their finiteness and one float residual tile
+_TILE = math.isqrt(_SCRATCH_BYTES // (2 * 16 + 2 + 8))
+
+
+def _block_rows(M: int) -> int:
+    """Rows of one classifier block: its complex ifft, float magnitudes and
+    bool support take 25 bytes an entry."""
+    return min(M, max(1, _SCRATCH_BYTES // ((16 + 8 + 1) * M)))
+
+
+def _hermitian_residual(arr: np.ndarray) -> float:
+    """max|arr - arr^H| bit for bit, read over square tiles of the upper triangle.
+
+    |a_ij - conj(a_ji)| is symmetric under transposition, so each pair of
+    mirrored tiles is read once: tile (i, j) and the transpose of tile (j, i)
+    are copied side by side into flat scratch. Raises ValueError on a
+    non-finite entry first, wherever it sits.
+    """
+    M = arr.shape[0]
+    side = min(M, _TILE)
+    pair, mag = np.empty(2 * side * side, dtype=np.complex128), np.empty(side * side)
+    finite = np.empty(2 * side * side, dtype=bool)
+    herm = 0.0
+    for i in range(0, M, side):
+        for j in range(i, M, side):
+            a = arr[i:i + side, j:j + side]
+            n = a.size
+            ours, theirs = pair[:n].reshape(a.shape), pair[n:2 * n].reshape(a.shape)
+            np.copyto(ours, a)
+            np.copyto(theirs, arr[j:j + side, i:i + side].T)
+            if not np.isfinite(pair[:2 * n], out=finite[:2 * n]).all():
+                raise ValueError("matrix entries must be finite")
+            np.subtract(ours, np.conjugate(theirs, out=theirs), out=theirs)
+            herm = max(herm, float(np.abs(theirs, out=mag[:n].reshape(a.shape)).max()))
+    return herm
+
+
 class DensityMatrix:
-    """Hermitian unit-trace M x M matrix; positivity is not checked."""
+    """Hermitian unit-trace M x M matrix; positivity is not checked.
+
+    DensityMatrix(matrix) validates a copy of matrix; from_state validates the
+    outer product it builds and keeps it without a copy.
+    """
 
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        arr = np.array(matrix, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
-            raise ValueError("matrix must be square with dim >= 2")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
-        M = arr.shape[0]
-        herm = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm >= norm_tolerance(M):
-            raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
-        tr = complex(np.trace(arr))
-        if abs(tr - 1.0) >= norm_tolerance(M):
-            raise ValueError(f"trace is {tr}, expected 1")
-        arr.setflags(write=False)
-        self.matrix = arr
+        self._adopt(np.array(matrix, dtype=np.complex128))
 
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityMatrix":
@@ -83,7 +119,26 @@ class DensityMatrix:
         n2 = float(np.sum(np.abs(v) ** 2))
         if n2 == 0.0:
             raise ValueError("cannot build a density matrix from the zero vector")
-        return cls(np.outer(v, v.conj()) / n2)
+        m = np.outer(v, v.conj())
+        m /= n2  # the same complex division as np.outer(...) / n2, in place
+        rho = cls.__new__(cls)
+        rho._adopt(m)
+        return rho
+
+    def _adopt(self, arr: np.ndarray) -> None:
+        """Validate arr and keep it, read-only, as the matrix: a non-finite
+        entry is reported before a non-Hermitian one, that before the trace."""
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
+            raise ValueError("matrix must be square with dim >= 2")
+        M = arr.shape[0]
+        herm = _hermitian_residual(arr)
+        if herm >= norm_tolerance(M):
+            raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
+        tr = complex(np.trace(arr))
+        if abs(tr - 1.0) >= norm_tolerance(M):
+            raise ValueError(f"trace is {tr}, expected 1")
+        arr.setflags(write=False)
+        self.matrix = arr
 
     @property
     def dim(self) -> int:
@@ -119,27 +174,61 @@ def _support_threshold(M: int, threshold: float | None) -> float:
     return t
 
 
-def _pure_support(psi: StateVector, t: float):
-    """(count, first row-major point, block) of |<q|psi><psi|k>| > t, where
-    block(rows, cols) reads the magnitudes at two label slices. |<q|psi><psi|k>| =
-    a[q]*b[k] (a = |psi|, b = |psi~|) needs no (M, M) array: a[q]*x is monotone in x,
-    so one sort of b counts the pairs a[q]*b[k] > t exactly. The block reads the
-    complex entries of mixed_element_matrix(psi), as the dense path."""
+def _pure_support(psi: StateVector, t: float, M1: int, M2: int):
+    """(count, first row-major point, lattice) of |<q|psi><psi|k>| > t, where
+    lattice() reads the magnitudes on the (M1, M2) lattice through the first point.
+    |<q|psi><psi|k>| = a[q]*b[k] (a = |psi|, b = |psi~|) needs no (M, M) array:
+    a[q]*x is monotone in x, so one sort of b counts the pairs a[q]*b[k] > t
+    exactly. The lattice reads the complex entries of mixed_element_matrix(psi),
+    as the dense path."""
     v, vk = psi.amplitudes, psi.momentum_amplitudes()
     a, b = np.abs(v), np.abs(vk)
     M = a.size
     bs = np.sort(b)
     with np.errstate(divide="ignore", over="ignore"):
-        start = np.searchsorted(bs, t / a, side="right")
+        start = bs.searchsorted(t / a, side="right")
     while True:  # t / a is rounded: step each row to the exact start of a*bs > t
-        down = (start > 0) & (a * bs[np.maximum(start - 1, 0)] > t)
-        up = (start < M) & (a * bs[np.minimum(start, M - 1)] <= t)
+        down = (start > 0) & (a * bs.take(start - 1, mode="clip") > t)
+        up = (start < M) & (a * bs.take(start, mode="clip") <= t)
         if not (down.any() or up.any()):
             break
         start += up.astype(np.intp) - down
-    q = int(np.argmax(a * bs[-1] > t))  # the first row with support, then its first k
-    return (int(np.sum(M - start)), (q, int(np.argmax(a[q] * b > t))),
-            lambda rows, cols: np.abs(np.outer(v[rows], np.conj(vk[cols]))))
+    q = int((a * bs[-1] > t).argmax())  # the first row with support, then its first k
+    k = int((a[q] * b > t).argmax())
+    return (int((M - start).sum()), (q, k),
+            lambda: np.abs(np.outer(v[q % M1::M1], np.conj(vk[k % M2::M2]))))
+
+
+def _dense_support(rho: DensityMatrix, t: float, M1: int, M2: int):
+    """(count, first row-major point, lattice) of |rho @ F| > t, as _pure_support.
+
+    |rho @ F| is read one row block at a time, each block a row ifft of rho into
+    reused scratch (bit for bit the rows of mixed_element_matrix(rho)); only the
+    magnitudes on the lattice through the first support point are kept. Lattice
+    rows before the first support row hold no support; they are kept as 0,
+    which fails the lattice test as their true magnitudes would.
+    """
+    m = rho.matrix
+    M = m.shape[0]
+    rows = _block_rows(M)
+    z, mag = np.empty((rows, M), dtype=np.complex128), np.empty((rows, M))
+    hit = np.empty((rows, M), dtype=bool)
+    count, first, on_lattice = 0, (0, 0), None
+    for i in range(0, M, rows):
+        n = min(rows, M - i)
+        np.fft.ifft(m[i:i + n], axis=1, norm="ortho", out=z[:n])
+        np.abs(z[:n], out=mag[:n])
+        count += int(np.count_nonzero(np.greater(mag[:n], t, out=hit[:n])))
+        if on_lattice is None:
+            if not hit[:n].any():
+                continue
+            first = divmod(i * M + int(hit[:n].argmax()), M)
+            sq, sk = first[0] % M1, first[1] % M2
+            on_lattice = np.zeros((len(range(sq, M, M1)), len(range(sk, M, M2))))
+        r = (sq - i) % M1  # the block's first lattice row, lattice row j of rho
+        j, block = (i + r - sq) // M1, mag[r:n:M1, sk::M2]
+        on_lattice[j:j + len(block)] = block
+    return count, first, lambda: on_lattice
 
 
 def support(
@@ -167,31 +256,26 @@ def classify_vn_state(
     A positive answer requires the support to equal one shifted lattice of the
     given split exactly, with every on-support magnitude within tolerance of
     1/sqrt(M). A StateVector's support is counted from |psi(q)| * |psi~(k)| by
-    one sort (O(M log M)); a DensityMatrix's is read from |rho @ F| by one row FFT.
+    one sort (O(M log M)); a DensityMatrix's is read from |rho @ F| one row block
+    at a time (a row FFT of each block into reused scratch), so rho.matrix is the
+    only (M, M) array the verdict touches.
     """
     M = split.M
     t = _support_threshold(_dim(rho), threshold)
-    if isinstance(rho, StateVector):
-        count, (first_q, first_k), block = _pure_support(rho, t)
-    else:
-        mm = np.abs(mixed_element_matrix(rho))  # |rho @ F| by one row FFT, no F
-        mask = mm > t
-        count, (first_q, first_k) = (int(np.count_nonzero(mask)),
-                                     divmod(int(np.argmax(mask)), rho.dim))
-        block = lambda rows, cols: mm[rows, cols]
+    read = _pure_support if isinstance(rho, StateVector) else _dense_support
+    count, (first_q, first_k), lattice_magnitudes = read(rho, t, split.M1, split.M2)
     if count != M:
         return NotVN("wrong count", f"support has {count} points, expected {M}")
     lattice = VNLattice(split, first_q % split.M1, first_k % split.M2)
-    on_lattice = block(slice(lattice.shift_q, None, split.M1),
-                       slice(lattice.shift_k, None, split.M2))
+    on_lattice = lattice_magnitudes()
     # M points above t, all of them on the lattice: the support is the lattice
-    if rho.dim != M or not np.all(on_lattice > t):
+    if rho.dim != M or not (on_lattice > t).all():
         return NotVN(
             "wrong support geometry",
             f"support is not the {split.describe()} lattice shifted to "
             f"({lattice.shift_q}, {lattice.shift_k})",
         )
-    dev = float(np.max(np.abs(on_lattice - 1.0 / math.sqrt(M))))
+    dev = float(np.abs(on_lattice - 1.0 / math.sqrt(M)).max())
     if dev >= default_tolerance(M):
         return NotVN("non-uniform magnitude", f"max deviation from 1/sqrt(M) is {dev:.3e}")
     return lattice

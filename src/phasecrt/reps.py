@@ -403,21 +403,32 @@ def compare_cross_phases(
                              mismatches, worst if status == "fail" else "")
 
 
+def _eigen_deviations(basis: RepBasis) -> np.ndarray:
+    """Residual norm of each vector under each eigen-relation, shape (2, M1, M2):
+    [0] the clock relation, [1] the translate relation."""
+    M, M1, M2 = basis.M, basis.M1, basis.M2
+    cl = clock(M, M1)
+    tr = translate(M, M1 % M)
+    tr_eigenvalues = omega_power(M2, np.arange(M2))[:, None]
+    dev = np.empty((2, M1, M2))
+    for q1 in range(M1):  # one (M2, M) block of vectors at a time
+        block = basis._amps[q1]
+        dev[0, q1] = np.linalg.norm(_apply_rows(cl, block) - omega_power(M1, q1) * block, axis=-1)
+        dev[1, q1] = np.linalg.norm(_apply_rows(tr, block) - tr_eigenvalues * block, axis=-1)
+    return dev
+
+
 def eigen_residuals(basis: RepBasis) -> float:
     """Max residual of both defining eigen-relations over all basis vectors.
 
     Relations: clock(M, M1) v = omega_M1**q1 v and
     translate(M, M1) v = omega_M2**k2 v (the step size M1 equals L2 = M/M2).
     """
-    M, M1, M2 = basis.M, basis.M1, basis.M2
-    cl = clock(M, M1)
-    tr = translate(M, M1 % M)
-    tr_eigenvalues = omega_power(M2, np.arange(M2))[:, None]
-    worst = 0.0
-    for q1 in range(M1):  # one (M2, M) block of vectors at a time
-        block = basis._amps[q1]
-        dev = np.linalg.norm(_apply_rows(cl, block) - omega_power(M1, q1) * block, axis=-1)
-        worst = max(worst, float(np.max(dev)))
-        dev = np.linalg.norm(_apply_rows(tr, block) - tr_eigenvalues * block, axis=-1)
-        worst = max(worst, float(np.max(dev)))
-    return worst
+    return float(_eigen_deviations(basis).max())
+
+
+def _eigen_worst(basis: RepBasis) -> str:
+    """The vector with the largest eigen-relation residual, and the relation."""
+    dev = _eigen_deviations(basis)
+    relation, q1, k2 = np.unravel_index(int(dev.argmax()), dev.shape)
+    return f"worst at (q1={q1}, k2={k2}), {('clock', 'translate')[relation]} relation"

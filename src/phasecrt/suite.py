@@ -36,6 +36,7 @@ from .numtheory import chi, crt_compose, crt_decompose, crt_grid, enumerate_spli
 from .reps import (
     BasisKind,
     RepBasis,
+    _eigen_worst,
     _worst,
     build_C1,
     build_C2,
@@ -228,9 +229,10 @@ def _check_bases(checks, split, d, bases, tol):
         _add(checks, f"basis.gram.{kind.value}[{d}]",
              f"{kind.value} Gram matrix equals the identity",
              residual, 0.0, tol, note=note)
+        residual = eigen_residuals(basis)
         _add(checks, f"basis.eigen.{kind.value}[{d}]",
              f"every {kind.value} vector satisfies both eigen-relations",
-             eigen_residuals(basis), 0.0, tol)
+             residual, 0.0, tol, note="" if residual <= tol else _eigen_worst(basis))
     c1c2 = overlap_matrix(bases[BasisKind.C1], bases[BasisKind.C2])
     err = np.abs(np.diag(c1c2) - 1.0)
     at = int(np.argmax(err))  # labels in row-major (q1, k2) order

@@ -2,8 +2,10 @@
 
 The builders scatter small DFT tables through crt_grid or the Cooley-Tukey
 table. classify_vn_state counts a pure state's support through
-|psi(q)| * |psi~(k)| and reads a density matrix through |rho @ F|, formed by
-one row FFT and checked against the seed's dense rho @ F.
+|psi(q)| * |psi~(k)| and streams a density matrix's |rho @ F| in row blocks
+of one row FFT each; the row FFT is checked against the seed's dense rho @ F,
+and the streamed verdicts against the whole |mixed_element_matrix(rho)|. The
+tiled Hermitian residual of DensityMatrix equals max|rho - rho^H| bit for bit.
 The references below evaluate the docstring sums label by label with
 crt_compose and omega_power, and classify from the dense complex (M, M)
 product with lattice_points and a per-point deviation. Position combs and
@@ -33,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasecrt import suite
+from phasecrt import lattice, suite
 from phasecrt.core import (
     PHASE_EXPONENT_RESIDUAL_TOL,
     StateVector,
@@ -210,9 +212,9 @@ def test_density_row_fft_matches_the_dense_product(M):
         assert np.max(np.abs(got - oracle)) <= 16 * np.finfo(float).eps * np.max(np.abs(oracle))
 
 
-def reference_classify(rho, split, threshold=None):
+def reference_classify(rho, split, threshold=None, product=seed_product):
     M = split.M
-    mm = np.abs(seed_product(rho))
+    mm = np.abs(product(rho))
     mask = mm > (default_support_threshold(M) if threshold is None else threshold)
     count = int(np.count_nonzero(mask))
     if count != M:
@@ -387,6 +389,149 @@ def test_classify_cases_reach_every_verdict():
         got.append(verdict.reason if isinstance(verdict, NotVN) else "vn")
     verdicts = ["vn", "wrong count", "wrong support geometry", "non-uniform magnitude"]
     assert got == verdicts + ["vn"] + verdicts[1:]
+
+
+# ------------------------------------------ tiled and streamed dense path --
+
+HERMITIAN_DIMS = [2, 3, lattice._TILE - 1, lattice._TILE, lattice._TILE + 1,
+                  2 * lattice._TILE + 5, 330]
+
+
+@st.composite
+def perturbed_hermitian(draw):
+    """A Hermitian matrix plus roundoff-level noise, with one entry moved in the
+    upper or lower triangle, on the diagonal, or in the last partial tile."""
+    M = draw(st.sampled_from(HERMITIAN_DIMS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+    noise = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+    arr = (g + g.conj().T) / 2 + 10.0 ** draw(st.floats(-17, -12)) * noise
+    where = draw(st.sampled_from(["upper", "lower", "diagonal", "last tile"]))
+    if where == "last tile":
+        low = (M - 1) // lattice._TILE * lattice._TILE
+        i, j = draw(st.integers(low, M - 1)), draw(st.integers(low, M - 1))
+    elif where == "diagonal":
+        i = j = draw(st.integers(0, M - 1))
+    else:
+        i = draw(st.integers(0, M - 2))
+        j = draw(st.integers(i + 1, M - 1))
+        if where == "lower":
+            i, j = j, i
+    arr[i, j] += 10.0 ** draw(st.floats(-15, 0)) * np.exp(2j * np.pi * rng.random())
+    return arr
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_hermitian())
+def test_tiled_hermitian_residual_is_the_whole_matrix_residual(arr):
+    assert lattice._hermitian_residual(arr) == float(np.max(np.abs(arr - arr.conj().T)))
+
+
+@pytest.mark.parametrize("at", ["diagonal tile", "mirrored tile", "upper tile"])
+def test_non_finite_is_reported_before_non_hermitian(at):
+    M = 2 * lattice._TILE + 5
+    arr = np.eye(M, dtype=complex) / M
+    arr[0, 1] = 0.5  # non-Hermitian, in the first tile pair read
+    q, k = {"diagonal tile": (M - 1, M - 2), "mirrored tile": (M - 1, 0),
+            "upper tile": (0, M - 1)}[at]
+    arr[q, k] = np.nan  # non-finite, in a tile pair read later
+    with pytest.raises(ValueError, match="entries must be finite"):
+        DensityMatrix(arr)
+    arr[q, k] = 0.0
+    with pytest.raises(ValueError, match=r"not Hermitian \(residual 5\.000e-01\)"):
+        DensityMatrix(arr)
+
+
+def test_from_state_is_the_outer_product_over_the_norm():
+    rng = np.random.default_rng(7)
+    psi = StateVector(rng.normal(size=330) + 1j * rng.normal(size=330))
+    v = psi.amplitudes
+    want = np.outer(v, v.conj()) / float(np.sum(np.abs(v) ** 2))
+    assert np.array_equal(DensityMatrix.from_state(psi).matrix, want)
+    assert np.array_equal(DensityMatrix(want).matrix, want)
+
+
+def point_terms(M, weights):
+    """P + P^H with P = X F^H, X holding {(q, k): weight}: adds each weight to the
+    mixed element (q, k) and at most sum|weight|/M to every mixed element."""
+    X = np.zeros((M, M), dtype=np.complex128)
+    for (q, k), w in weights.items():
+        X[q, k] = w
+    P = X @ fourier_matrix(M).conj().T
+    return P + P.conj().T
+
+
+def dense_case(base, *terms):
+    """base (a pure state or a matrix) plus terms, at unit trace."""
+    if isinstance(base, StateVector):
+        base = np.outer(base.amplitudes, base.amplitudes.conj())
+    rho = base + sum(terms)
+    return DensityMatrix(rho / np.trace(rho).real)
+
+
+def relocated_lattice(split, rows):
+    """Weight 1e-2 (random phases, so the spread adds incoherently) on the (0, 0)
+    lattice of split, with the points of its rows q < rows moved to the
+    off-lattice rows M - 1 - q: still M points, the first at or after row rows."""
+    M = split.M
+    phases = np.exp(2j * np.pi * np.random.default_rng(M).random(M))
+    return point_terms(M, {(M - 1 - p.q, p.k) if p.q < rows else (p.q, p.k): 1e-2 * phase
+                           for p, phase in zip(sorted(lattice_points(VNLattice(split))),
+                                               phases)})
+
+
+def streamed_cases(M):
+    """(name, rho, split, threshold, expected reason) at dimension M; each case
+    puts what decides its verdict in a later or the last, ragged row block."""
+    if not enumerate_splits(M):  # a prime: classify against the splits of M - 1
+        split = make_split(M - 1, 10)
+        return [
+            ("one full row in the last block", dense_case(position_state(M, M - 1)),
+             split, None, "wrong count"),
+            ("no support", dense_case(position_state(M, 0)), split, 1.0, "wrong count"),
+        ]
+    wide = max((s for sp in enumerate_splits(M) for s in (sp, sp.swapped())),
+               key=lambda s: s.M1)
+    narrow = wide.swapped()
+    late = build_pls(wide, wide.M1 - 1, 1)  # first support row M1 - 1, a later block
+    # a PLS whose lattice holds row M - 1, the last row of the last block
+    edge = build_pls(narrow, (M - 1) % narrow.M1, 0)
+    corner = mixed_element_matrix(edge)[M - 1, 0]
+    return [
+        ("first support in a later block", DensityMatrix.from_state(late), wide, None, "vn"),
+        ("a PLS read against another split", DensityMatrix.from_state(late), narrow, None,
+         "wrong support geometry"),
+        # every lattice point from the first support row on is support, but the
+        # lattice rows of the first block are not
+        ("lattice rows missing before a later first row",
+         dense_case(np.eye(M) / M, relocated_lattice(narrow, lattice._block_rows(M) + 1)),
+         narrow, 5e-3, "wrong support geometry"),
+        ("one off-lattice point in the last block",
+         dense_case(edge, point_terms(M, {(M - 2, 1): 1e-6})), narrow, None, "wrong count"),
+        # lattice point (M - 1, 0) cancelled and replaced by (M - 2, 1): still M points
+        ("a lattice point moved in the last block",
+         dense_case(edge, point_terms(M, {(M - 1, 0): -corner, (M - 2, 1): 0.03})),
+         narrow, 0.01, "wrong support geometry"),
+        ("a lattice magnitude off in the last block",
+         dense_case(edge, point_terms(M, {(M - 1, 0): -1e-6 * corner / abs(corner)})),
+         narrow, None, "non-uniform magnitude"),
+        ("no support", DensityMatrix.from_state(edge), narrow, 1.0, "wrong count"),
+    ]
+
+
+@pytest.mark.parametrize("M", [210, 330, 331, 667])
+def test_streamed_dense_verdicts_match_the_whole_matrix(M):
+    assert M % lattice._block_rows(M), "the last row block must be ragged"
+    for name, rho, split, threshold, reason in streamed_cases(M):
+        verdict = classify_vn_state(rho, split, threshold)
+        # the whole |mixed_element_matrix(rho)| holds the streamed blocks bit for bit
+        assert verdict == reference_classify(rho, split, threshold, mixed_element_matrix), name
+        assert (verdict.reason if isinstance(verdict, NotVN) else "vn") == reason, name
+        if name == "no support":
+            assert verdict.detail == f"support has 0 points, expected {split.M}"
+    if enumerate_splits(M):
+        wide = max(s.M1 for sp in enumerate_splits(M) for s in (sp, sp.swapped()))
+        assert wide - 1 >= lattice._block_rows(M), "the first support row must sit in a later block"
 
 
 # ------------------------------------------------ eigen, kernel, phases --

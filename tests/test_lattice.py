@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,41 @@ class TestDensityMatrix:
         mat = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         rho = DensityMatrix(mat)  # positivity is not enforced
         assert np.array_equal(rho.matrix, mat)
+
+
+class TestDenseMemory:
+    # tracemalloc sees numpy's array buffers; M=330 is the classify-stream dimension
+    M = 330
+    SQUARE = 16 * M * M  # bytes of one (M, M) complex array
+
+    def peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_from_state_keeps_its_outer_product(self):
+        pls = build_pls(make_split(self.M, 10), 3, 7)
+        DensityMatrix.from_state(pls)  # lazy imports and caches are not working set
+        peak = self.peak(lambda: DensityMatrix.from_state(pls))
+        assert peak <= self.SQUARE + lattice._SCRATCH_BYTES + 4096, \
+            f"peak {peak / self.SQUARE:.2f} (M, M) arrays"
+
+    def test_dense_verdict_makes_no_square_array(self):
+        split = make_split(self.M, 10)
+        rho = DensityMatrix.from_state(build_pls(split, 3, 7))
+        assert classify_vn_state(rho, split) == VNLattice(split, 3, 7)
+        peak = self.peak(lambda: classify_vn_state(rho, split))
+        assert peak < self.SQUARE / 4, f"peak {peak / self.SQUARE:.2f} (M, M) arrays"
+
+    def test_constructor_copies_its_argument(self):
+        arr = np.eye(self.M, dtype=complex) / self.M
+        rho = DensityMatrix(arr)
+        assert arr.flags.writeable and not rho.matrix.flags.writeable
+        arr[0, 0] = 5.0
+        assert rho.matrix[0, 0] == 1 / self.M
 
 
 class TestMixedElement:

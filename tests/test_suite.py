@@ -216,6 +216,37 @@ class TestWorstLocation:
         assert identity.note == "worst at (q1=2, k2=3)"
         assert [c.check_id for c in checks if c.status == "fail"] == [identity.check_id]
 
+    @staticmethod
+    def negate_one_amplitude(amps):
+        # C2 (1, 2) keeps its support, so only the translate relation breaks
+        q = np.flatnonzero(amps[1, 2])[1]
+        amps[1, 2, q] *= -1
+
+    @staticmethod
+    def copy_a_vector(amps):
+        # C2 (0, 1) becomes C2 (1, 1): its k2 = 1 translate eigenvalue still holds
+        amps[0, 1] = amps[1, 1]
+
+    @pytest.mark.parametrize("corrupt, note", [
+        (negate_one_amplitude, "worst at (q1=1, k2=2), translate relation"),
+        (copy_a_vector, "worst at (q1=0, k2=1), clock relation"),
+    ])
+    def test_failing_eigen_names_its_worst_label_and_relation(self, corrupt, note):
+        split = make_split(15, 3)
+        bases = {kind: build_basis(kind, 15, 3) for kind in BasisKind}
+        amps = bases[BasisKind.C2].as_matrix().T.reshape(3, 5, 15).copy()
+        corrupt(amps)
+        bad = RepBasis(BasisKind.C2, 3, 5, amps)
+        bad._comb = bases[BasisKind.C2]._comb
+        bases[BasisKind.C2] = bad
+        checks = []
+        suite._check_bases(checks, split, "3x5", bases, default_tolerance(15))
+        eigen = {c.check_id: c for c in checks if c.check_id.startswith("basis.eigen.")}
+        assert eigen["basis.eigen.C2[3x5]"].status == "fail"
+        assert eigen["basis.eigen.C2[3x5]"].note == note
+        assert all(c.status == "pass" and c.note == ""
+                   for i, c in eigen.items() if i != "basis.eigen.C2[3x5]")
+
     def test_failing_mub_names_its_worst_point(self):
         F = fourier_matrix(15)
         checks = []
