@@ -7,12 +7,13 @@ Conventions, fixed once for the whole package (c = hbar = 1):
   FOURIER_SIGN = +1, so <k|q> is its complex conjugate.
 
 Every operator is monomial: |q> -> omega_M**(a*q + b) |q - s>, with
-(s, a, b) kept as exact integers mod M. Operator identities are therefore
-integer statements; floats enter only when amplitudes are evaluated.
+(s, a, b) kept as exact integers mod M, so operator identities are integer
+statements; floats enter only through one cached table of the M roots per M.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,13 +40,21 @@ def norm_tolerance(M: int) -> float:
     return 1e-12 * M
 
 
+@functools.lru_cache(maxsize=32)
+def _roots(M: int) -> np.ndarray:
+    """The read-only table exp(2j*pi*e/M) for e in [0, M)."""
+    roots = np.exp((2j * np.pi / M) * np.arange(M))
+    roots.setflags(write=False)
+    return roots
+
+
 def omega_power(M: int, exponent) -> complex | np.ndarray:
-    """exp(2j*pi*e/M) with the integer exponent e reduced mod M first."""
-    e = np.asarray(exponent) % M
-    out = np.exp((2j * np.pi / M) * e)
-    if e.ndim == 0:
-        return complex(out)
-    return out
+    """exp(2j*pi*e/M) for integer e, read bit for bit from the root table at e mod M."""
+    e = np.asarray(exponent)
+    if not np.issubdtype(e.dtype, np.integer):
+        raise ValueError(f"exponent must be an integer, got dtype {e.dtype}")
+    out = _roots(M)[e % M]
+    return complex(out) if e.ndim == 0 else out
 
 
 def phase_exponent(z: complex, M: int) -> tuple[int, float]:
@@ -64,10 +73,10 @@ class StateVector:
         arr = np.array(amplitudes, dtype=np.complex128)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("amplitudes must be a 1-D sequence of length >= 2")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("amplitudes must all be finite")
         if normalized:
-            dev = abs(float(np.sum(np.abs(arr) ** 2)) - 1.0)
+            dev = abs(float((np.abs(arr) ** 2).sum()) - 1.0)
             if dev >= norm_tolerance(arr.size):
                 raise ValueError(f"norm deviates from 1 by {dev:.3e}")
         arr.setflags(write=False)
@@ -227,9 +236,6 @@ def apply(op: MonomialOperator, state: StateVector) -> StateVector:
 
 
 def _apply_rows(op: MonomialOperator, amps: np.ndarray) -> np.ndarray:
-    """op acting on every row of amps, positions along the last axis."""
-    M = op.dim
-    q = np.arange(M)
-    out = np.empty(amps.shape, dtype=np.complex128)
-    out[..., (q - op.shift) % M] = omega_power(M, op.phase_slope * q + op.phase_offset) * amps
-    return out
+    """op on each row of amps (positions last): phase times amplitude, rolled to q - shift."""
+    phases = omega_power(op.dim, op.phase_slope * np.arange(op.dim) + op.phase_offset)
+    return np.roll(phases * amps, -op.shift, axis=-1)

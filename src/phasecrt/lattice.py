@@ -120,7 +120,7 @@ class DensityMatrix:
         if n2 == 0.0:
             raise ValueError("cannot build a density matrix from the zero vector")
         m = np.outer(v, v.conj())
-        m /= n2  # the same complex division as np.outer(...) / n2, in place
+        m *= 1 / n2  # equals np.outer(...) / n2 up to the sign of a zero part
         rho = cls.__new__(cls)
         rho._adopt(m)
         return rho

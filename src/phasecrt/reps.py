@@ -173,7 +173,9 @@ def build_pls(split: CoprimeSplit, q01: int, k02: int) -> StateVector:
     if not 0 <= k02 < split.M2:
         raise ValueError(f"k02={k02} out of range [0, {split.M2})")
     amps = np.zeros(split.M, dtype=np.complex128)
-    amps[crt_grid(split)[q01]] = omega_power(split.M2, split.N2 * k02 * np.arange(split.M2))
+    q2 = np.arange(split.M2)
+    row = (q01 * split.N1 * split.L1 + q2 * split.N2 * split.L2) % split.M  # crt_grid(split)[q01]
+    amps[row] = omega_power(split.M2, split.N2 * k02 * q2)
     return StateVector(amps / math.sqrt(split.M2), normalized=True)
 
 

@@ -451,6 +451,14 @@ def test_from_state_is_the_outer_product_over_the_norm():
     assert np.array_equal(DensityMatrix(want).matrix, want)
 
 
+def test_from_state_multiplies_by_the_reciprocal_norm_bit_for_bit():
+    # a PLS has exact zeros, so a division and a multiply could differ in the sign of a zero
+    v = build_pls(make_split(30, 5), 2, 3).amplitudes * 1.5
+    n2 = float(np.sum(np.abs(v) ** 2))
+    got = DensityMatrix.from_state(StateVector(v)).matrix
+    assert got.tobytes() == (np.outer(v, v.conj()) * (1 / n2)).tobytes()
+
+
 def point_terms(M, weights):
     """P + P^H with P = X F^H, X holding {(q, k): weight}: adds each weight to the
     mixed element (q, k) and at most sum|weight|/M to every mixed element."""

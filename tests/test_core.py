@@ -1,13 +1,18 @@
 import cmath
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from phasecrt import core
 from phasecrt.core import (
     DimensionMismatchError,
     MonomialOperator,
     StateVector,
+    _apply_rows,
+    _roots,
     apply,
     clock,
     compose,
@@ -21,6 +26,7 @@ from phasecrt.core import (
     position_state,
     translate,
 )
+from phasecrt.suite import run_suite
 
 
 def dense_clock(M, d):
@@ -304,3 +310,93 @@ class TestPhaseHelpers:
         assert n == 7 and res < 1e-12
         n, res = phase_exponent(cmath.exp(-2j * cmath.pi * 2 / 15), 15)
         assert n == 13 and res < 1e-12
+
+
+def reference_omega_power(M, exponent):
+    # oracle: one complex exp per entry of the exponent reduced mod M
+    e = np.asarray(exponent) % M
+    out = np.exp((2j * np.pi / M) * e)
+    return complex(out) if e.ndim == 0 else out
+
+
+def reference_apply_rows(op, amps):
+    # oracle: each phase times amplitude scattered from q into q - shift
+    M = op.dim
+    q = np.arange(M)
+    out = np.empty(amps.shape, dtype=np.complex128)
+    phases = reference_omega_power(M, op.phase_slope * q + op.phase_offset)
+    out[..., (q - op.shift) % M] = phases * amps
+    return out
+
+
+def as_bytes(z):
+    # tobytes tells -0.0 from 0.0, which == and np.array_equal do not
+    return np.asarray(z, dtype=np.complex128).tobytes()
+
+
+class TestRootTable:
+    @pytest.mark.parametrize("M", [2, 3, 210, 330, 667, 2310])
+    def test_omega_power_is_the_exp_of_the_reduced_exponent_bit_for_bit(self, M):
+        residues = np.arange(M)
+        negative = np.arange(-3 * M, 0)
+        grid = np.outer(np.arange(-M, M, 7), np.arange(-4, 5))
+        for e in (residues, negative, grid):
+            got = omega_power(M, e)
+            assert got.shape == e.shape
+            assert as_bytes(got) == as_bytes(reference_omega_power(M, e))
+        for e in (0, 1, -1, M - 1, 7 * M + 2, -5 * M - 3):
+            got = omega_power(M, e)
+            assert type(got) is complex
+            assert as_bytes(got) == as_bytes(reference_omega_power(M, e))
+
+    def test_the_shared_table_is_read_only(self):
+        roots = _roots(15)
+        with pytest.raises(ValueError):
+            roots[0] = 0
+        e = np.arange(15)
+        omega_power(15, e)[:] = 0  # a result is a copy, not a view of the table
+        assert _roots(15) is roots
+        assert as_bytes(omega_power(15, e)) == as_bytes(reference_omega_power(15, e))
+
+    @pytest.mark.parametrize("exponent",
+                             [1.0, 2.5, np.float64(3.0), np.array([0.0, 1.5]), np.arange(4.0)])
+    def test_omega_power_refuses_a_non_integer_exponent(self, exponent):
+        with pytest.raises(ValueError, match="integer"):
+            omega_power(4, exponent)
+
+    @pytest.mark.parametrize("M", [2, 15, 210])
+    def test_apply_rows_is_the_scatter_bit_for_bit(self, M):
+        rng = np.random.default_rng(M)
+        ops = [MonomialOperator(M), clock(M, M), translate(M, 1),
+               MonomialOperator(M, 0, *rng.integers(M, size=2))]
+        ops += [MonomialOperator(M, *rng.integers(-M, 2 * M, size=3)) for _ in range(8)]
+        assert any(op.shift == 0 for op in ops) and any(op.shift != 0 for op in ops)
+        for shape in ((M,), (2, 3, M)):
+            amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            amps[..., ::3] = 0.0
+            amps.real[..., 1::4] = -0.0
+            for op in ops:
+                got = _apply_rows(op, amps)
+                assert got.shape == shape
+                assert as_bytes(got) == as_bytes(reference_apply_rows(op, amps))
+
+    @pytest.mark.parametrize("M", [15, 30, 210])
+    def test_suite_report_floats_match_the_exp_and_scatter_oracles(self, M, monkeypatch):
+        def report():
+            doc = run_suite(M).to_dict()
+            del doc["duration_seconds"]
+            return json.dumps(doc)
+
+        shipped = report()
+        patched = set()
+        references = {"omega_power": reference_omega_power, "_apply_rows": reference_apply_rows}
+        for name, ref in references.items():
+            original = getattr(core, name)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.split(".")[0] == "phasecrt" and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, ref)
+                    patched.add((mod_name, name))
+        assert {("phasecrt.core", "omega_power"), ("phasecrt.reps", "omega_power"),
+                ("phasecrt.suite", "omega_power"), ("phasecrt.core", "_apply_rows"),
+                ("phasecrt.reps", "_apply_rows"), ("phasecrt.suite", "_apply_rows")} <= patched
+        assert report() == shipped
