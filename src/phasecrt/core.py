@@ -130,8 +130,8 @@ def momentum_state(M: int, k0: int) -> StateVector:
 
 def fourier_matrix(M: int) -> np.ndarray:
     """F[q, k] = <q|k>; the columns are the momentum states."""
-    qk = np.outer(np.arange(M), np.arange(M))
-    return omega_power(M, FOURIER_SIGN * qk) / math.sqrt(M)
+    F = omega_power(M, np.outer(np.arange(M), FOURIER_SIGN * np.arange(M)))
+    return np.divide(F, math.sqrt(M), out=F)  # in place: F and its exponents at the peak
 
 
 @dataclass(frozen=True)

@@ -11,17 +11,17 @@ omega_M1**q1, and translate(M, M1), eigenvalue omega_M2**k2:
   E_POS  sum over position kets q1 + q2*M1
 
 C2 and E_POS are position combs, C1 and E_MOM momentum combs: one small DFT
-phase table scattered through an index table, the CRT grid (crt_grid, the
-Good-Thomas map) for the C kinds or the Cooley-Tukey table for the E kinds;
-a momentum comb is the orthonormal inverse FFT of its momentum scatter. Built
-bases keep that structure, so a Gram or overlap is a small block per class
-for two combs of one side and classes, a gather over the smaller class for a
-position against a momentum comb, and else (or if its integer checks fail)
-one dense product. The two E kinds carry no CRT data and exist for any
-divisor M1 of M; the two C kinds need gcd(M1, M2) = 1. C1 and C2 are the
-same basis vector for vector (delta overlap with no phase); the others agree
-up to label-dependent phases tabulated in CROSS_PHASE_FORMS and checked by
-compare_cross_phases.
+phase table scattered through an index table (crt_grid, the Good-Thomas map,
+for the C kinds; the Cooley-Tukey table for the E kinds); a momentum comb is
+the orthonormal inverse FFT of its momentum scatter. Built bases keep that
+structure, and a Gram or overlap streams from it in blocks of at most
+_BLOCK_BYTES: square blocks of whole classes for two combs of one side and
+classes, a gather over the smaller class for a position against a momentum
+comb, else (or if its integer checks fail) row blocks of the dense product.
+Each reduction drops a block once read; only overlap_matrix forms the whole
+(M, M) array. The E kinds exist for any divisor M1 of M, the C kinds need
+gcd(M1, M2) = 1. C1 and C2 agree vector for vector; the others up to the
+label-dependent phases of CROSS_PHASE_FORMS, checked by compare_cross_phases.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class RepBasis:
 
     def __init__(self, kind: BasisKind, M1: int, M2: int, amps: np.ndarray,
                  conjugated: bool = False):
-        amps = np.asarray(amps, dtype=np.complex128)
+        amps = np.asarray(amps, dtype=np.complex128).view()  # read-only, not the caller's flags
         if amps.shape != (M1, M2, M1 * M2):
             raise ValueError(f"amplitude block must have shape ({M1}, {M2}, {M1 * M2})")
         amps.setflags(write=False)
@@ -110,9 +110,7 @@ class RepBasis:
         return self._amps.reshape(self.M, self.M).T
 
     def gram_residual(self) -> float:
-        g = _product(self, self)
-        g.flat[::self.M + 1] -= 1.0
-        return float(np.max(np.abs(g)))
+        return _scan(self, self, modulus=False)[1]
 
     def __repr__(self) -> str:
         tag = ", conjugated" if self.conjugated else ""
@@ -260,17 +258,33 @@ def overlap_matrix(basis_a: RepBasis, basis_b: RepBasis) -> np.ndarray:
     """<a(row)|b(col)> for all label pairs, labels in row-major (q1, k2) order."""
     if basis_a.M != basis_b.M:
         raise DimensionMismatchError(f"dims differ: {basis_a.M} vs {basis_b.M}")
-    return _product(basis_a, basis_b)
+    g = np.zeros((basis_a.M, basis_a.M), dtype=np.complex128)
+    for rows, cols, block in _product(basis_a, basis_b):
+        g[np.ix_(rows, cols)] = block
+    return g
 
 
-def _on_side(basis: RepBasis, side: str) -> np.ndarray:
-    """(M1, M2, M) amplitudes over positions or momenta; a momentum comb's
-    momenta are the coefficients it was built from."""
+# Scratch budget, in bytes, of one block of a product instead of its (M, M) array.
+_BLOCK_BYTES = 1 << 18
+
+
+def _label_blocks(M: int) -> list[np.ndarray]:
+    """Runs of a multiple of 16 labels, the last of two or more, so that a block's matmul
+    gives the whole product's bytes: BLAS tiles labels in small multiples, one alone apart."""
+    step = 16 * max(1, _BLOCK_BYTES // (16 * 16 * M))
+    return np.split(np.arange(M), range(step, M - 1, step))
+
+
+def _on_side(basis: RepBasis, side: str, labels: np.ndarray) -> np.ndarray:
+    """(labels, M) amplitudes over positions (labels a run, so a view) or momenta;
+    a momentum comb's momenta are the coefficients it was built from."""
     if side == "position":
-        return basis._amps
-    if basis._comb and basis._comb[0] == side:
-        return _scatter(*basis._comb, basis._amps.shape)
-    return np.fft.fft(basis._amps, norm="ortho")
+        return basis._amps.reshape(basis.M, basis.M)[labels[0]:labels[-1] + 1]
+    amps = basis._amps.reshape(basis.M, basis.M)[labels]
+    if basis._comb and basis._comb[0] == side:  # each label scattered as a class of its own
+        (_, pts, coef), (q1, k2) = basis._comb, np.divmod(labels, basis.M2)
+        return _scatter("position", pts[k2], coef[k2, q1, None], (len(labels), 1, basis.M))[:, 0]
+    return np.fft.fft(amps, norm="ortho")
 
 
 def _class_blocks(basis: RepBasis, side: str, points: np.ndarray) -> np.ndarray | list | None:
@@ -280,17 +294,25 @@ def _class_blocks(basis: RepBasis, side: str, points: np.ndarray) -> np.ndarray 
         return None
     if basis._comb[1] is points and basis._comb[2] is not None:
         return basis._comb[2]  # a momentum comb's own coefficients
-    # momentum classes run along k2
-    full = _on_side(basis, side).transpose((0, 1, 2) if side == "position" else (1, 0, 2))
-    blocks = [np.take(vectors, pts, axis=1) for vectors, pts in zip(full, points)]
-    return blocks if sum(map(np.count_nonzero, blocks)) == np.count_nonzero(full) else None
+    grid = np.arange(basis.M).reshape(basis.M1, basis.M2)
+    grid = grid if side == "position" else grid.T  # a row of labels per class
+    (C, V), blocks = grid.shape, []
+    step = max(1, _BLOCK_BYTES // (16 * V * basis.M))  # classes of vectors per block
+    for classes in np.split(np.arange(C), range(step, C, step)):
+        vectors = _on_side(basis, side, grid[classes].ravel()).reshape(-1, V, basis.M)
+        taken = [np.take(v, pts, axis=1) for v, pts in zip(vectors, points[classes])]
+        if sum(map(np.count_nonzero, taken)) != np.count_nonzero(vectors):
+            return None
+        blocks.extend(taken)
+    return blocks
 
 
-def _product(a: RepBasis, b: RepBasis) -> np.ndarray:
-    """a^H b, labels row-major. Of two combs, c has the smaller class. With the
-    other on c's side and classes: a block per class, exact zeros between; else
-    c's classes gather the other on c's side (M**2 * class size work)."""
-    M = a.M
+def _product(a: RepBasis, b: RepBasis) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """a^H b as blocks g[ix_(rows, cols)] over ascending labels, exact zeros outside
+    them. Of two combs, c has the smaller class. With the other on c's side and
+    classes: square blocks of whole classes; else c's classes gather a block of the
+    other's labels on c's side (M * class size work each); else dense row blocks."""
+    M, every = a.M, np.arange(a.M)
     if a._comb and b._comb:
         c, other = (a, b) if a._comb[1].shape[1] <= b._comb[1].shape[1] else (b, a)
         side, points, _ = c._comb
@@ -298,25 +320,46 @@ def _product(a: RepBasis, b: RepBasis) -> np.ndarray:
         same = other._comb[0] == side and (a.M1, a.M2) == (b.M1, b.M2)
         ko = kc if other is c else _class_blocks(other, side, points) if same else None
         if kc is not None and ko is not None:
-            g = np.zeros((a.M1, a.M2, a.M1, a.M2), dtype=np.complex128)
-            view = g if side == "position" else g.transpose(1, 0, 3, 2)
-            for cls, (block_a, block_b) in enumerate(zip(kc, ko)):
-                np.matmul(block_a.conj(), block_b.T, out=view[cls, :, cls, :])
-            return g.reshape(M, M)
+            # n classes of V vectors per square block, exact zeros between classes
+            grid, V = np.arange(M).reshape(a.M1, a.M2), len(kc[0])
+            step = max(1, math.isqrt(_BLOCK_BYTES // 16) // V)
+            for classes in np.split(np.arange(len(kc)), range(step, len(kc), step)):
+                n = len(classes)
+                g = np.zeros((n, V, n, V) if side == "position" else (V, n, V, n), np.complex128)
+                view = g if side == "position" else g.transpose(1, 0, 3, 2)
+                for k, cls in enumerate(classes):
+                    np.matmul(kc[cls].conj(), ko[cls].T, out=view[k, :, k, :])
+                labels = (grid[classes] if side == "position" else grid[:, classes]).ravel()
+                yield labels, labels, g.reshape(n * V, n * V)
+            return
         if kc is not None:
-            gathered = _on_side(other, side).reshape(M, M).T[points]  # [class, point, label]
-            g = np.empty((c.M1, c.M2, M), dtype=np.complex128)
-            np.matmul(np.conj(kc), gathered, out=g if side == "position" else g.transpose(1, 0, 2))
-            g = g.reshape(M, M)
-            return g if c is a else np.conjugate(g, out=g).T
-    return a.as_matrix().conj().T @ b.as_matrix()
+            for labels in _label_blocks(M):
+                gathered = _on_side(other, side, labels).T[points]  # [class, point, label]
+                g = np.empty((c.M1, c.M2, len(labels)), np.complex128)
+                np.matmul(np.conj(kc), gathered, out=g if side == "position" else g.swapaxes(0, 1))
+                g = g.reshape(M, -1)
+                yield (every, labels, g) if c is a else (labels, every, np.conjugate(g, out=g).T)
+            return
+    for labels in _label_blocks(M):
+        yield labels, every, np.conj(a._amps.reshape(M, M)[labels]) @ b.as_matrix()
 
 
-def _worst(dev: np.ndarray, a: RepBasis, b: RepBasis) -> tuple[float, str]:
-    """The largest entry of an (M, M) label-pair array, and where it sits."""
-    i, j = divmod(int(np.argmax(dev)), a.M)
-    (q1, k2), (r1, r2) = divmod(i, a.M2), divmod(j, b.M2)
-    return float(dev[i, j]), f"worst at (q1={q1}, k2={k2}) x (q1={r1}, k2={r2})"
+def _scan(a: RepBasis, b: RepBasis, modulus: bool) -> tuple[np.ndarray, float, str]:
+    """a^H b reduced block by block: its diagonal, the largest (a NaN first) of |g| off it
+    and |g - 1| (or ||g| - 1|) on it, and the first label pair, row-major, where that sits."""
+    diag, worst, at = np.empty(a.M, dtype=np.complex128), -1.0, (0, 0)
+    for rows, cols, block in _product(a, b):
+        j = np.searchsorted(cols, rows)
+        i = np.flatnonzero(cols.take(j, mode="clip") == rows)  # rows whose label is a column's
+        diag[rows[i]] = d = block[i, j[i]]
+        dev = np.abs(block)
+        dev[i, j[i]] = np.abs((np.abs(d) if modulus else d) - 1.0)
+        y, x = divmod(int(np.argmax(dev)), dev.shape[1])
+        value, where = float(dev[y, x]), (int(rows[y]), int(cols[x]))
+        if value > worst or value == worst and where < at or value != value and worst == worst:
+            worst, at = value, where
+    (q1, k2), (r1, r2) = divmod(at[0], a.M2), divmod(at[1], b.M2)
+    return diag, worst, f"worst at (q1={q1}, k2={k2}) x (q1={r1}, k2={r2})"
 
 
 # Claimed closed forms for the diagonal phase of each cross-basis overlap,
@@ -362,10 +405,10 @@ def compare_cross_phases(
     basis_a: RepBasis,
     basis_b: RepBasis,
     tol: float | None = None,
-    overlap: np.ndarray | None = None,
+    overlap: tuple[np.ndarray, float, str] | None = None,
 ) -> OverlapComparison:
     """Check <a'|b> = delta*delta*phase against the claimed exponent table;
-    overlap is overlap_matrix(basis_a, basis_b) when the caller formed it."""
+    overlap is _scan(basis_a, basis_b, modulus=True) when the caller made it."""
     key = (basis_a.kind, basis_b.kind)
     if key not in CROSS_PHASE_FORMS:
         raise ValueError(f"no claimed closed form for pair {key}")
@@ -377,12 +420,7 @@ def compare_cross_phases(
     M = basis_a.M
     if tol is None:
         tol = default_tolerance(M)
-    g = overlap_matrix(basis_a, basis_b) if overlap is None else overlap
-    diag = np.diag(g)
-    # with ||diag| - 1| on the diagonal, max |g| covers both modulus conditions
-    dev = np.abs(g)
-    dev.flat[::M + 1] = np.abs(dev.flat[::M + 1] - 1.0)
-    max_mod_err, worst = _worst(dev, basis_a, basis_b)
+    diag, max_mod_err, worst = overlap or _scan(basis_a, basis_b, modulus=True)
 
     # phase_exponent, for every diagonal entry at once
     x = np.angle(diag) * M / (2.0 * np.pi)

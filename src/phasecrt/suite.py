@@ -8,7 +8,8 @@ closed form that disagrees with brute force while the table itself is clean
 (delta structure, unit-modulus phases at exact roots of unity) is recorded as
 a "discrepancy" and does not fail the suite; the constructed linear algebra
 is the truth source. Each check is one batched array expression over a
-bounded block (the kernel check takes one q1 at a time).
+bounded block: the kernel check takes one q1 at a time, a split keeps two of
+its bases alive at a time, and products stream in blocks of labels.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from .core import (
     FOURIER_SIGN,
+    StateVector,
     _apply_rows,
     clock,
     compose,
@@ -37,17 +39,13 @@ from .reps import (
     BasisKind,
     RepBasis,
     _eigen_worst,
-    _worst,
-    build_C1,
-    build_C2,
-    build_E_mom,
-    build_E_pos,
+    _label_blocks,
+    _scan,
+    build_basis,
     build_pls,
     compare_cross_phases,
-    conjugate_basis,
     eigen_residuals,
     factor_kernel,
-    overlap_matrix,
 )
 
 
@@ -146,15 +144,19 @@ def _check_commutator(checks, M):
 
 
 def _check_shift_relations(checks, M, tol, F):
-    # row k of F is the momentum ket |k>, row q of the identity the position ket |q>
-    got = _apply_rows(clock(M, M), F)
-    got -= np.roll(F, -1, axis=0)
+    # a block of rows at a time: row k of F is the momentum ket |k>, of the identity |q>
+    clock_dev, bad = 0.0, 0
+    for r in _label_blocks(M):
+        got = _apply_rows(clock(M, M), F[r])
+        got -= F[(r + 1) % M]  # np.roll(F, -1, axis=0)
+        clock_dev = max(clock_dev, float(np.max(np.abs(got))))
+        kets = (r[:, None] == np.arange(M)).astype(np.complex128)
+        lowered = ((r[:, None] - 1) % M == np.arange(M)).astype(np.complex128)  # the kets |q - 1>
+        bad += int(np.count_nonzero(np.any(_apply_rows(translate(M, 1), kets) != lowered, axis=1)))
     _add(checks, "operators.shift.momentum-raise",
-         "clock(M,M) maps |k> to |k+1>", float(np.max(np.abs(got))), 0.0, tol)
-    kets = np.eye(M, dtype=np.complex128)
-    bad = np.any(_apply_rows(translate(M, 1), kets) != np.roll(kets, 1, axis=0), axis=1)
+         "clock(M,M) maps |k> to |k+1>", clock_dev, 0.0, tol)
     _add(checks, "operators.shift.position-lower",
-         "translate(M,1) maps |q> to |q-1> exactly", int(np.count_nonzero(bad)), 0, 0)
+         "translate(M,1) maps |q> to |q-1> exactly", bad, 0, 0)
 
 
 def _check_split_count(checks, M, splits):
@@ -211,36 +213,37 @@ def _check_operator_splitting(checks, split, d):
               "a relabeled generator of the same period, not clock(M,M) itself")
 
 
-def _bases(split):
-    return {
-        BasisKind.C1: build_C1(split),
-        BasisKind.C2: build_C2(split),
-        BasisKind.E_POS: build_E_pos(split.M, split.M1),
-        BasisKind.E_MOM: build_E_mom(split.M, split.M1),
-    }
-
-
-def _check_bases(checks, split, d, bases, tol):
-    for kind, basis in bases.items():
-        residual = basis.gram_residual()
-        # only a failing record names its worst label pair, from a second Gram
-        note = "" if residual <= tol else _worst(
-            np.abs(overlap_matrix(basis, basis) - np.eye(basis.M)), basis, basis)[1]
-        _add(checks, f"basis.gram.{kind.value}[{d}]",
-             f"{kind.value} Gram matrix equals the identity",
-             residual, 0.0, tol, note=note)
-        residual = eigen_residuals(basis)
-        _add(checks, f"basis.eigen.{kind.value}[{d}]",
-             f"every {kind.value} vector satisfies both eigen-relations",
-             residual, 0.0, tol, note="" if residual <= tol else _eigen_worst(basis))
-    c1c2 = overlap_matrix(bases[BasisKind.C1], bases[BasisKind.C2])
-    err = np.abs(np.diag(c1c2) - 1.0)
-    at = int(np.argmax(err))  # labels in row-major (q1, k2) order
+def _check_bases(checks, split, d, tol):
+    """Gram, eigen and C1-C2 identity records; returns the comparison of each pair
+    of _PHASE_PAIRS. The pairs form a cycle: walking it, with C2 (the cheapest
+    builder) built again to close it, keeps two bases alive at a time."""
+    records = {kind: [] for kind in (BasisKind.C1, BasisKind.C2, BasisKind.E_POS, BasisKind.E_MOM)}
+    comparisons, previous = {}, None
+    for kind in (BasisKind.C2, BasisKind.E_POS, BasisKind.E_MOM, BasisKind.C1, BasisKind.C2):
+        basis = build_basis(kind, split.M, split.M1)
+        if not records[kind]:
+            residual = basis.gram_residual()
+            # a failing record names its worst label pair, from a second streamed Gram
+            _add(records[kind], f"basis.gram.{kind.value}[{d}]",
+                 f"{kind.value} Gram matrix equals the identity", residual, 0.0, tol,
+                 note="" if residual <= tol else _scan(basis, basis, modulus=False)[2])
+            residual = eigen_residuals(basis)
+            _add(records[kind], f"basis.eigen.{kind.value}[{d}]",
+                 f"every {kind.value} vector satisfies both eigen-relations",
+                 residual, 0.0, tol, note="" if residual <= tol else _eigen_worst(basis))
+        if previous is not None:
+            a, b = (previous, basis) if (previous.kind, kind) in _PHASE_PAIRS else (basis, previous)
+            overlap = _scan(a, b, modulus=True) if (a.kind, b.kind) == _PHASE_PAIRS[0] else None
+            comparisons[a.kind, b.kind] = compare_cross_phases(a, b, tol=tol, overlap=overlap)
+            del a, b  # else they keep the previous pair alive through the next build
+        previous = basis
+    checks.extend(record for kind_records in records.values() for record in kind_records)
+    err = np.abs(overlap[0] - 1.0)  # the C1-C2 diagonal, labels in row-major (q1, k2) order
+    at = int(np.argmax(err))
     _add(checks, f"basis.c1c2-identity[{d}]",
          "C1 and C2 agree vector for vector (overlap exactly 1)", float(err[at]), 0.0, tol,
          note=f"worst at (q1={at // split.M2}, k2={at % split.M2})" if err[at] > tol else "")
-    # the C1-C2 phase check reads the same matrix; keep its result, not the matrix
-    return compare_cross_phases(bases[BasisKind.C1], bases[BasisKind.C2], tol=tol, overlap=c1c2)
+    return comparisons
 
 
 def _check_kernel(checks, split, d, tol):
@@ -286,10 +289,9 @@ _PHASE_PAIRS = (
 )
 
 
-def _check_cross_phases(checks, split, d, bases, tol, c1c2):
+def _check_cross_phases(checks, split, d, tol, comparisons):
     for kind_a, kind_b in _PHASE_PAIRS:
-        cmp = c1c2 if (kind_a, kind_b) == (BasisKind.C1, BasisKind.C2) else \
-            compare_cross_phases(bases[kind_a], bases[kind_b], tol=tol)
+        cmp = comparisons[kind_a, kind_b]
         notes = [cmp.worst] if cmp.worst else []
         if cmp.discrepancies:
             first = cmp.discrepancies[0]
@@ -305,7 +307,7 @@ def _check_cross_phases(checks, split, d, bases, tol, c1c2):
 
 
 def _check_pls(checks, split, d, tol):
-    amps = np.empty((split.M1, split.M2, split.M), dtype=np.complex128)
+    M, amps = split.M, np.empty((split.M1, split.M2, split.M), dtype=np.complex128)
     bad = wrong_count = 0
     for q1, k2 in np.ndindex(split.M1, split.M2):  # one state alive at a time
         state = build_pls(split, q1, k2)
@@ -313,6 +315,13 @@ def _check_pls(checks, split, d, tol):
         verdict = classify_vn_state(state, split)
         bad += int(verdict != VNLattice(split, q1, k2))
         wrong_count += int(isinstance(verdict, NotVN) and verdict.reason == "wrong count")
+    swapped, bad_conjugate = split.swapped(), 0
+    for labels in _label_blocks(M):  # conjugated PLS (q1, k2) is vector (k2, q1) of swapped
+        block = np.conj(np.fft.fft(amps.reshape(M, M)[labels]) / math.sqrt(M))
+        for label, vector in zip(labels.tolist(), block):
+            q1, k2 = divmod(label, split.M2)
+            verdict = classify_vn_state(StateVector(vector, normalized=True), swapped)
+            bad_conjugate += int(verdict != VNLattice(swapped, k2, q1))
     stack = RepBasis(BasisKind.C2, split.M1, split.M2, amps)
     stack._comb = ("position", crt_grid(split), None)  # checked exactly by the product
     _add(checks, f"pls.orthonormal[{d}]",
@@ -322,15 +331,9 @@ def _check_pls(checks, split, d, tol):
     _add(checks, f"pls.lattice-bijection[{d}]",
          "each PLS sits over exactly its shifted lattice; supports tile the grid",
          bad + 2 * int(bad > 0), 0, 0)
-
-    # conjugated vector (k2, q1) is PLS (q1, k2) conjugated
-    swapped = split.swapped()
-    conjugated = conjugate_basis(stack)
-    bad = sum(int(classify_vn_state(conjugated.vector(k2, q1), swapped)
-                  != VNLattice(swapped, k2, q1)) for k2, q1 in np.ndindex(split.M2, split.M1))
     _add(checks, f"conjugate.duality[{d}]",
          "conjugated PLS sits over the lattice with q/k spacings exchanged",
-         bad, 0, 0)
+         bad_conjugate, 0, 0)
     # a state's area is its support count times 2*pi/M: 2*pi unless the count is not M
     _add(checks, f"lattice.area[{d}]",
          "M cells of area 2*pi/M give state area exactly 2*pi",
@@ -364,11 +367,9 @@ def run_suite(M: int, tolerance: float | None = None) -> VerificationReport:
         _check_split_invariants(checks, split, d)
         _check_crt(checks, split, d)
         _check_operator_splitting(checks, split, d)
-        bases = _bases(split)
-        c1c2 = _check_bases(checks, split, d, bases, tol)
+        comparisons = _check_bases(checks, split, d, tol)
         _check_kernel(checks, split, d, tol)
-        _check_cross_phases(checks, split, d, bases, tol, c1c2)
-        del bases, c1c2  # the PLS check reads none of them
+        _check_cross_phases(checks, split, d, tol, comparisons)
         _check_pls(checks, split, d, tol)
 
     ids = [c.check_id for c in checks]

@@ -35,7 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasecrt import lattice, suite
+from phasecrt import lattice, reps, suite
 from phasecrt.core import (
     PHASE_EXPONENT_RESIDUAL_TOL,
     StateVector,
@@ -80,7 +80,7 @@ from phasecrt.reps import (
     factor_kernel,
     overlap_matrix,
 )
-from phasecrt.reps import _phase_table
+from phasecrt.reps import _phase_table, _scatter
 
 MOMENTUM_ATOL = 4 * np.finfo(np.float64).eps
 
@@ -825,12 +825,26 @@ def test_corrupted_position_comb_falls_back_to_dense():
     for other in (epos, build_C1(split)):
         np.testing.assert_allclose(overlap_matrix(other, bad), dense_product(other, bad),
                                    rtol=0, atol=PRODUCT_ATOL)
-    bases = {**all_bases(15, 3), BasisKind.C2: bad}
     checks = []
-    suite._check_bases(checks, split, "3x5", bases, default_tolerance(15))
+    with pytest.MonkeyPatch.context() as patch:
+        real = suite.build_basis
+        patch.setattr(suite, "build_basis",
+                      lambda kind, M, M1: bad if kind is bad.kind else real(kind, M, M1))
+        suite._check_bases(checks, split, "3x5", default_tolerance(15))
     statuses = {c.check_id: c.status for c in checks}
     assert statuses["basis.gram.C2[3x5]"] == "fail"
     assert statuses["basis.gram.C1[3x5]"] == "pass"
+
+
+@pytest.mark.parametrize("keep_comb", [True, False], ids=["comb", "dense"])
+def test_a_nan_amplitude_makes_the_gram_residual_nan(keep_comb):
+    # as np.max has it: a NaN entry is the largest, whichever block it sits in
+    basis = build_C2(make_split(210, 14))
+    amps = amplitudes(basis).copy()
+    amps[13, 14, crt_grid(basis.split)[13, 0]] = np.nan
+    bad = RepBasis(BasisKind.C2, 14, 15, amps)
+    bad._comb = basis._comb if keep_comb else None
+    assert math.isnan(bad.gram_residual())
 
 
 def test_comb_with_overlapping_classes_falls_back_to_dense():
@@ -842,3 +856,76 @@ def test_comb_with_overlapping_classes_falls_back_to_dense():
     bad = RepBasis(BasisKind.C2, 3, 5, amps)
     bad._comb = ("position", points, None)
     assert np.array_equal(overlap_matrix(bad, bad), dense_product(bad, bad))
+
+
+# ------------------------------------------------- blocked products --
+
+def seed_on_side(basis, side):
+    if side == "position":
+        return basis._amps
+    if basis._comb and basis._comb[0] == side:
+        return _scatter(*basis._comb, basis._amps.shape)
+    return np.fft.fft(basis._amps, norm="ortho")
+
+
+def seed_class_blocks(basis, side, points):
+    if not np.array_equal(np.sort(points, axis=None), np.arange(basis.M)):
+        return None
+    if basis._comb[1] is points and basis._comb[2] is not None:
+        return basis._comb[2]
+    full = seed_on_side(basis, side).transpose((0, 1, 2) if side == "position" else (1, 0, 2))
+    blocks = [np.take(vectors, pts, axis=1) for vectors, pts in zip(full, points)]
+    return blocks if sum(map(np.count_nonzero, blocks)) == np.count_nonzero(full) else None
+
+
+def seed_whole_product(a, b):
+    """oracle: the product formed as one (M, M) array, as it was before it streamed blocks"""
+    M = a.M
+    if a._comb and b._comb:
+        c, other = (a, b) if a._comb[1].shape[1] <= b._comb[1].shape[1] else (b, a)
+        side, points, _ = c._comb
+        kc = seed_class_blocks(c, side, points)
+        same = other._comb[0] == side and (a.M1, a.M2) == (b.M1, b.M2)
+        ko = kc if other is c else seed_class_blocks(other, side, points) if same else None
+        if kc is not None and ko is not None:
+            g = np.zeros((a.M1, a.M2, a.M1, a.M2), dtype=np.complex128)
+            view = g if side == "position" else g.transpose(1, 0, 3, 2)
+            for cls, (block_a, block_b) in enumerate(zip(kc, ko)):
+                np.matmul(block_a.conj(), block_b.T, out=view[cls, :, cls, :])
+            return g.reshape(M, M)
+        if kc is not None:
+            gathered = seed_on_side(other, side).reshape(M, M).T[points]
+            g = np.empty((c.M1, c.M2, M), dtype=np.complex128)
+            np.matmul(np.conj(kc), gathered, out=g if side == "position" else g.transpose(1, 0, 2))
+            g = g.reshape(M, M)
+            return g if c is a else np.conjugate(g, out=g).T
+    return a.as_matrix().conj().T @ b.as_matrix()
+
+
+# at 385 the last block would be a single label without the merge
+BLOCKED_SPLITS = [s for M in (210, 667) for split in enumerate_splits(M)
+                  for s in (split, split.swapped())] + [make_split(385, 5), make_split(385, 77)]
+
+
+def test_label_blocks_are_runs_of_sixteen_with_no_lone_last_label():
+    for M in range(2, 700):
+        blocks = reps._label_blocks(M)
+        assert np.array_equal(np.concatenate(blocks), np.arange(M))
+        assert all(len(b) % 16 == 0 for b in blocks[:-1]) and len(blocks[-1]) >= 2
+    step = len(reps._label_blocks(385)[0])
+    assert 385 % step == 1 and len(reps._label_blocks(385)[-1]) == step + 1
+
+
+@pytest.mark.parametrize("split", BLOCKED_SPLITS, ids=lambda s: f"{s.M}:{s.describe()}")
+def test_blocked_products_reassemble_the_whole_product_bit_for_bit(split):
+    # the blocks' matmuls and FFTs cover fewer labels than the whole product's;
+    # each entry must still come out with the same bytes (BLAS blocking may differ)
+    bases = all_bases(split.M, split.M1)
+    conj_c2, conj_epos = (conjugate_basis(bases[k]) for k in (BasisKind.C2, BasisKind.E_POS))
+    pairs = [(bases[a], bases[b]) for a, b in suite._PHASE_PAIRS]  # gathers and class blocks
+    pairs += [(b, a) for a, b in pairs]  # the other orientation of each product
+    pairs += [(basis, basis) for basis in bases.values()]  # Grams
+    pairs += [(conj_c2, conj_epos), (bases[BasisKind.C2], pls_stack(split))]  # dense; same side
+    assert len(list(reps._label_blocks(split.M))) > 1
+    for a, b in pairs:
+        assert overlap_matrix(a, b).tobytes() == seed_whole_product(a, b).tobytes(), (a, b)

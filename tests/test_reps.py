@@ -375,3 +375,11 @@ class TestBuildDispatch:
             basis.vector(2, 0)
         with pytest.raises(ValueError):
             basis.vector(0, 3)
+
+    def test_keeps_a_read_only_view_of_the_callers_amplitudes(self):
+        amps = np.zeros((2, 3, 6), dtype=complex)
+        basis = RepBasis(BasisKind.E_POS, 2, 3, amps)
+        assert amps.flags.writeable  # the caller's array keeps its flags
+        assert np.shares_memory(basis.as_matrix(), amps)  # and is not copied
+        with pytest.raises(ValueError):
+            basis.as_matrix()[0, 0] = 1

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import tracemalloc
 from pathlib import Path
@@ -168,21 +169,44 @@ class TestPlsRecords:
                          "StateVector": 2 * n}
 
 
+def build_instead(monkeypatch, bad):
+    """Has the suite build bad in place of every basis of its kind."""
+    real = suite.build_basis
+    monkeypatch.setattr(suite, "build_basis",
+                        lambda kind, M, M1: bad if kind is bad.kind else real(kind, M, M1))
+
+
+def corrupt_c2(monkeypatch, corrupt):
+    """Has the suite build C2 of 3x5 from its amplitudes with corrupt applied;
+    the comb structure is kept, so the products check the amplitudes."""
+    good = build_basis(BasisKind.C2, 15, 3)
+    amps = good.as_matrix().T.reshape(3, 5, 15).copy()
+    corrupt(amps)
+    bad = RepBasis(BasisKind.C2, 3, 5, amps)
+    bad._comb = good._comb
+    build_instead(monkeypatch, bad)
+    return make_split(15, 3)
+
+
+def seed_worst(dev, a, b):
+    """oracle: the largest entry of a whole (M, M) label-pair array and where it sits"""
+    i, j = divmod(int(np.argmax(dev)), a.M)
+    (q1, k2), (r1, r2) = divmod(i, a.M2), divmod(j, b.M2)
+    return float(dev[i, j]), f"worst at (q1={q1}, k2={k2}) x (q1={r1}, k2={r2})"
+
+
 class TestWorstLocation:
-    def test_failing_records_name_their_worst_label_pair(self):
+    def test_failing_records_name_their_worst_label_pair(self, monkeypatch):
         # vector (0, 1) of C2 gets weight 0.5 off its class: its own norm is
         # then off by 0.25, more than any other Gram entry moves
-        split = make_split(15, 3)
-        bases = {kind: build_basis(kind, 15, 3) for kind in BasisKind}
-        amps = bases[BasisKind.C2].as_matrix().T.reshape(3, 5, 15).copy()
-        amps[0, 1, crt_grid(split)[1, 0]] = 0.5
-        bad = RepBasis(BasisKind.C2, 3, 5, amps)
-        bad._comb = bases[BasisKind.C2]._comb
-        bases[BasisKind.C2] = bad
+        def off_class(amps):
+            amps[0, 1, crt_grid(make_split(15, 3))[1, 0]] = 0.5
+
+        split = corrupt_c2(monkeypatch, off_class)
         checks = []
         tol = default_tolerance(15)
-        c1c2 = suite._check_bases(checks, split, "3x5", bases, tol)
-        suite._check_cross_phases(checks, split, "3x5", bases, tol, c1c2)
+        comparisons = suite._check_bases(checks, split, "3x5", tol)
+        suite._check_cross_phases(checks, split, "3x5", tol, comparisons)
         notes = {c.check_id: c.note for c in checks if c.status == "fail"}
         assert notes["basis.gram.C2[3x5]"] == "worst at (q1=0, k2=1) x (q1=0, k2=1)"
         # every <b(1, k)|C2(0, 1)> gains the same modulus 0.5/sqrt(5); ties fall by roundoff
@@ -195,21 +219,20 @@ class TestWorstLocation:
         passing = [c for c in checks if c.status == "pass"]
         assert passing and all(c.note == "" for c in passing)
 
-    def test_failing_c1c2_identity_names_its_worst_label(self):
+    def test_failing_c1c2_identity_names_its_worst_label(self, monkeypatch):
         # C2 vector (2, 3) times 1j: unit norm and the same eigenvalues, but
         # <C1(2, 3)|C2(2, 3)> = 1j
         split = make_split(15, 3)
-        bases = {kind: build_basis(kind, 15, 3) for kind in BasisKind}
         checks = []
-        suite._check_bases(checks, split, "3x5", bases, default_tolerance(15))
+        suite._check_bases(checks, split, "3x5", default_tolerance(15))
         assert all(c.status == "pass" and c.note == "" for c in checks)
-        amps = bases[BasisKind.C2].as_matrix().T.reshape(3, 5, 15).copy()
-        amps[2, 3] *= 1j
-        bad = RepBasis(BasisKind.C2, 3, 5, amps)
-        bad._comb = bases[BasisKind.C2]._comb
-        bases[BasisKind.C2] = bad
+
+        def rephase(amps):
+            amps[2, 3] *= 1j
+
+        corrupt_c2(monkeypatch, rephase)
         checks = []
-        suite._check_bases(checks, split, "3x5", bases, default_tolerance(15))
+        suite._check_bases(checks, split, "3x5", default_tolerance(15))
         identity = next(c for c in checks if c.check_id == "basis.c1c2-identity[3x5]")
         assert identity.status == "fail"
         assert identity.measured == pytest.approx(math.sqrt(2))
@@ -231,21 +254,52 @@ class TestWorstLocation:
         (negate_one_amplitude, "worst at (q1=1, k2=2), translate relation"),
         (copy_a_vector, "worst at (q1=0, k2=1), clock relation"),
     ])
-    def test_failing_eigen_names_its_worst_label_and_relation(self, corrupt, note):
-        split = make_split(15, 3)
-        bases = {kind: build_basis(kind, 15, 3) for kind in BasisKind}
-        amps = bases[BasisKind.C2].as_matrix().T.reshape(3, 5, 15).copy()
-        corrupt(amps)
-        bad = RepBasis(BasisKind.C2, 3, 5, amps)
-        bad._comb = bases[BasisKind.C2]._comb
-        bases[BasisKind.C2] = bad
+    def test_failing_eigen_names_its_worst_label_and_relation(self, corrupt, note, monkeypatch):
+        split = corrupt_c2(monkeypatch, corrupt)
         checks = []
-        suite._check_bases(checks, split, "3x5", bases, default_tolerance(15))
+        suite._check_bases(checks, split, "3x5", default_tolerance(15))
         eigen = {c.check_id: c for c in checks if c.check_id.startswith("basis.eigen.")}
         assert eigen["basis.eigen.C2[3x5]"].status == "fail"
         assert eigen["basis.eigen.C2[3x5]"].note == note
         assert all(c.status == "pass" and c.note == ""
                    for i, c in eigen.items() if i != "basis.eigen.C2[3x5]")
+
+    @pytest.mark.parametrize("keep_comb", [True, False], ids=["comb", "dense"])
+    def test_streamed_worst_notes_match_the_whole_matrix(self, keep_comb, monkeypatch):
+        # Emom of 14x15 with vector (0, 13) and vector (1, 1) both twice vector
+        # (0, 0): their Gram diagonals tie exactly at |4 - 1|. At 210 the Gram
+        # streams momentum classes k2 < 12 before k2 >= 12, so the row-major
+        # first tie, label 13, comes in the later block.
+        split = make_split(210, 14)
+        good = build_basis(BasisKind.E_MOM, 210, 14)
+        side, points, coefficients = good._comb
+        coefficients = np.array(coefficients)  # [k2, q1, point]
+        coefficients[13, 0] = coefficients[1, 1] = 2 * coefficients[0, 0]
+        amps = np.fft.ifft(reps._scatter(side, points, coefficients, (14, 15, 210)),
+                           axis=-1, norm="ortho")
+        bad = RepBasis(BasisKind.E_MOM, 14, 15, amps)
+        if keep_comb:
+            bad._comb = (side, points, coefficients)
+        build_instead(monkeypatch, bad)
+        checks = []
+        tol = default_tolerance(210)
+        comparisons = suite._check_bases(checks, split, "14x15", tol)
+        suite._check_cross_phases(checks, split, "14x15", tol, comparisons)
+        failing = {c.check_id: c for c in checks if c.status == "fail"}
+        c1, epos = build_basis(BasisKind.C1, 210, 14), build_basis(BasisKind.E_POS, 210, 14)
+        for check_id, (a, b) in {"basis.gram.Emom[14x15]": (bad, bad),
+                                 "overlap.phase.C1-Emom[14x15]": (c1, bad),
+                                 "overlap.phase.Emom-Epos[14x15]": (bad, epos)}.items():
+            g = reps.overlap_matrix(a, b)
+            if a is b:
+                dev = np.abs(g - np.eye(210))
+            else:
+                dev = np.abs(g)
+                dev.flat[::211] = np.abs(dev.flat[::211] - 1.0)
+            worst, note = seed_worst(dev, a, b)
+            assert failing[check_id].measured == worst
+            assert failing[check_id].note.split("; ")[0] == note, check_id
+        assert failing["basis.gram.Emom[14x15]"].note == "worst at (q1=0, k2=13) x (q1=0, k2=13)"
 
     def test_failing_mub_names_its_worst_point(self):
         F = fourier_matrix(15)
@@ -287,17 +341,45 @@ class TestWorstLocation:
         assert product.note == f"worst at (q={q}, k={k})"
 
 
+def heap_peak_in_square_arrays(M):
+    # the first call also allocates for lazy imports; that is not working set
+    run_suite(15)
+    tracemalloc.start()
+    try:
+        run_suite(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * M ** 2)
+
+
 class TestWorkingSet:
-    def test_suite_heap_peak_stays_within_seven_square_arrays(self):
-        # the first call also allocates for lazy imports; that is not working set
-        run_suite(15)
-        tracemalloc.start()
-        try:
-            run_suite(210)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 7 * 16 * 210 ** 2, f"peak {peak / (16 * 210 ** 2):.2f} (M, M) arrays"
+    # two bases alive at a time, products streamed in label blocks of
+    # reps._BLOCK_BYTES; measured 3.93 at 210 (a block is a large share of an
+    # (M, M) array there) and 2.18 at 667
+    def test_suite_heap_peak_at_210_stays_within_four_square_arrays(self):
+        peak = heap_peak_in_square_arrays(210)
+        assert peak <= 4, f"peak {peak:.2f} (M, M) arrays"
+
+    def test_suite_heap_peak_at_667_stays_within_two_and_a_half_square_arrays(self):
+        peak = heap_peak_in_square_arrays(667)
+        assert peak <= 2.5, f"peak {peak:.2f} (M, M) arrays"
+
+
+# every M from 2 to 400 gives no fail record; tier-1 runs a seeded sample,
+# `pytest -m slow` the whole sweep
+ALL_DIMENSIONS = range(2, 401)
+
+
+class TestAcrossDimensions:
+    @pytest.mark.parametrize("M", sorted(random.Random(16).sample(ALL_DIMENSIONS, 8)))
+    def test_no_fail_record_at_a_sampled_dimension(self, M):
+        assert [c.check_id for c in run_suite(M).checks if c.status == "fail"] == []
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("M", ALL_DIMENSIONS)
+    def test_no_fail_record_at_any_dimension(self, M):
+        assert [c.check_id for c in run_suite(M).checks if c.status == "fail"] == []
 
 
 class TestReportSerialization:
