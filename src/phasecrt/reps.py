@@ -280,11 +280,10 @@ def _on_side(basis: RepBasis, side: str, labels: np.ndarray) -> np.ndarray:
     a momentum comb's momenta are the coefficients it was built from."""
     if side == "position":
         return basis._amps.reshape(basis.M, basis.M)[labels[0]:labels[-1] + 1]
-    amps = basis._amps.reshape(basis.M, basis.M)[labels]
     if basis._comb and basis._comb[0] == side:  # each label scattered as a class of its own
         (_, pts, coef), (q1, k2) = basis._comb, np.divmod(labels, basis.M2)
         return _scatter("position", pts[k2], coef[k2, q1, None], (len(labels), 1, basis.M))[:, 0]
-    return np.fft.fft(amps, norm="ortho")
+    return np.fft.fft(basis._amps.reshape(basis.M, basis.M)[labels], norm="ortho")
 
 
 def _class_blocks(basis: RepBasis, side: str, points: np.ndarray) -> np.ndarray | list | None:
@@ -333,10 +332,11 @@ def _product(a: RepBasis, b: RepBasis) -> Iterator[tuple[np.ndarray, np.ndarray,
                 yield labels, labels, g.reshape(n * V, n * V)
             return
         if kc is not None:
+            kc = np.conj(kc)
             for labels in _label_blocks(M):
                 gathered = _on_side(other, side, labels).T[points]  # [class, point, label]
                 g = np.empty((c.M1, c.M2, len(labels)), np.complex128)
-                np.matmul(np.conj(kc), gathered, out=g if side == "position" else g.swapaxes(0, 1))
+                np.matmul(kc, gathered, out=g if side == "position" else g.swapaxes(0, 1))
                 g = g.reshape(M, -1)
                 yield (every, labels, g) if c is a else (labels, every, np.conjugate(g, out=g).T)
             return
