@@ -34,7 +34,6 @@ from .lattice import (
     VNLattice,
     classify_vn_state,
     default_support_threshold,
-    lattice_points,
     mixed_element_matrix,
     support,
 )

@@ -25,6 +25,10 @@ FOURIER_SIGN = +1
 # the rounding residual must stay below this.
 PHASE_EXPONENT_RESIDUAL_TOL = 1e-6
 
+# Scratch budget, in bytes, of one block that stands in for an (M, M) array:
+# a block of a basis product, a Hermitian-check tile pair, a classifier row block.
+_SCRATCH_BYTES = 1 << 18
+
 
 class DimensionMismatchError(ValueError):
     """Operands live in spaces of different dimension."""
@@ -67,7 +71,7 @@ def phase_exponent(z: complex, M: int) -> tuple[int, float]:
 class StateVector:
     """A length-M complex amplitude vector over the position basis."""
 
-    __slots__ = ("amplitudes", "normalized")
+    __slots__ = ("amplitudes", "normalized", "_momentum")
 
     def __init__(self, amplitudes, normalized: bool = False):
         arr = np.array(amplitudes, dtype=np.complex128)
@@ -82,23 +86,22 @@ class StateVector:
         arr.setflags(write=False)
         self.amplitudes = arr
         self.normalized = normalized
+        self._momentum = None
 
     @property
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalize(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n, normalized=True)
-
     def momentum_amplitudes(self) -> np.ndarray:
-        """<k|psi> for every k, i.e. the unitary DFT in the package convention."""
-        return np.fft.fft(self.amplitudes) / math.sqrt(self.dim)
+        """<k|psi> for every k, i.e. the unitary DFT in the package convention.
+
+        A state is immutable, so the DFT is taken on the first call only: every
+        call returns that same read-only array.
+        """
+        if self._momentum is None:
+            self._momentum = np.fft.fft(self.amplitudes) / math.sqrt(self.dim)
+            self._momentum.setflags(write=False)
+        return self._momentum
 
     def __repr__(self) -> str:
         return f"StateVector(dim={self.dim}, normalized={self.normalized})"

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateVector, default_tolerance, norm_tolerance
+from .core import _SCRATCH_BYTES, StateVector, default_tolerance, norm_tolerance
 from .numtheory import CoprimeSplit
 
 
@@ -50,21 +50,9 @@ class VNLattice:
             raise ValueError(f"shift_k={self.shift_k} out of range [0, {self.split.M2})")
 
 
-def lattice_points(lattice: VNLattice) -> frozenset[PhasePoint]:
-    """The M points (shift_q + n*M1 mod M, shift_k + m*M2 mod M)."""
-    s = lattice.split
-    return frozenset(
-        PhasePoint((lattice.shift_q + n * s.M1) % s.M, (lattice.shift_k + m * s.M2) % s.M)
-        for n in range(s.M2)
-        for m in range(s.M1)
-    )
-
-
-# Scratch budget, in bytes, of one Hermitian-check tile pair or one classifier
-# row block. Every ufunc reads and writes contiguous scratch: on a strided
-# operand numpy would allocate a buffer of its own.
-_SCRATCH_BYTES = 1 << 18
-# a tile pair: two complex tiles, their finiteness and one float residual tile
+# Every ufunc of a Hermitian-check tile pair or a classifier row block reads and
+# writes contiguous scratch: on a strided operand numpy would allocate a buffer of
+# its own. A tile pair: two complex tiles, their finiteness and one float residual tile
 _TILE = math.isqrt(_SCRATCH_BYTES // (2 * 16 + 2 + 8))
 
 

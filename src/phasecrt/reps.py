@@ -15,7 +15,7 @@ phase table scattered through an index table (crt_grid, the Good-Thomas map,
 for the C kinds; the Cooley-Tukey table for the E kinds); a momentum comb is
 the orthonormal inverse FFT of its momentum scatter. Built bases keep that
 structure, and a Gram or overlap streams from it in blocks of at most
-_BLOCK_BYTES: square blocks of whole classes for two combs of one side and
+_SCRATCH_BYTES: square blocks of whole classes for two combs of one side and
 classes, a gather over the smaller class for a position against a momentum
 comb, else (or if its integer checks fail) row blocks of the dense product.
 Each reduction drops a block once read; only overlap_matrix forms the whole
@@ -35,6 +35,7 @@ import numpy as np
 
 from .core import (
     PHASE_EXPONENT_RESIDUAL_TOL,
+    _SCRATCH_BYTES,
     DimensionMismatchError,
     StateVector,
     _apply_rows,
@@ -144,9 +145,16 @@ def _comb(kind: BasisKind, side: str, index: np.ndarray, slope: int) -> RepBasis
     amps = _scatter(side, points, coefficients, (M1, M2, M1 * M2))
     if side == "momentum":  # <q|k> = omega_M**(q*k) / sqrt(M): the orthonormal inverse DFT
         np.fft.ifft(amps, axis=-1, norm="ortho", out=amps)
-    basis = RepBasis(kind, M1, M2, amps)
-    # a position comb's amplitudes are its coefficients
-    basis._comb = (side, points, coefficients if side == "momentum" else None)
+    return _comb_basis(kind, amps, side, points, coefficients if side == "momentum" else None)
+
+
+def _comb_basis(kind: BasisKind, amps: np.ndarray, side: str, points: np.ndarray,
+                coefficients: np.ndarray | None = None) -> RepBasis:
+    """The basis of (M1, M2, M) amps, claimed a comb on side with a row of points per
+    class; a position comb's amplitudes are its coefficients. _product checks the
+    claim in exact integers and falls back to dense blocks where it fails."""
+    basis = RepBasis(kind, amps.shape[0], amps.shape[1], amps)
+    basis._comb = (side, points, coefficients)
     return basis
 
 
@@ -264,14 +272,10 @@ def overlap_matrix(basis_a: RepBasis, basis_b: RepBasis) -> np.ndarray:
     return g
 
 
-# Scratch budget, in bytes, of one block of a product instead of its (M, M) array.
-_BLOCK_BYTES = 1 << 18
-
-
 def _label_blocks(M: int) -> list[np.ndarray]:
     """Runs of a multiple of 16 labels, the last of two or more, so that a block's matmul
     gives the whole product's bytes: BLAS tiles labels in small multiples, one alone apart."""
-    step = 16 * max(1, _BLOCK_BYTES // (16 * 16 * M))
+    step = 16 * max(1, _SCRATCH_BYTES // (16 * 16 * M))
     return np.split(np.arange(M), range(step, M - 1, step))
 
 
@@ -296,7 +300,7 @@ def _class_blocks(basis: RepBasis, side: str, points: np.ndarray) -> np.ndarray 
     grid = np.arange(basis.M).reshape(basis.M1, basis.M2)
     grid = grid if side == "position" else grid.T  # a row of labels per class
     (C, V), blocks = grid.shape, []
-    step = max(1, _BLOCK_BYTES // (16 * V * basis.M))  # classes of vectors per block
+    step = max(1, _SCRATCH_BYTES // (16 * V * basis.M))  # classes of vectors per block
     for classes in np.split(np.arange(C), range(step, C, step)):
         vectors = _on_side(basis, side, grid[classes].ravel()).reshape(-1, V, basis.M)
         taken = [np.take(v, pts, axis=1) for v, pts in zip(vectors, points[classes])]
@@ -321,7 +325,7 @@ def _product(a: RepBasis, b: RepBasis) -> Iterator[tuple[np.ndarray, np.ndarray,
         if kc is not None and ko is not None:
             # n classes of V vectors per square block, exact zeros between classes
             grid, V = np.arange(M).reshape(a.M1, a.M2), len(kc[0])
-            step = max(1, math.isqrt(_BLOCK_BYTES // 16) // V)
+            step = max(1, math.isqrt(_SCRATCH_BYTES // 16) // V)
             for classes in np.split(np.arange(len(kc)), range(step, len(kc), step)):
                 n = len(classes)
                 g = np.zeros((n, V, n, V) if side == "position" else (V, n, V, n), np.complex128)
@@ -426,14 +430,15 @@ def compare_cross_phases(
     x = np.angle(diag) * M / (2.0 * np.pi)
     n = np.round(x)
     max_residual = float(np.max(np.abs(x - n)))
-    measured = n.astype(np.int64) % M
+    measured = np.nan_to_num(n).astype(np.int64) % M  # a NaN phase has no exponent to list
     q1, k2 = np.divmod(np.arange(M), basis_a.M2)  # labels in row-major (q1, k2) order
     claimed = np.broadcast_to(CROSS_PHASE_FORMS[key](split, q1, k2), (M,)) % M
     mismatches = tuple(
         PhaseDiscrepancy(TorusLabel(int(q1[i]), int(k2[i])), int(measured[i]), int(claimed[i]))
-        for i in np.flatnonzero(measured != claimed))
+        for i in np.flatnonzero((measured != claimed) & (n == n)))
 
-    if max_mod_err >= tol or max_residual >= PHASE_EXPONENT_RESIDUAL_TOL:
+    # a NaN error is below no tolerance
+    if not (max_mod_err < tol and max_residual < PHASE_EXPONENT_RESIDUAL_TOL):
         status = "fail"
     elif mismatches:
         status = "discrepancy"

@@ -9,7 +9,10 @@ closed form that disagrees with brute force while the table itself is clean
 a "discrepancy" and does not fail the suite; the constructed linear algebra
 is the truth source. Each check is one batched array expression over a
 bounded block: the kernel check takes one q1 at a time, a split keeps two of
-its bases alive at a time, and products stream in blocks of labels.
+its bases alive at a time, and products stream in blocks of labels. The PLS
+check is one pass over the labels: build, classify, conjugate, classify the
+conjugate against the swapped split. A state keeps the DFT its verdict takes,
+and conjugate_state reads it, so each PLS costs two DFTs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import numpy as np
 
 from .core import (
     FOURIER_SIGN,
-    StateVector,
     _apply_rows,
     clock,
     compose,
@@ -37,13 +39,14 @@ from .lattice import NotVN, VNLattice, classify_vn_state
 from .numtheory import chi, crt_compose, crt_decompose, crt_grid, enumerate_splits, factorize
 from .reps import (
     BasisKind,
-    RepBasis,
+    _comb_basis,
     _eigen_worst,
     _label_blocks,
     _scan,
     build_basis,
     build_pls,
     compare_cross_phases,
+    conjugate_state,
     eigen_residuals,
     factor_kernel,
 )
@@ -307,23 +310,18 @@ def _check_cross_phases(checks, split, d, tol, comparisons):
 
 
 def _check_pls(checks, split, d, tol):
-    M, amps = split.M, np.empty((split.M1, split.M2, split.M), dtype=np.complex128)
-    bad = wrong_count = 0
-    for q1, k2 in np.ndindex(split.M1, split.M2):  # one state alive at a time
+    swapped, amps = split.swapped(), np.empty((split.M1, split.M2, split.M), dtype=np.complex128)
+    bad = bad_conjugate = wrong_count = 0
+    for q1, k2 in np.ndindex(split.M1, split.M2):  # one state and its conjugate at a time
         state = build_pls(split, q1, k2)
         amps[q1, k2] = state.amplitudes
         verdict = classify_vn_state(state, split)
         bad += int(verdict != VNLattice(split, q1, k2))
         wrong_count += int(isinstance(verdict, NotVN) and verdict.reason == "wrong count")
-    swapped, bad_conjugate = split.swapped(), 0
-    for labels in _label_blocks(M):  # conjugated PLS (q1, k2) is vector (k2, q1) of swapped
-        block = np.conj(np.fft.fft(amps.reshape(M, M)[labels]) / math.sqrt(M))
-        for label, vector in zip(labels.tolist(), block):
-            q1, k2 = divmod(label, split.M2)
-            verdict = classify_vn_state(StateVector(vector, normalized=True), swapped)
-            bad_conjugate += int(verdict != VNLattice(swapped, k2, q1))
-    stack = RepBasis(BasisKind.C2, split.M1, split.M2, amps)
-    stack._comb = ("position", crt_grid(split), None)  # checked exactly by the product
+        # conjugate_state reads the DFT that the verdict took and the state keeps
+        verdict = classify_vn_state(conjugate_state(state), swapped)
+        bad_conjugate += int(verdict != VNLattice(swapped, k2, q1))
+    stack = _comb_basis(BasisKind.C2, amps, "position", crt_grid(split))
     _add(checks, f"pls.orthonormal[{d}]",
          "the M partially localized states are orthonormal",
          stack.gram_residual(), 0.0, tol)

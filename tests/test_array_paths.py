@@ -8,10 +8,10 @@ and the streamed verdicts against the whole |mixed_element_matrix(rho)|. The
 tiled Hermitian residual of DensityMatrix equals max|rho - rho^H| bit for bit.
 The references below evaluate the docstring sums label by label with
 crt_compose and omega_power, and classify from the dense complex (M, M)
-product with lattice_points and a per-point deviation. Position combs and
-PLS do the same arithmetic as their reference and must match exactly;
-momentum combs sum M1 terms in another order, so they match to a few units
-of float64 roundoff.
+product with the lattice's M points and a per-point deviation. Position
+combs and PLS do the same arithmetic as their reference and must match
+exactly; momentum combs sum M1 terms in another order, so they match to a
+few units of float64 roundoff.
 
 Grams and cross-basis overlaps are read from the comb structure of the
 bases (a block per class, or a gather over the smaller class); they are
@@ -56,7 +56,6 @@ from phasecrt.lattice import (
     VNLattice,
     classify_vn_state,
     default_support_threshold,
-    lattice_points,
     mixed_element_matrix,
     support,
 )
@@ -212,6 +211,13 @@ def test_density_row_fft_matches_the_dense_product(M):
         assert np.max(np.abs(got - oracle)) <= 16 * np.finfo(float).eps * np.max(np.abs(oracle))
 
 
+def lattice_point_set(lattice):
+    """The M points (shift_q + n*M1 mod M, shift_k + m*M2 mod M) of lattice."""
+    s = lattice.split
+    return {PhasePoint((lattice.shift_q + n * s.M1) % s.M, (lattice.shift_k + m * s.M2) % s.M)
+            for n in range(s.M2) for m in range(s.M1)}
+
+
 def reference_classify(rho, split, threshold=None, product=seed_product):
     M = split.M
     mm = np.abs(product(rho))
@@ -222,7 +228,7 @@ def reference_classify(rho, split, threshold=None, product=seed_product):
     pts = [PhasePoint(int(q), int(k)) for q, k in zip(*np.nonzero(mask))]
     first = pts[0]
     lattice = VNLattice(split, first.q % split.M1, first.k % split.M2)
-    if set(pts) != lattice_points(lattice):
+    if set(pts) != lattice_point_set(lattice):
         return NotVN(
             "wrong support geometry",
             f"support is not the {split.describe()} lattice shifted to "
@@ -283,10 +289,11 @@ def test_classify_matches_reference(case):
     dense = classify_vn_state(rho, split, threshold)
     assert dense == reference_classify(rho, split, threshold)
     # both input kinds agree on the normalized state
-    assert classify_vn_state(psi.normalize(), split, threshold) == dense
+    unit = StateVector(psi.amplitudes / np.linalg.norm(psi.amplitudes), normalized=True)
+    assert classify_vn_state(unit, split, threshold) == dense
     for state, verdict in ((psi, pure), (rho, dense)):
         if isinstance(verdict, VNLattice):
-            assert set(support(state, threshold)) == lattice_points(verdict)
+            assert set(support(state, threshold)) == lattice_point_set(verdict)
 
 
 MIXTURE_SPLITS = [s for s in CLASSIFY_SPLITS if s.M in (6, 15, 30)]
@@ -484,7 +491,7 @@ def relocated_lattice(split, rows):
     M = split.M
     phases = np.exp(2j * np.pi * np.random.default_rng(M).random(M))
     return point_terms(M, {(M - 1 - p.q, p.k) if p.q < rows else (p.q, p.k): 1e-2 * phase
-                           for p, phase in zip(sorted(lattice_points(VNLattice(split))),
+                           for p, phase in zip(sorted(lattice_point_set(VNLattice(split))),
                                                phases)})
 
 
@@ -744,9 +751,7 @@ def pls_stack(split):
     amps = np.reshape([build_pls(split, q01, k02).amplitudes
                        for q01 in range(split.M1) for k02 in range(split.M2)],
                       (split.M1, split.M2, split.M))
-    stack = RepBasis(BasisKind.C2, split.M1, split.M2, amps)
-    stack._comb = ("position", crt_grid(split), None)
-    return stack
+    return reps._comb_basis(BasisKind.C2, amps, "position", crt_grid(split))
 
 
 def assert_products_match_dense(bases):
@@ -845,6 +850,21 @@ def test_a_nan_amplitude_makes_the_gram_residual_nan(keep_comb):
     bad = RepBasis(BasisKind.C2, 14, 15, amps)
     bad._comb = basis._comb if keep_comb else None
     assert math.isnan(bad.gram_residual())
+
+
+@pytest.mark.parametrize("keep_comb", [True, False], ids=["comb", "dense"])
+def test_a_nan_amplitude_fails_the_cross_phase_comparison(keep_comb):
+    # NaN >= tol is False, so only an error below its tolerance may pass
+    split = make_split(15, 3)
+    basis = build_C2(split)
+    amps = amplitudes(basis).copy()
+    amps[1, 2, crt_grid(split)[1, 0]] = np.nan
+    bad = RepBasis(BasisKind.C2, 3, 5, amps)
+    bad._comb = basis._comb if keep_comb else None
+    cmp = compare_cross_phases(build_C1(split), bad)
+    assert cmp.status == "fail"
+    assert math.isnan(cmp.max_modulus_error)
+    assert cmp.worst
 
 
 def test_comb_with_overlapping_classes_falls_back_to_dense():

@@ -60,7 +60,7 @@ class TestStateVector:
         assert v.amplitudes[3] == 1.0
         assert np.count_nonzero(v.amplitudes) == 1
         assert position_state(2, 0).amplitudes.tolist() == [1.0, 0.0]
-        assert v.norm() == 1.0
+        assert np.linalg.norm(v.amplitudes) == 1.0
 
     def test_momentum_state_examples(self):
         v = momentum_state(2, 1)
@@ -105,6 +105,15 @@ class TestStateVector:
         F = dense_dft(9)
         want = F.conj().T @ v.amplitudes  # <k|psi> = sum_q conj(<q|k>) psi_q
         assert np.allclose(v.momentum_amplitudes(), want, atol=1e-13)
+
+    def test_momentum_amplitudes_are_one_read_only_dft(self):
+        rng = np.random.default_rng(8)
+        v = StateVector(rng.normal(size=15) + 1j * rng.normal(size=15))
+        first = v.momentum_amplitudes()
+        assert v.momentum_amplitudes() is first
+        assert not first.flags.writeable
+        want = np.fft.fft(v.amplitudes) / math.sqrt(15)
+        assert first.tobytes() == want.tobytes()
 
 
 class TestMub:

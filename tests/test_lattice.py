@@ -14,7 +14,6 @@ from phasecrt.lattice import (
     VNLattice,
     classify_vn_state,
     default_support_threshold,
-    lattice_points,
     mixed_element_matrix,
     support,
 )
@@ -31,13 +30,21 @@ def brute_mixed_element(rho: DensityMatrix, q: int, k: int) -> complex:
     return complex(rho.matrix[q] @ momentum_state(rho.dim, k).amplitudes)
 
 
+def lattice_point_set(lattice):
+    """The M points (shift_q + n*M1 mod M, shift_k + m*M2 mod M) of lattice."""
+    s = lattice.split
+    return {PhasePoint((lattice.shift_q + n * s.M1) % s.M, (lattice.shift_k + m * s.M2) % s.M)
+            for n in range(s.M2) for m in range(s.M1)}
+
+
 class TestLatticePoints:
+    # a lattice's points, read from the support of the PLS that sits over it
     def test_origin_lattice_15(self):
-        pts = lattice_points(VNLattice(SPLIT_15))
+        pts = set(support(build_pls(SPLIT_15, 0, 0)))
         assert pts == {PhasePoint(q, k) for q in (0, 3, 6, 9, 12) for k in (0, 5, 10)}
 
     def test_shifted_lattice_15(self):
-        pts = lattice_points(VNLattice(SPLIT_15, 1, 2))
+        pts = set(support(build_pls(SPLIT_15, 1, 2)))
         assert pts == {PhasePoint(q, k) for q in (1, 4, 7, 10, 13) for k in (2, 7, 12)}
 
     @pytest.mark.parametrize("M", [6, 10, 12, 15, 21])
@@ -45,7 +52,9 @@ class TestLatticePoints:
         for split in enumerate_splits(M):
             for sq in range(split.M1):
                 for sk in range(split.M2):
-                    assert len(lattice_points(VNLattice(split, sq, sk))) == M
+                    pts = lattice_point_set(VNLattice(split, sq, sk))
+                    assert len(pts) == M
+                    assert set(support(build_pls(split, sq, sk))) == pts
 
     def test_shift_range_validation(self):
         with pytest.raises(ValueError):
@@ -163,7 +172,7 @@ class TestMixedElement:
 class TestSupport:
     def test_pls_support_is_its_lattice(self):
         pts = support(build_pls(SPLIT_15, 0, 0))
-        assert set(pts) == lattice_points(VNLattice(SPLIT_15))
+        assert set(pts) == lattice_point_set(VNLattice(SPLIT_15))
         assert len(pts) == 15
 
     def test_position_state_support_is_column(self):
@@ -265,7 +274,8 @@ class TestClassify:
         # 3x5 lattice that exists in dimension 6 is among them; the lattice
         # lives in dimension 15, so the dimension alone makes it no match
         rng = np.random.default_rng(17)
-        state = StateVector(rng.normal(size=6) + 1j * rng.normal(size=6)).normalize()
+        raw = rng.normal(size=6) + 1j * rng.normal(size=6)
+        state = StateVector(raw / np.linalg.norm(raw), normalized=True)
         mags = np.sort(np.abs(mixed_element_matrix(state)), axis=None)
         threshold = float(mags[-16] + mags[-15]) / 2
         for rho in (state, DensityMatrix.from_state(state)):

@@ -242,6 +242,17 @@ class TestConjugation:
         want = conjugate_state(basis.vector(1, 2)).amplitudes
         assert np.allclose(conj.vector(2, 1).amplitudes, want)
 
+    @pytest.mark.parametrize("M", [30, 210])
+    def test_conjugate_state_is_conjugate_basis_byte_for_byte(self, M):
+        # the suite conjugates each PLS alone; conjugate_basis takes one FFT of them all
+        for split in enumerate_splits(M):
+            for s in (split, split.swapped()):
+                conj = conjugate_basis(build_C2(s))
+                for q1 in range(s.M1):
+                    for k2 in range(s.M2):
+                        got = conjugate_state(build_pls(s, q1, k2)).amplitudes
+                        assert got.tobytes() == conj.vector(k2, q1).amplitudes.tobytes()
+
     def test_double_conjugate_restores_basis(self):
         basis = build_E_mom(15, 3)
         back = conjugate_basis(conjugate_basis(basis))

@@ -145,9 +145,9 @@ class TestPlsRecords:
 
     def test_calls_per_split(self, monkeypatch):
         # the benchmark harness traces build_pls through suite and records one
-        # verdict latency per classify_vn_state call; the PLS are conjugated
-        # as one stack, not one conjugate_state call each, and each PLS and
-        # conjugated PLS is validated as a StateVector once
+        # verdict latency per classify_vn_state call; each PLS is conjugated by
+        # one conjugate_state call, and each PLS and conjugated PLS is validated
+        # as a StateVector once
         calls = dict.fromkeys(
             ["build_pls", "classify_vn_state", "conjugate_state", "StateVector"], 0)
 
@@ -165,8 +165,27 @@ class TestPlsRecords:
         report = run_suite(30)
         assert report.passed
         n = 30 * len(report.splits)
-        assert calls == {"build_pls": n, "classify_vn_state": 2 * n, "conjugate_state": 0,
+        assert calls == {"build_pls": n, "classify_vn_state": 2 * n, "conjugate_state": n,
                          "StateVector": 2 * n}
+
+    @pytest.mark.parametrize("M1", [2, 3, 5, 6, 10, 15])
+    def test_two_dfts_per_pls(self, M1, monkeypatch):
+        # the verdict's DFT of a PLS is the one its conjugate reads; the conjugate's
+        # verdict takes the other, and the stack's Gram takes none
+        calls = 0
+        real = np.fft.fft
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        split = make_split(30, M1)
+        checks = []
+        suite._check_pls(checks, split, split.describe(), default_tolerance(30))
+        assert calls == 2 * 30
+        assert all(c.status == "pass" for c in checks)
 
 
 def build_instead(monkeypatch, bad):
@@ -355,7 +374,7 @@ def heap_peak_in_square_arrays(M):
 
 class TestWorkingSet:
     # two bases alive at a time, products streamed in label blocks of
-    # reps._BLOCK_BYTES; measured 3.93 at 210 (a block is a large share of an
+    # core._SCRATCH_BYTES; measured 3.93 at 210 (a block is a large share of an
     # (M, M) array there) and 2.18 at 667
     def test_suite_heap_peak_at_210_stays_within_four_square_arrays(self):
         peak = heap_peak_in_square_arrays(210)
