@@ -12,12 +12,13 @@ The mixed-element, support and classification functions take a StateVector
 or a DensityMatrix and nothing else, so every matrix input has passed the
 DensityMatrix checks. support() thresholds |mixed_element_matrix(rho)|. For a
 pure state |<q|psi><psi|k>| = |psi(q)| * |psi~(k)|, so classifying a
-StateVector needs one FFT and no (M, M) array. The classifier streams a
-DensityMatrix: |rho @ F| is read one row block at a time, each block a row FFT
-(O(M^2 log M) in all, no F), and only the lattice magnitudes are kept, so
-rho.matrix is the only (M, M) array of a dense verdict. DensityMatrix checks
-its Hermitian residual over tiles, and from_state keeps the outer product it
-builds without a copy.
+StateVector needs one FFT and no (M, M) array: its support is counted on its
+bounding rectangle (at most M products, as for every VN verdict) or else on
+one sort. The classifier streams a DensityMatrix: |rho @ F| is read one row
+block at a time, each block a row FFT (O(M^2 log M) in all, no F), and only
+the lattice magnitudes are kept, so rho.matrix is the only (M, M) array of a
+dense verdict. DensityMatrix checks its Hermitian residual over tiles, and
+from_state keeps the outer product it builds without a copy.
 """
 
 from __future__ import annotations
@@ -164,27 +165,35 @@ def _support_threshold(M: int, threshold: float | None) -> float:
 
 def _pure_support(psi: StateVector, t: float, M1: int, M2: int):
     """(count, first row-major point, lattice) of |<q|psi><psi|k>| > t, where
-    lattice() reads the magnitudes on the (M1, M2) lattice through the first point.
-    |<q|psi><psi|k>| = a[q]*b[k] (a = |psi|, b = |psi~|) needs no (M, M) array:
-    a[q]*x is monotone in x, so one sort of b counts the pairs a[q]*b[k] > t
-    exactly. The lattice reads the complex entries of mixed_element_matrix(psi),
-    as the dense path."""
+    lattice() reads the magnitudes on the (M1, M2) lattice through the first point;
+    classify reads the point only at count M, where it is exact. |<q|psi><psi|k>| = a[q]*b[k]
+    (a = |psi|, b = |psi~|) needs no (M, M) array. A rounded product is monotone in
+    each factor, so the support has exactly the rows a[q]*max(b) > t and the columns
+    b[k]*max(a) > t. A bounding rectangle of at most M products (every lattice's: M2
+    rows by M1 columns) is compared in one broadcast, a larger one counted on one
+    sort of b. The lattice reads mixed_element_matrix(psi)."""
     v, vk = psi.amplitudes, psi.momentum_amplitudes()
     a, b = np.abs(v), np.abs(vk)
-    M = a.size
-    bs = np.sort(b)
-    with np.errstate(divide="ignore", over="ignore"):
-        start = bs.searchsorted(t / a, side="right")
+    rows, cols = np.flatnonzero(a * b.max() > t), np.flatnonzero(b * a.max() > t)
+    if rows.size * cols.size > a.size:
+        q = int(rows[0])
+        count, k = _sort_count(a[rows], b, t), int((a[q] * b > t).argmax())
+    else:  # M points in at most M products fill the rectangle: its corner comes first
+        count = int(np.count_nonzero(a[rows, None] * b[cols] > t))
+        q, k = (int(rows[0]), int(cols[0])) if count else (0, 0)
+    return count, (q, k), lambda: np.abs(np.outer(v[q % M1::M1], np.conj(vk[k % M2::M2])))
+
+
+def _sort_count(a: np.ndarray, b: np.ndarray, t: float) -> int:
+    """The pairs a[i]*b[k] > t for positive a, exactly, on one sort of b."""
+    bs, M = np.sort(b), b.size
+    start = bs.searchsorted(t / a, side="right")
     while True:  # t / a is rounded: step each row to the exact start of a*bs > t
         down = (start > 0) & (a * bs.take(start - 1, mode="clip") > t)
         up = (start < M) & (a * bs.take(start, mode="clip") <= t)
         if not (down.any() or up.any()):
-            break
+            return int((M - start).sum())
         start += up.astype(np.intp) - down
-    q = int((a * bs[-1] > t).argmax())  # the first row with support, then its first k
-    k = int((a[q] * b > t).argmax())
-    return (int((M - start).sum()), (q, k),
-            lambda: np.abs(np.outer(v[q % M1::M1], np.conj(vk[k % M2::M2]))))
 
 
 def _dense_support(rho: DensityMatrix, t: float, M1: int, M2: int):
@@ -243,10 +252,10 @@ def classify_vn_state(
 
     A positive answer requires the support to equal one shifted lattice of the
     given split exactly, with every on-support magnitude within tolerance of
-    1/sqrt(M). A StateVector's support is counted from |psi(q)| * |psi~(k)| by
-    one sort (O(M log M)); a DensityMatrix's is read from |rho @ F| one row block
-    at a time (a row FFT of each block into reused scratch), so rho.matrix is the
-    only (M, M) array the verdict touches.
+    1/sqrt(M). A StateVector's support is counted from |psi(q)| * |psi~(k)| on its
+    bounding rectangle (every VN verdict's holds M products), else on one sort; a
+    DensityMatrix's is read from |rho @ F| one row block at a time (a row FFT into
+    reused scratch), so rho.matrix is the only (M, M) array the verdict touches.
     """
     M = split.M
     t = _support_threshold(_dim(rho), threshold)

@@ -1,7 +1,7 @@
 """Exact integer machinery: factorization, coprime splits, CRT label maps.
 
-Everything here is exact integer arithmetic: plain Python ints, and in
-crt_grid the same CRT formula broadcast over the whole label grid in intp.
+Everything here is exact integer arithmetic: plain Python ints, and the same
+CRT formula broadcast over integer label arrays in crt_grid, crt_compose and crt_decompose.
 """
 
 from __future__ import annotations
@@ -145,19 +145,27 @@ def enumerate_splits(M: int) -> list[CoprimeSplit]:
     return [make_split(M, m1) for m1 in sorted(lows)]
 
 
-def crt_compose(split: CoprimeSplit, q1: int, q2: int) -> int:
-    """Lift torus labels (q1, q2) to the line label q in [0, M)."""
-    if not 0 <= q1 < split.M1:
-        raise ValueError(f"q1={q1} out of range [0, {split.M1})")
-    if not 0 <= q2 < split.M2:
-        raise ValueError(f"q2={q2} out of range [0, {split.M2})")
+def _labels(name: str, labels, n: int) -> int | np.ndarray:
+    """An int label (returned as it is) or integer labels, each checked to lie in [0, n)."""
+    if isinstance(labels, (int, np.integer)):
+        bad = () if 0 <= labels < n else (labels,)
+    else:
+        labels = np.asarray(labels)
+        bad = labels[(labels < 0) | (labels >= n)].ravel()
+    if len(bad):
+        raise ValueError(f"{name}={bad[0]} out of range [0, {n})")
+    return labels
+
+
+def crt_compose(split: CoprimeSplit, q1, q2) -> int | np.ndarray:
+    """Lift torus labels (q1, q2), ints or broadcasting integer arrays, to q in [0, M)."""
+    q1, q2 = _labels("q1", q1, split.M1), _labels("q2", q2, split.M2)
     return (q1 * split.N1 * split.L1 + q2 * split.N2 * split.L2) % split.M
 
 
-def crt_decompose(split: CoprimeSplit, q: int) -> tuple[int, int]:
-    """Project a line label onto its factor residues (q mod M1, q mod M2)."""
-    if not 0 <= q < split.M:
-        raise ValueError(f"q={q} out of range [0, {split.M})")
+def crt_decompose(split: CoprimeSplit, q) -> tuple[int | np.ndarray, int | np.ndarray]:
+    """Project line labels (an int or an integer array) onto (q mod M1, q mod M2)."""
+    q = _labels("q", q, split.M)
     return q % split.M1, q % split.M2
 
 

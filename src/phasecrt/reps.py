@@ -44,7 +44,7 @@ from .core import (
     omega_power,
     translate,
 )
-from .numtheory import CoprimeSplit, NonCoprimeError, crt_grid, make_split
+from .numtheory import CoprimeSplit, NonCoprimeError, _labels, crt_grid, make_split
 
 
 class BasisKind(enum.Enum):
@@ -253,11 +253,7 @@ def factor_kernel(split: CoprimeSplit, k1, q1) -> complex | np.ndarray:
     factor's kernel is factor_kernel(split.swapped(), k2, q2), and the product
     of the two equals <k|q> under CRT-composed labels.
     """
-    k1, q1 = np.asarray(k1), np.asarray(q1)
-    for name, labels in (("k1", k1), ("q1", q1)):
-        bad = labels[(labels < 0) | (labels >= split.M1)]
-        if bad.size:
-            raise ValueError(f"{name}={bad.flat[0]} out of range [0, {split.M1})")
+    k1, q1 = _labels("k1", k1, split.M1), _labels("q1", q1, split.M1)
     # numpy divides scalars and arrays alike (Python's complex division rounds otherwise)
     return np.asarray(omega_power(split.M1, -q1 * k1 * split.N1)) / math.sqrt(split.M1)
 

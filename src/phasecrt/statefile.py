@@ -73,7 +73,7 @@ def save_state(path: str | Path, state: StateVector, meta: dict | None = None) -
 def load_state(path: str | Path) -> tuple[StateVector, dict]:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise StateFileError(f"cannot read state file {path}: {exc}") from exc
     return state_from_dict(doc)
 

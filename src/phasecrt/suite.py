@@ -173,8 +173,8 @@ def _check_split_count(checks, M, splits):
 # ------------------------------------------------------------- split-level --
 
 def _check_crt(checks, split, d):
-    M = split.M
-    bad = sum(int(crt_compose(split, *crt_decompose(split, q)) != q) for q in range(M))
+    M, q = split.M, np.arange(split.M)
+    bad = int(np.count_nonzero(crt_compose(split, *crt_decompose(split, q)) != q))
     _add(checks, f"crt.roundtrip[{d}]",
          "compose(decompose(q)) = q for every q", bad, 0, 0)
     _add(checks, f"crt.bijection[{d}]",

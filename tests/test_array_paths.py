@@ -28,6 +28,7 @@ shift and kernel records match in status, integers and notes, and their
 float residuals within rtol 1e-12.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -294,6 +295,11 @@ def test_classify_matches_reference(case):
     for state, verdict in ((psi, pure), (rho, dense)):
         if isinstance(verdict, VNLattice):
             assert set(support(state, threshold)) == lattice_point_set(verdict)
+    # every VN verdict counts its support on the bounding rectangle, not on a sort
+    with sort_counts() as sorts:
+        assert classify_vn_state(psi, split, threshold) == pure
+    if isinstance(pure, VNLattice):
+        assert not sorts
 
 
 MIXTURE_SPLITS = [s for s in CLASSIFY_SPLITS if s.M in (6, 15, 30)]
@@ -396,6 +402,75 @@ def test_classify_cases_reach_every_verdict():
         got.append(verdict.reason if isinstance(verdict, NotVN) else "vn")
     verdicts = ["vn", "wrong count", "wrong support geometry", "non-uniform magnitude"]
     assert got == verdicts + ["vn"] + verdicts[1:]
+
+
+@contextlib.contextmanager
+def sort_counts():
+    """The calls of lattice._sort_count inside the block: one per pure verdict whose
+    bounding rectangle holds more than M products."""
+    calls, real = [], lattice._sort_count
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_sort_count", lambda *args: calls.append(args) or real(*args))
+        yield calls
+
+
+def rectangle_size(psi, t):
+    """|R| * |K|: the rows q with a[q]*max(b) > t times the columns k with b[k]*max(a) > t."""
+    a, b = np.abs(psi.amplitudes), np.abs(psi.momentum_amplitudes())
+    return int(np.count_nonzero(a * b.max() > t)) * int(np.count_nonzero(b * a.max() > t))
+
+
+def rectangle_of(M, n):
+    """(psi, t): a seeded random state of dimension M and a threshold at which its
+    rectangle holds exactly n products."""
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        psi = StateVector(rng.normal(size=M) + 1j * rng.normal(size=M))
+        a, b = np.abs(psi.amplitudes), np.abs(psi.momentum_amplitudes())
+        for t in np.r_[a * b.max(), b * a.max()]:
+            if rectangle_size(psi, t) == n:
+                return psi, t
+    raise AssertionError(f"no seed gives a rectangle of {n} products at M={M}")
+
+
+def test_classify_cases_reach_both_count_routes():
+    # a pure support is counted on its bounding rectangle when that holds at most M
+    # products and on one sort of |psi~| otherwise; both must give the reference verdict
+    split, M, t0 = make_split(15, 3), 15, default_support_threshold(15)
+    pls = build_pls(split, 1, 2)
+    # at 2x15 a spike at 10x the threshold off a PLS adds one row of M1 = 2 products
+    wide, t30 = make_split(30, 2), default_support_threshold(30)
+    spiked = build_pls(wide, 1, 3).amplitudes.copy()
+    spiked[np.flatnonzero(spiked == 0)[0]] = 10 * t30
+    spiked = StateVector(spiked)
+    cases = [  # (state, threshold, split, products in the rectangle)
+        (pls, t0, split, M),  # every lattice is a rectangle of exactly M products
+        (spiked, t30, wide, 30 + 2),
+        (*rectangle_of(M, M), split, M),
+        (*rectangle_of(M, M + 1), split, M + 1),
+        (position_state(M, 4), t0, split, M),  # one candidate row
+        (pls, 1.0, split, 0),  # a threshold above every product: an empty rectangle
+    ]
+    # thresholds at the exact products, and a float step either side
+    rng = np.random.default_rng(5)
+    noise = StateVector(rng.normal(size=M) + 1j * rng.normal(size=M))
+    for psi, s in ((spiked, wide), (noise, split)):
+        a, b = np.abs(psi.amplitudes), np.abs(psi.momentum_amplitudes())
+        cases += [(psi, t, s, None) for p in np.outer(a, b).ravel() for t in around(p)]
+    routes = []
+    for psi, t, s, size in cases:
+        with sort_counts() as sorts:
+            verdict = classify_vn_state(psi, s, t)
+        assert len(sorts) == (rectangle_size(psi, t) > s.M)
+        routes.append("sort" if sorts else "rectangle")
+        if size is None:  # at a product, |x * conj(y)| and |x| * |y| round apart
+            assert_count_exact(psi, s, t)
+        else:
+            assert rectangle_size(psi, t) == size
+            assert verdict == reference_classify(psi, s, t)
+    assert routes[:6] == ["rectangle", "sort", "rectangle", "sort", "rectangle", "rectangle"]
+    assert classify_vn_state(pls, split) == VNLattice(split, 1, 2)
+    assert {"rectangle", "sort"} <= set(routes[6:])
 
 
 # ------------------------------------------ tiled and streamed dense path --

@@ -302,6 +302,12 @@ class TestClassify:
         code, _, _ = run(capsys, "classify", str(tmp_path / "none.json"), "3")
         assert code == 2
 
+    def test_file_that_is_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(bytes.fromhex("fffe00626164"))
+        code, out, err = run(capsys, "classify", str(path), "3")
+        assert code == 2 and out == "" and "cannot read state file" in err
+
 
 class TestUnwritableOut:
     @pytest.mark.parametrize("argv", [["suite", "7"], ["basis", "15", "3", "C2"],

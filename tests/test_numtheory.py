@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from phasecrt.numtheory import (
@@ -170,6 +171,29 @@ class TestCrt:
     def test_decompose_range(self, q):
         with pytest.raises(ValueError):
             crt_decompose(make_split(15, 3), q)
+
+    @pytest.mark.parametrize("M", [6, 30, 210, 667])
+    def test_array_forms_equal_the_scalar_calls(self, M):
+        for s in (t for split in enumerate_splits(M) for t in (split, split.swapped())):
+            q = np.arange(M)
+            q1, q2 = crt_decompose(s, q)
+            assert q1.tolist() == [crt_decompose(s, int(x))[0] for x in q]
+            assert q2.tolist() == [crt_decompose(s, int(x))[1] for x in q]
+            assert crt_compose(s, q1, q2).tolist() == q.tolist()
+            grid = crt_compose(s, np.arange(s.M1)[:, None], np.arange(s.M2))
+            assert grid.tolist() == [[crt_compose(s, a, b) for b in range(s.M2)]
+                                     for a in range(s.M1)]
+            assert type(crt_compose(s, 1, 1)) is int
+            assert all(type(r) is int for r in crt_decompose(s, M - 1))
+
+    def test_array_range_error_names_the_first_bad_value(self):
+        s = make_split(15, 3)
+        with pytest.raises(ValueError, match=r"q1=3 out of range \[0, 3\)"):
+            crt_compose(s, np.array([0, 2, 3, -1]), 0)
+        with pytest.raises(ValueError, match=r"q2=-2 out of range \[0, 5\)"):
+            crt_compose(s, np.array([0, 1]), np.array([4, -2]))
+        with pytest.raises(ValueError, match=r"q=15 out of range \[0, 15\)"):
+            crt_decompose(s, np.array([[1, 14], [15, 16]]))
 
     def test_roundtrip_and_residues(self):
         for M in (6, 12, 15, 30, 210):

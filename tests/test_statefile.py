@@ -92,6 +92,12 @@ class TestStateErrors:
         with pytest.raises(StateFileError):
             load_state(tmp_path / "missing.json")
 
+    def test_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(bytes.fromhex("fffe00626164"))
+        with pytest.raises(StateFileError, match="cannot read state file"):
+            load_state(path)
+
 
 class TestBasisBundle:
     def test_round_trip(self, tmp_path):

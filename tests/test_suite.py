@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phasecrt import reps, suite
+from phasecrt import lattice, reps, suite
 from phasecrt.core import StateVector, default_tolerance, fourier_matrix
 from phasecrt.lattice import VNLattice
-from phasecrt.numtheory import crt_compose, crt_grid, make_split
+from phasecrt.numtheory import crt_compose, crt_grid, enumerate_splits, make_split
 from phasecrt.reps import BasisKind, RepBasis, build_basis
 from phasecrt.suite import format_table, reports_to_dict, run_suite, run_suites
 
@@ -186,6 +186,27 @@ class TestPlsRecords:
         suite._check_pls(checks, split, split.describe(), default_tolerance(30))
         assert calls == 2 * 30
         assert all(c.status == "pass" for c in checks)
+
+    @pytest.mark.parametrize("M", [30, 210])
+    def test_every_pls_verdict_counts_on_its_rectangle(self, M, monkeypatch):
+        # a PLS and its conjugate each cover M2 rows by M1 columns, a bounding
+        # rectangle of exactly M products, so no verdict of the check sorts
+        verdicts, real = [], suite.classify_vn_state
+
+        def recorded(*args):
+            verdicts.append(real(*args))
+            return verdicts[-1]
+
+        def sorted_count(*args):
+            raise AssertionError("a PLS verdict counted its support on a sort")
+
+        monkeypatch.setattr(suite, "classify_vn_state", recorded)
+        monkeypatch.setattr(lattice, "_sort_count", sorted_count)
+        for split in enumerate_splits(M):
+            verdicts.clear()
+            suite._check_pls([], split, split.describe(), default_tolerance(M))
+            assert len(verdicts) == 2 * M
+            assert all(isinstance(v, VNLattice) for v in verdicts)
 
 
 def build_instead(monkeypatch, bad):
