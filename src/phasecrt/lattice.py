@@ -164,14 +164,16 @@ def _support_threshold(M: int, threshold: float | None) -> float:
 
 
 def _pure_support(psi: StateVector, t: float, M1: int, M2: int):
-    """(count, first row-major point, lattice) of |<q|psi><psi|k>| > t, where
-    lattice() reads the magnitudes on the (M1, M2) lattice through the first point;
-    classify reads the point only at count M, where it is exact. |<q|psi><psi|k>| = a[q]*b[k]
-    (a = |psi|, b = |psi~|) needs no (M, M) array. A rounded product is monotone in
-    each factor, so the support has exactly the rows a[q]*max(b) > t and the columns
-    b[k]*max(a) > t. A bounding rectangle of at most M products (every lattice's: M2
-    rows by M1 columns) is compared in one broadcast, a larger one counted on one
-    sort of b. The lattice reads mixed_element_matrix(psi)."""
+    """(count, first row-major point, lattice) of |<q|psi><psi|k>| > t, where lattice()
+    reads the least counted product and the magnitudes on the (M1, M2) lattice through
+    the first point; classify reads the point only at count M, where it is exact. The
+    count takes |<q|psi><psi|k>| as a[q]*b[k] (a = |psi|, b = |psi~|), no (M, M) array.
+    A rounded product is monotone in each factor, so the support has exactly the rows
+    a[q]*max(b) > t and the columns b[k]*max(a) > t, and a lattice's least product is
+    that of its least factors. A bounding rectangle of at most M products (every
+    lattice's: M2 rows by M1 columns) is compared in one broadcast, a larger one counted
+    on one sort of b. The magnitudes, |mixed_element_matrix(psi)|, round apart from
+    the products, so the products alone decide the geometry."""
     v, vk = psi.amplitudes, psi.momentum_amplitudes()
     a, b = np.abs(v), np.abs(vk)
     rows, cols = np.flatnonzero(a * b.max() > t), np.flatnonzero(b * a.max() > t)
@@ -181,7 +183,8 @@ def _pure_support(psi: StateVector, t: float, M1: int, M2: int):
     else:  # M points in at most M products fill the rectangle: its corner comes first
         count = int(np.count_nonzero(a[rows, None] * b[cols] > t))
         q, k = (int(rows[0]), int(cols[0])) if count else (0, 0)
-    return count, (q, k), lambda: np.abs(np.outer(v[q % M1::M1], np.conj(vk[k % M2::M2])))
+    r, c = slice(q % M1, None, M1), slice(k % M2, None, M2)  # the lattice's rows, columns
+    return count, (q, k), lambda: (a[r].min() * b[c].min(), np.abs(np.outer(v[r], np.conj(vk[c]))))
 
 
 def _sort_count(a: np.ndarray, b: np.ndarray, t: float) -> int:
@@ -225,7 +228,7 @@ def _dense_support(rho: DensityMatrix, t: float, M1: int, M2: int):
         r = (sq - i) % M1  # the block's first lattice row, lattice row j of rho
         j, block = (i + r - sq) // M1, mag[r:n:M1, sk::M2]
         on_lattice[j:j + len(block)] = block
-    return count, first, lambda: on_lattice
+    return count, first, lambda: (on_lattice.min(), on_lattice)
 
 
 def support(
@@ -260,13 +263,13 @@ def classify_vn_state(
     M = split.M
     t = _support_threshold(_dim(rho), threshold)
     read = _pure_support if isinstance(rho, StateVector) else _dense_support
-    count, (first_q, first_k), lattice_magnitudes = read(rho, t, split.M1, split.M2)
+    count, (first_q, first_k), read_lattice = read(rho, t, split.M1, split.M2)
     if count != M:
         return NotVN("wrong count", f"support has {count} points, expected {M}")
     lattice = VNLattice(split, first_q % split.M1, first_k % split.M2)
-    on_lattice = lattice_magnitudes()
+    least, on_lattice = read_lattice()
     # M points above t, all of them on the lattice: the support is the lattice
-    if rho.dim != M or not (on_lattice > t).all():
+    if rho.dim != M or not least > t:
         return NotVN(
             "wrong support geometry",
             f"support is not the {split.describe()} lattice shifted to "

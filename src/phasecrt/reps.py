@@ -13,13 +13,13 @@ omega_M1**q1, and translate(M, M1), eigenvalue omega_M2**k2:
 C2 and E_POS are position combs, C1 and E_MOM momentum combs: one small DFT
 phase table scattered through an index table (crt_grid, the Good-Thomas map,
 for the C kinds; the Cooley-Tukey table for the E kinds); a momentum comb is
-the orthonormal inverse FFT of its momentum scatter. Built bases keep that
-structure, and a Gram or overlap streams from it in blocks of at most
-_SCRATCH_BYTES: square blocks of whole classes for two combs of one side and
-classes, a gather over the smaller class for a position against a momentum
-comb, else (or if its integer checks fail) row blocks of the dense product.
-Each reduction drops a block once read; only overlap_matrix forms the whole
-(M, M) array. The E kinds exist for any divisor M1 of M, the C kinds need
+the orthonormal inverse FFT of its momentum scatter. A built basis keeps that
+structure as a claim, checked once in exact integers when the basis is made,
+and a Gram or overlap streams from it in blocks of at most _SCRATCH_BYTES:
+square blocks of whole classes for two combs of one side and classes, else a
+gather over the smaller class; a plain basis takes row blocks of the dense
+product. Each reduction drops a block once read; only overlap_matrix forms the
+whole (M, M) array. The E kinds exist for any divisor M1 of M, the C kinds need
 gcd(M1, M2) = 1. C1 and C2 agree vector for vector; the others up to the
 label-dependent phases of CROSS_PHASE_FORMS, checked by compare_cross_phases.
 """
@@ -84,7 +84,7 @@ class RepBasis:
             self.split = None
         self.conjugated = conjugated
         self._amps = amps
-        self._comb = None  # a builder's (side, class points, coefficients); see _product
+        self._comb = None  # a checked (side, class points, coefficients); see _comb_basis
 
     @property
     def M(self) -> int:
@@ -150,10 +150,20 @@ def _comb(kind: BasisKind, side: str, index: np.ndarray, slope: int) -> RepBasis
 
 def _comb_basis(kind: BasisKind, amps: np.ndarray, side: str, points: np.ndarray,
                 coefficients: np.ndarray | None = None) -> RepBasis:
-    """The basis of (M1, M2, M) amps, claimed a comb on side with a row of points per
-    class; a position comb's amplitudes are its coefficients. _product checks the
-    claim in exact integers and falls back to dense blocks where it fails."""
+    """The basis of the fresh (M1, M2, M) array amps, claimed a comb on side with a row
+    of points per class; a momentum comb keeps its coefficients, a position comb's
+    amplitudes are its coefficients. amps is frozen and the claim checked once, in
+    exact integers: the points tile [0, M) and, on the position side, no nonzero
+    amplitude lies off its class's points. If it fails the basis is plain (dense)."""
+    amps.setflags(write=False)
     basis = RepBasis(kind, amps.shape[0], amps.shape[1], amps)
+    if not np.array_equal(np.sort(points, axis=None), np.arange(basis.M)):
+        return basis
+    if side == "position":
+        nonzero = basis._amps != 0
+        on_class = np.take_along_axis(nonzero, points[:, None, :], axis=2)
+        if np.count_nonzero(on_class) != np.count_nonzero(nonzero):
+            return basis
     basis._comb = (side, points, coefficients)
     return basis
 
@@ -275,71 +285,58 @@ def _label_blocks(M: int) -> list[np.ndarray]:
     return np.split(np.arange(M), range(step, M - 1, step))
 
 
-def _on_side(basis: RepBasis, side: str, labels: np.ndarray) -> np.ndarray:
-    """(labels, M) amplitudes over positions (labels a run, so a view) or momenta;
-    a momentum comb's momenta are the coefficients it was built from."""
-    if side == "position":
-        return basis._amps.reshape(basis.M, basis.M)[labels[0]:labels[-1] + 1]
-    if basis._comb and basis._comb[0] == side:  # each label scattered as a class of its own
-        (_, pts, coef), (q1, k2) = basis._comb, np.divmod(labels, basis.M2)
-        return _scatter("position", pts[k2], coef[k2, q1, None], (len(labels), 1, basis.M))[:, 0]
-    return np.fft.fft(basis._amps.reshape(basis.M, basis.M)[labels], norm="ortho")
-
-
-def _class_blocks(basis: RepBasis, side: str, points: np.ndarray) -> np.ndarray | list | None:
-    """The basis' amplitudes on side at points[c], class c by class; None unless
-    the points tile [0, M) and hold every nonzero (exact integer checks)."""
-    if not np.array_equal(np.sort(points, axis=None), np.arange(basis.M)):
+def _class_blocks(basis: RepBasis, points: np.ndarray):
+    """Class c's (V, S) block on demand: the basis' class c at points[c] on its side,
+    a position comb's amplitudes or a momentum comb's coefficients (permuted into
+    points' order unless points are its own). None unless each class c of the
+    basis holds exactly the points of points[c] (an integer check)."""
+    side, own, coefficients = basis._comb
+    if not np.array_equal(np.sort(own, axis=1), np.sort(points, axis=1)):
         return None
-    if basis._comb[1] is points and basis._comb[2] is not None:
-        return basis._comb[2]  # a momentum comb's own coefficients
-    grid = np.arange(basis.M).reshape(basis.M1, basis.M2)
-    grid = grid if side == "position" else grid.T  # a row of labels per class
-    (C, V), blocks = grid.shape, []
-    step = max(1, _SCRATCH_BYTES // (16 * V * basis.M))  # classes of vectors per block
-    for classes in np.split(np.arange(C), range(step, C, step)):
-        vectors = _on_side(basis, side, grid[classes].ravel()).reshape(-1, V, basis.M)
-        taken = [np.take(v, pts, axis=1) for v, pts in zip(vectors, points[classes])]
-        if sum(map(np.count_nonzero, taken)) != np.count_nonzero(vectors):
-            return None
-        blocks.extend(taken)
-    return blocks
+    if side == "position":
+        return lambda c: basis._amps[c].take(points[c], axis=1)
+    if own is points:
+        return coefficients.__getitem__
+    at = np.argsort(own, axis=None) % own.shape[1]  # each point's place in its class of own
+    return lambda c: coefficients[c][:, at[points[c]]]
 
 
 def _product(a: RepBasis, b: RepBasis) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """a^H b as blocks g[ix_(rows, cols)] over ascending labels, exact zeros outside
     them. Of two combs, c has the smaller class. With the other on c's side and
-    classes: square blocks of whole classes; else c's classes gather a block of the
-    other's labels on c's side (M * class size work each); else dense row blocks."""
+    classes: square blocks of whole classes, each class's blocks read in turn; else
+    c's classes gather a block of the other's labels on c's side (M * class size
+    work each). A basis without a claim takes dense row blocks."""
     M, every = a.M, np.arange(a.M)
     if a._comb and b._comb:
         c, other = (a, b) if a._comb[1].shape[1] <= b._comb[1].shape[1] else (b, a)
-        side, points, _ = c._comb
-        kc = _class_blocks(c, side, points)
+        side, points, coefficients = c._comb
         same = other._comb[0] == side and (a.M1, a.M2) == (b.M1, b.M2)
-        ko = kc if other is c else _class_blocks(other, side, points) if same else None
-        if kc is not None and ko is not None:
+        ko = _class_blocks(other, points) if same else None
+        if ko is not None:  # classes of one size, so c is a
             # n classes of V vectors per square block, exact zeros between classes
-            grid, V = np.arange(M).reshape(a.M1, a.M2), len(kc[0])
+            kc, (C, V) = _class_blocks(c, points), points.shape
+            grid = np.arange(M).reshape(a.M1, a.M2)
             step = max(1, math.isqrt(_SCRATCH_BYTES // 16) // V)
-            for classes in np.split(np.arange(len(kc)), range(step, len(kc), step)):
+            for classes in np.split(np.arange(C), range(step, C, step)):
                 n = len(classes)
                 g = np.zeros((n, V, n, V) if side == "position" else (V, n, V, n), np.complex128)
                 view = g if side == "position" else g.transpose(1, 0, 3, 2)
                 for k, cls in enumerate(classes):
-                    np.matmul(kc[cls].conj(), ko[cls].T, out=view[k, :, k, :])
+                    np.matmul(kc(cls).conj(), ko(cls).T, out=view[k, :, k, :])
                 labels = (grid[classes] if side == "position" else grid[:, classes]).ravel()
                 yield labels, labels, g.reshape(n * V, n * V)
             return
-        if kc is not None:
-            kc = np.conj(kc)
-            for labels in _label_blocks(M):
-                gathered = _on_side(other, side, labels).T[points]  # [class, point, label]
-                g = np.empty((c.M1, c.M2, len(labels)), np.complex128)
-                np.matmul(kc, gathered, out=g if side == "position" else g.swapaxes(0, 1))
-                g = g.reshape(M, -1)
-                yield (every, labels, g) if c is a else (labels, every, np.conjugate(g, out=g).T)
-            return
+        kc = np.conj(coefficients if side == "momentum"
+                     else np.take_along_axis(c._amps, points[:, None, :], axis=2))
+        for labels in _label_blocks(M):
+            run = other._amps.reshape(M, M)[labels[0]:labels[-1] + 1]  # a view
+            run = run if side == "position" else np.fft.fft(run, norm="ortho")
+            g = np.empty((c.M1, c.M2, len(labels)), np.complex128)
+            np.matmul(kc, run.T[points], out=g if side == "position" else g.swapaxes(0, 1))
+            g = g.reshape(M, -1)
+            yield (every, labels, g) if c is a else (labels, every, np.conjugate(g, out=g).T)
+        return
     for labels in _label_blocks(M):
         yield labels, every, np.conj(a._amps.reshape(M, M)[labels]) @ b.as_matrix()
 

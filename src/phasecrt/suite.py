@@ -126,7 +126,7 @@ def _check_mub(checks, M, F):
     err, tol = np.abs(np.abs(F) - 1.0 / math.sqrt(M)), 1e-12 * math.sqrt(M)
     q, k = divmod(int(np.argmax(err)), M)  # F[q, k] = <q|k>
     _add(checks, "fourier.mub", "every |<q|k>| equals 1/sqrt(M)", float(err[q, k]), 0.0, tol,
-         note=f"worst at (q={q}, k={k})" if err[q, k] > tol else "")
+         note="" if err[q, k] <= tol else f"worst at (q={q}, k={k})")  # a NaN fails too
 
 
 def _check_periods(checks, M):
@@ -152,7 +152,7 @@ def _check_shift_relations(checks, M, tol, F):
     for r in _label_blocks(M):
         got = _apply_rows(clock(M, M), F[r])
         got -= F[(r + 1) % M]  # np.roll(F, -1, axis=0)
-        clock_dev = max(clock_dev, float(np.max(np.abs(got))))
+        clock_dev = float(np.maximum(clock_dev, np.abs(got).max()))  # keeps a NaN
         kets = (r[:, None] == np.arange(M)).astype(np.complex128)
         lowered = ((r[:, None] - 1) % M == np.arange(M)).astype(np.complex128)  # the kets |q - 1>
         bad += int(np.count_nonzero(np.any(_apply_rows(translate(M, 1), kets) != lowered, axis=1)))
@@ -245,7 +245,7 @@ def _check_bases(checks, split, d, tol):
     at = int(np.argmax(err))
     _add(checks, f"basis.c1c2-identity[{d}]",
          "C1 and C2 agree vector for vector (overlap exactly 1)", float(err[at]), 0.0, tol,
-         note=f"worst at (q1={at // split.M2}, k2={at % split.M2})" if err[at] > tol else "")
+         note="" if err[at] <= tol else f"worst at (q1={at // split.M2}, k2={at % split.M2})")
     return comparisons
 
 
@@ -262,17 +262,17 @@ def _check_kernel(checks, split, d, tol):
         brute = np.conj(omega_power(M, FOURIER_SIGN * grid[q1, :, None, None] * grid)
                         / math.sqrt(M))
         err = np.abs(brute - kernel1[q1, None, :, None] * kernel2[:, None, :])
-        at = np.unravel_index(int(np.argmax(err)), err.shape)  # (q2, k1, k2)
-        if err[at] > dev_inv:  # the worst point so far, in CRT-composed labels
+        at = np.unravel_index(int(np.argmax(err)), err.shape)  # (q2, k1, k2), a NaN first
+        if err[at] > dev_inv or err[at] != err[at] and dev_inv == dev_inv:  # a NaN is the worst
             dev_inv, worst = float(err[at]), f"(q={grid[q1, at[0]]}, k={grid[at[1], at[2]]})"
         del err  # the dels keep at most two blocks alive at a time
         plain = (np.exp(-2j * np.pi * (q1 * k1 * split.L1 + q2 * k2 * split.L2) / M)
                  / math.sqrt(M))
-        dev_plain = max(dev_plain, float(np.max(np.abs(brute - plain))))
+        dev_plain = float(np.maximum(dev_plain, np.abs(brute - plain).max()))  # keeps a NaN
         del brute, plain
     _add(checks, f"kernel.product[{d}]",
          "<k|q> factorizes into the two single-factor kernels under CRT labels",
-         dev_inv, 0.0, tol, note=f"worst at {worst}" if dev_inv > tol else "")
+         dev_inv, 0.0, tol, note="" if dev_inv <= tol else f"worst at {worst}")
     matches = [name for name, dev in
                [("with-inverse-factors", dev_inv), ("inverse-free", dev_plain)]
                if dev < tol]

@@ -473,6 +473,36 @@ def test_classify_cases_reach_both_count_routes():
     assert {"rectangle", "sort"} <= set(routes[6:])
 
 
+def test_a_pure_verdict_reads_its_geometry_on_the_products_it_counted():
+    # |x * conj(y)| and |x| * |y| round apart: at a threshold at a product the count
+    # could find exactly a lattice that the geometry test, on the complex magnitudes,
+    # then failed. PLS (1, 3) of 2x15 with a spike of 10x the threshold off it:
+    wide, M = make_split(30, 2), 30
+    pls = build_pls(wide, 1, 3).amplitudes
+    spiked = pls.copy()
+    spiked[0] = 10 * default_support_threshold(M)
+    assert classify_vn_state(StateVector(spiked), wide, 0.1825740997687587) == NotVN(
+        "non-uniform magnitude", "max deviation from 1/sqrt(M) is 8.607e-08")
+    # at every spike position and every threshold at and a float step around a product,
+    # a support of M counted products is a lattice exactly when the geometry holds
+    for q in np.flatnonzero(pls == 0):
+        spiked = pls.copy()
+        spiked[q] = 10 * default_support_threshold(M)
+        psi = StateVector(spiked)
+        products = np.outer(np.abs(psi.amplitudes), np.abs(psi.momentum_amplitudes()))
+        for t in {t for p in products.ravel() for t in around(p)}:
+            counted = products > t
+            if np.count_nonzero(counted) != M:
+                continue
+            points = list(zip(*np.nonzero(counted)))
+            first = VNLattice(wide, int(points[0][0]) % 2, int(points[0][1]) % 15)
+            is_lattice = {PhasePoint(int(a), int(b)) for a, b in points} == lattice_point_set(first)
+            verdict = classify_vn_state(psi, wide, t)
+            assert is_lattice != (verdict == NotVN(
+                "wrong support geometry", f"support is not the 2x15 lattice shifted to "
+                f"({first.shift_q}, {first.shift_k})")), (q, t, verdict)
+
+
 # ------------------------------------------ tiled and streamed dense path --
 
 HERMITIAN_DIMS = [2, 3, lattice._TILE - 1, lattice._TILE, lattice._TILE + 1,
@@ -888,9 +918,7 @@ def corrupted_c2(split):
     basis = build_C2(split)
     amps = amplitudes(basis).copy()
     amps[0, 1, crt_grid(split)[1, 0]] = 0.5
-    bad = RepBasis(BasisKind.C2, split.M1, split.M2, amps)
-    bad._comb = basis._comb
-    return bad
+    return reps._comb_basis(BasisKind.C2, amps, "position", crt_grid(split))
 
 
 def test_corrupted_position_comb_falls_back_to_dense():
@@ -901,7 +929,7 @@ def test_corrupted_position_comb_falls_back_to_dense():
     assert bad.gram_residual() == float(np.max(np.abs(g)))
     epos = build_E_pos(15, 3)
     assert np.array_equal(overlap_matrix(bad, epos), dense_product(bad, epos))
-    # as the other operand of a gather the off-class weight is read, not checked
+    # its claim failed when it was made, so as either operand it is a plain basis
     for other in (epos, build_C1(split)):
         np.testing.assert_allclose(overlap_matrix(other, bad), dense_product(other, bad),
                                    rtol=0, atol=PRODUCT_ATOL)
@@ -922,8 +950,9 @@ def test_a_nan_amplitude_makes_the_gram_residual_nan(keep_comb):
     basis = build_C2(make_split(210, 14))
     amps = amplitudes(basis).copy()
     amps[13, 14, crt_grid(basis.split)[13, 0]] = np.nan
-    bad = RepBasis(BasisKind.C2, 14, 15, amps)
-    bad._comb = basis._comb if keep_comb else None
+    bad = (reps._comb_basis(BasisKind.C2, amps, "position", crt_grid(basis.split)) if keep_comb
+           else RepBasis(BasisKind.C2, 14, 15, amps))
+    assert (bad._comb is not None) == keep_comb  # a NaN on its class keeps the claim
     assert math.isnan(bad.gram_residual())
 
 
@@ -934,8 +963,9 @@ def test_a_nan_amplitude_fails_the_cross_phase_comparison(keep_comb):
     basis = build_C2(split)
     amps = amplitudes(basis).copy()
     amps[1, 2, crt_grid(split)[1, 0]] = np.nan
-    bad = RepBasis(BasisKind.C2, 3, 5, amps)
-    bad._comb = basis._comb if keep_comb else None
+    bad = (reps._comb_basis(BasisKind.C2, amps, "position", crt_grid(split)) if keep_comb
+           else RepBasis(BasisKind.C2, 3, 5, amps))
+    assert (bad._comb is not None) == keep_comb  # a NaN on its class keeps the claim
     cmp = compare_cross_phases(build_C1(split), bad)
     assert cmp.status == "fail"
     assert math.isnan(cmp.max_modulus_error)
@@ -948,9 +978,61 @@ def test_comb_with_overlapping_classes_falls_back_to_dense():
     amps[1] = amps[0]  # class 1 repeats the vectors and the points of class 0
     points = crt_grid(split).copy()
     points[1] = points[0]
-    bad = RepBasis(BasisKind.C2, 3, 5, amps)
-    bad._comb = ("position", points, None)
+    bad = reps._comb_basis(BasisKind.C2, amps, "position", points)
     assert np.array_equal(overlap_matrix(bad, bad), dense_product(bad, bad))
+
+
+def test_a_claim_that_fails_when_made_gives_a_plain_basis():
+    # off-class weight on the position side, or points that do not tile [0, M)
+    split = make_split(15, 3)
+    grid, c1 = crt_grid(split), build_C1(split)
+    c2 = amplitudes(build_C2(split))
+    off = c2.copy()
+    off[0, 1, grid[1, 0]] = 0.5
+    doubled = grid.copy()
+    doubled[1] = grid[0]
+    side, c1_points, coefficients = c1._comb
+    short = c1_points.copy()
+    short[0, 0] = short[0, 1]
+    claims = [(BasisKind.C2, off, "position", grid, None),
+              (BasisKind.C2, c2.copy(), "position", doubled, None),
+              (BasisKind.C1, amplitudes(c1).copy(), "momentum", short, coefficients)]
+    for kind, amps, side, points, coefficients in claims:
+        bad = reps._comb_basis(kind, amps, side, points, coefficients)
+        assert bad._comb is None
+        for a, b in ((bad, bad), (bad, c1), (c1, bad), (bad, build_E_pos(15, 3))):
+            assert np.array_equal(overlap_matrix(a, b), dense_product(a, b))
+    good = reps._comb_basis(BasisKind.C2, c2.copy(), "position", grid)
+    assert good._comb[1] is grid and good._comb[2] is None
+
+
+def test_a_claimed_array_cannot_be_written():
+    split = make_split(15, 3)
+    amps = amplitudes(build_C2(split)).copy()
+    basis = reps._comb_basis(BasisKind.C2, amps, "position", crt_grid(split))
+    assert basis._comb is not None
+    with pytest.raises(ValueError):
+        amps[0, 1, crt_grid(split)[1, 0]] = 0.5
+
+
+def test_class_blocks_are_read_through_the_claim():
+    split = make_split(15, 3)
+    c1, c2 = build_C1(split), build_C2(split)
+    emom, epos = build_E_mom(15, 3), build_E_pos(15, 3)
+    # each class of the other must hold exactly the points of c's class
+    for basis, points in ((epos, c2._comb[1]), (emom, c1._comb[1]), (c1, c1._comb[1])):
+        blocks = reps._class_blocks(basis, points)
+        want = seed_class_blocks(basis, basis._comb[0], points)  # the scan it replaced
+        for c in range(len(points)):
+            assert np.array_equal(blocks(c), want[c])
+    assert np.shares_memory(reps._class_blocks(c1, c1._comb[1])(1), c1._comb[2])  # no copy
+    rolled = c2._comb[1].copy()
+    rolled[:, 0] = np.roll(rolled[:, 0], 1)  # class q1 takes a point of class q1 - 1
+    assert np.array_equal(np.sort(rolled, axis=None), np.arange(15))
+    assert reps._class_blocks(epos, rolled) is None
+    rolled = c1._comb[1].copy()
+    rolled[:, 0] = np.roll(rolled[:, 0], 1)
+    assert reps._class_blocks(emom, rolled) is None
 
 
 # ------------------------------------------------- blocked products --

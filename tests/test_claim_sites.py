@@ -1,0 +1,79 @@
+"""A comb's claim is made and checked in one place.
+
+reps._comb_basis checks a comb claim once, when the basis is made, and the
+products trust it from then on. Code that assigned RepBasis._comb anywhere
+else would skip that check, so this test reads every module of the package
+and every test module and allows only RepBasis.__init__ (which sets None)
+and reps._comb_basis to assign it.
+"""
+
+import ast
+from pathlib import Path
+
+import phasecrt
+
+ROOTS = [Path(phasecrt.__file__).resolve().parent, Path(__file__).resolve().parent]
+ALLOWED = {("reps.py", "RepBasis.__init__"), ("reps.py", "_comb_basis")}
+
+
+def targets(node):
+    """The names and attributes a statement assigns, unpacked."""
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return [t for elt in node.elts for t in targets(elt)]
+    if isinstance(node, ast.Starred):
+        return targets(node.value)
+    return [node]
+
+
+def comb_assignments(tree):
+    """(qualified name of the enclosing function or class, node) for each assignment
+    of ._comb, including setattr(..., "_comb", ...) and del."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        assigned = []
+        if isinstance(node, ast.Assign):
+            assigned = [t for target in node.targets for t in targets(target)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.For)):
+            assigned = targets(node.target)
+        elif isinstance(node, ast.Delete):
+            assigned = [t for target in node.targets for t in targets(target)]
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("setattr", "delattr") and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value == "_comb"):
+            found.append((scope, node))
+        found.extend((scope, node) for t in assigned
+                     if isinstance(t, ast.Attribute) and t.attr == "_comb")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_claim_site_assigns_comb():
+    sites = []
+    for root in ROOTS:
+        for path in sorted(root.glob("*.py")):
+            for scope, node in comb_assignments(ast.parse(path.read_text())):
+                sites.append((path.name, scope))
+                assert (path.name, scope) in ALLOWED, f"{path.name}:{node.lineno} in {scope}"
+                if scope == "RepBasis.__init__":
+                    assert isinstance(node, ast.Assign) and ast.literal_eval(node.value) is None
+    assert sorted(set(sites)) == sorted(ALLOWED)
+
+
+def test_the_guard_sees_each_form_of_assignment():
+    source = """
+def f(basis, good):
+    basis._comb = good._comb
+    a, basis._comb = 1, None
+    setattr(basis, "_comb", None)
+    del basis._comb
+    basis._comb += ()
+    for basis._comb in ():
+        pass
+"""
+    assert [node.lineno for _, node in comb_assignments(ast.parse(source))] == [3, 4, 5, 6, 7, 8]

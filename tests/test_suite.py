@@ -218,12 +218,12 @@ def build_instead(monkeypatch, bad):
 
 def corrupt_c2(monkeypatch, corrupt):
     """Has the suite build C2 of 3x5 from its amplitudes with corrupt applied;
-    the comb structure is kept, so the products check the amplitudes."""
+    the comb is claimed again, so the products read the amplitudes (densely
+    where the corruption breaks the claim)."""
     good = build_basis(BasisKind.C2, 15, 3)
     amps = good.as_matrix().T.reshape(3, 5, 15).copy()
     corrupt(amps)
-    bad = RepBasis(BasisKind.C2, 3, 5, amps)
-    bad._comb = good._comb
+    bad = reps._comb_basis(BasisKind.C2, amps, "position", good._comb[1])
     build_instead(monkeypatch, bad)
     return make_split(15, 3)
 
@@ -317,9 +317,8 @@ class TestWorstLocation:
         coefficients[13, 0] = coefficients[1, 1] = 2 * coefficients[0, 0]
         amps = np.fft.ifft(reps._scatter(side, points, coefficients, (14, 15, 210)),
                            axis=-1, norm="ortho")
-        bad = RepBasis(BasisKind.E_MOM, 14, 15, amps)
-        if keep_comb:
-            bad._comb = (side, points, coefficients)
+        bad = (reps._comb_basis(BasisKind.E_MOM, amps, side, points, coefficients) if keep_comb
+               else RepBasis(BasisKind.E_MOM, 14, 15, amps))
         build_instead(monkeypatch, bad)
         checks = []
         tol = default_tolerance(210)
@@ -381,6 +380,55 @@ class TestWorstLocation:
         assert product.note == f"worst at (q={q}, k={k})"
 
 
+class TestNanIsTheWorst:
+    # a NaN compares False, so a check that keeps its worst value block by block
+    # must rank it first, as np.max does, and its failing record names its location
+    def test_a_nan_kernel_entry_fails_both_kernel_records(self, monkeypatch):
+        real = suite.factor_kernel
+
+        def with_nan(split, k, q):
+            out = np.array(real(split, k, q))
+            if split.M1 == 3:
+                out[0, 1] = np.nan  # <k1=1|q1=0>, in the first of three q1 blocks
+            return out
+
+        split = make_split(15, 3)
+        monkeypatch.setattr(suite, "factor_kernel", with_nan)
+        checks = []
+        suite._check_kernel(checks, split, "3x5", default_tolerance(15))
+        product, form = checks
+        assert product.status == form.status == "fail"
+        assert math.isnan(product.measured) and math.isnan(form.measured)
+        # the first NaN of block q1 = 0 sits at q2 = 0, k1 = 1, k2 = 0
+        q, k = crt_compose(split, 0, 0), crt_compose(split, 1, 0)
+        assert product.note == f"worst at (q={q}, k={k})"
+
+    def test_a_nan_fourier_entry_fails_the_shift_and_mub_records(self):
+        F = fourier_matrix(210).copy()
+        F[4, 11] = np.nan  # in the first of four label blocks
+        assert len(reps._label_blocks(210)) == 4
+        checks = []
+        suite._check_shift_relations(checks, 210, default_tolerance(210), F)
+        raise_ = checks[0]
+        assert raise_.check_id == "operators.shift.momentum-raise"
+        assert raise_.status == "fail" and math.isnan(raise_.measured)
+        checks = []
+        suite._check_mub(checks, 210, F)
+        assert checks[0].status == "fail" and math.isnan(checks[0].measured)
+        assert checks[0].note == "worst at (q=4, k=11)"
+
+    def test_a_nan_c2_amplitude_names_the_c1c2_label(self, monkeypatch):
+        def with_nan(amps):
+            amps[2, 3, np.flatnonzero(amps[2, 3])[0]] = np.nan  # on its class: still a comb
+
+        split = corrupt_c2(monkeypatch, with_nan)
+        checks = []
+        suite._check_bases(checks, split, "3x5", default_tolerance(15))
+        identity = next(c for c in checks if c.check_id == "basis.c1c2-identity[3x5]")
+        assert identity.status == "fail" and math.isnan(identity.measured)
+        assert identity.note == "worst at (q1=2, k2=3)"
+
+
 def heap_peak_in_square_arrays(M):
     # the first call also allocates for lazy imports; that is not working set
     run_suite(15)
@@ -404,6 +452,30 @@ class TestWorkingSet:
     def test_suite_heap_peak_at_667_stays_within_two_and_a_half_square_arrays(self):
         peak = heap_peak_in_square_arrays(667)
         assert peak <= 2.5, f"peak {peak:.2f} (M, M) arrays"
+
+
+def scan_peak_in_square_arrays(M, M1):
+    """The heap _scan(C2, Epos) takes above its two bases, in (M, M) arrays."""
+    split = make_split(M, M1)
+    c2, epos = reps.build_C2(split), reps.build_E_pos(M, M1)
+    reps._scan(c2, epos, modulus=True)  # lazy imports and caches are not working set
+    tracemalloc.start()
+    try:
+        reps._scan(c2, epos, modulus=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * M ** 2)
+
+
+class TestClassBlockWorkingSet:
+    # the square-block route reads each class's blocks as it goes; holding every
+    # class block of both operands took 1.90 arrays at 2x105 and 1.06 at 3x385
+    # (measured 1.15 and 0.50 since)
+    @pytest.mark.parametrize("M, M1, bound", [(210, 2, 1.3), (1155, 3, 0.6)])
+    def test_the_c2_epos_product_holds_no_class_block_lists(self, M, M1, bound):
+        peak = scan_peak_in_square_arrays(M, M1)
+        assert peak <= bound, f"peak {peak:.2f} (M, M) arrays"
 
 
 # every M from 2 to 400 gives no fail record; tier-1 runs a seeded sample,
