@@ -155,6 +155,8 @@ def _comb_basis(kind: BasisKind, amps: np.ndarray, side: str, points: np.ndarray
     amplitudes are its coefficients. amps is frozen and the claim checked once, in
     exact integers: the points tile [0, M) and, on the position side, no nonzero
     amplitude lies off its class's points. If it fails the basis is plain (dense)."""
+    if side == "momentum" and coefficients is None:
+        raise ValueError("a momentum comb's claim needs its coefficients")
     amps.setflags(write=False)
     basis = RepBasis(kind, amps.shape[0], amps.shape[1], amps)
     if not np.array_equal(np.sort(points, axis=None), np.arange(basis.M)):
@@ -341,22 +343,31 @@ def _product(a: RepBasis, b: RepBasis) -> Iterator[tuple[np.ndarray, np.ndarray,
         yield labels, every, np.conj(a._amps.reshape(M, M)[labels]) @ b.as_matrix()
 
 
+def _worst(found, dev, rows, cols):
+    """The larger of found, a running (value, (row, col)) or None, and the largest entry
+    of the block dev at labels (rows[y], cols[x]); a NaN counts as largest and a tie
+    goes to the first label pair in row-major order."""
+    y, x = divmod(int(np.argmax(dev)), dev.shape[1])  # argmax takes the first NaN
+    value, at = float(dev[y, x]), (int(rows[y]), int(cols[x]))
+    if found is None or value > found[0] or value == found[0] and at < found[1] \
+            or value != value and found[0] == found[0]:
+        return value, at
+    return found
+
+
 def _scan(a: RepBasis, b: RepBasis, modulus: bool) -> tuple[np.ndarray, float, str]:
-    """a^H b reduced block by block: its diagonal, the largest (a NaN first) of |g| off it
-    and |g - 1| (or ||g| - 1|) on it, and the first label pair, row-major, where that sits."""
-    diag, worst, at = np.empty(a.M, dtype=np.complex128), -1.0, (0, 0)
+    """a^H b reduced block by block: its diagonal, the _worst of |g| off it and
+    |g - 1| (or ||g| - 1|) on it, and the label pair where that sits."""
+    diag, found = np.empty(a.M, dtype=np.complex128), None
     for rows, cols, block in _product(a, b):
         j = np.searchsorted(cols, rows)
         i = np.flatnonzero(cols.take(j, mode="clip") == rows)  # rows whose label is a column's
         diag[rows[i]] = d = block[i, j[i]]
         dev = np.abs(block)
         dev[i, j[i]] = np.abs((np.abs(d) if modulus else d) - 1.0)
-        y, x = divmod(int(np.argmax(dev)), dev.shape[1])
-        value, where = float(dev[y, x]), (int(rows[y]), int(cols[x]))
-        if value > worst or value == worst and where < at or value != value and worst == worst:
-            worst, at = value, where
-    (q1, k2), (r1, r2) = divmod(at[0], a.M2), divmod(at[1], b.M2)
-    return diag, worst, f"worst at (q1={q1}, k2={k2}) x (q1={r1}, k2={r2})"
+        found = _worst(found, dev, rows, cols)
+    (q1, k2), (r1, r2) = divmod(found[1][0], a.M2), divmod(found[1][1], b.M2)
+    return diag, found[0], f"worst at (q1={q1}, k2={k2}) x (q1={r1}, k2={r2})"
 
 
 # Claimed closed forms for the diagonal phase of each cross-basis overlap,
@@ -441,19 +452,18 @@ def compare_cross_phases(
                              mismatches, worst if status == "fail" else "")
 
 
-def _eigen_deviations(basis: RepBasis) -> np.ndarray:
-    """Residual norm of each vector under each eigen-relation, shape (2, M1, M2):
-    [0] the clock relation, [1] the translate relation."""
+def _eigen_deviations(basis: RepBasis) -> tuple[float, str]:
+    """The _worst residual norm of a vector under its two eigen-relations, over label
+    blocks of vectors, and the label and relation (clock, then translate) where it sits."""
     M, M1, M2 = basis.M, basis.M1, basis.M2
-    cl = clock(M, M1)
-    tr = translate(M, M1 % M)
-    tr_eigenvalues = omega_power(M2, np.arange(M2))[:, None]
-    dev = np.empty((2, M1, M2))
-    for q1 in range(M1):  # one (M2, M) block of vectors at a time
-        block = basis._amps[q1]
-        dev[0, q1] = np.linalg.norm(_apply_rows(cl, block) - omega_power(M1, q1) * block, axis=-1)
-        dev[1, q1] = np.linalg.norm(_apply_rows(tr, block) - tr_eigenvalues * block, axis=-1)
-    return dev
+    cl, tr, found = clock(M, M1), translate(M, M1 % M), None
+    for labels in _label_blocks(M):
+        block = basis._amps.reshape(M, M)[labels[0]:labels[-1] + 1]  # a view
+        dev = [np.linalg.norm(_apply_rows(op, block) - omega_power(n, e)[:, None] * block, axis=-1)
+               for op, n, e in ((cl, M1, labels // M2), (tr, M2, labels % M2))]
+        found = _worst(found, np.stack(dev, axis=1), labels, (0, 1))
+    (q1, k2), relation = divmod(found[1][0], M2), ("clock", "translate")[found[1][1]]
+    return found[0], f"worst at (q1={q1}, k2={k2}), {relation} relation"
 
 
 def eigen_residuals(basis: RepBasis) -> float:
@@ -462,11 +472,4 @@ def eigen_residuals(basis: RepBasis) -> float:
     Relations: clock(M, M1) v = omega_M1**q1 v and
     translate(M, M1) v = omega_M2**k2 v (the step size M1 equals L2 = M/M2).
     """
-    return float(_eigen_deviations(basis).max())
-
-
-def _eigen_worst(basis: RepBasis) -> str:
-    """The vector with the largest eigen-relation residual, and the relation."""
-    dev = _eigen_deviations(basis)
-    relation, q1, k2 = np.unravel_index(int(dev.argmax()), dev.shape)
-    return f"worst at (q1={q1}, k2={k2}), {('clock', 'translate')[relation]} relation"
+    return _eigen_deviations(basis)[0]

@@ -8,8 +8,9 @@ closed form that disagrees with brute force while the table itself is clean
 (delta structure, unit-modulus phases at exact roots of unity) is recorded as
 a "discrepancy" and does not fail the suite; the constructed linear algebra
 is the truth source. Each check is one batched array expression over a
-bounded block: the kernel check takes one q1 at a time, a split keeps two of
-its bases alive at a time, and products stream in blocks of labels. The PLS
+bounded block: a split keeps two of its bases alive at a time, and products
+and the eigen, kernel and shift relations stream in blocks of labels, each
+folded into its worst value and location by one rule (reps._worst). The PLS
 check is one pass over the labels: build, classify, conjugate, classify the
 conjugate against the swapped split. A state keeps the DFT its verdict takes,
 and conjugate_state reads it, so each PLS costs two DFTs.
@@ -40,9 +41,10 @@ from .numtheory import chi, crt_compose, crt_decompose, crt_grid, enumerate_spli
 from .reps import (
     BasisKind,
     _comb_basis,
-    _eigen_worst,
+    _eigen_deviations,
     _label_blocks,
     _scan,
+    _worst,
     build_basis,
     build_pls,
     compare_cross_phases,
@@ -148,16 +150,18 @@ def _check_commutator(checks, M):
 
 def _check_shift_relations(checks, M, tol, F):
     # a block of rows at a time: row k of F is the momentum ket |k>, of the identity |q>
-    clock_dev, bad = 0.0, 0
+    found, bad, every = None, 0, np.arange(M)
     for r in _label_blocks(M):
         got = _apply_rows(clock(M, M), F[r])
         got -= F[(r + 1) % M]  # np.roll(F, -1, axis=0)
-        clock_dev = float(np.maximum(clock_dev, np.abs(got).max()))  # keeps a NaN
-        kets = (r[:, None] == np.arange(M)).astype(np.complex128)
-        lowered = ((r[:, None] - 1) % M == np.arange(M)).astype(np.complex128)  # the kets |q - 1>
+        found = _worst(found, np.abs(got), r, every)
+        kets = (r[:, None] == every).astype(np.complex128)
+        lowered = ((r[:, None] - 1) % M == every).astype(np.complex128)  # the kets |q - 1>
         bad += int(np.count_nonzero(np.any(_apply_rows(translate(M, 1), kets) != lowered, axis=1)))
+    clock_dev, (k, q) = found
     _add(checks, "operators.shift.momentum-raise",
-         "clock(M,M) maps |k> to |k+1>", clock_dev, 0.0, tol)
+         "clock(M,M) maps |k> to |k+1>", clock_dev, 0.0, tol,
+         note="" if clock_dev <= tol else f"worst at (k={k}, q={q})")
     _add(checks, "operators.shift.position-lower",
          "translate(M,1) maps |q> to |q-1> exactly", bad, 0, 0)
 
@@ -233,7 +237,7 @@ def _check_bases(checks, split, d, tol):
             residual = eigen_residuals(basis)
             _add(records[kind], f"basis.eigen.{kind.value}[{d}]",
                  f"every {kind.value} vector satisfies both eigen-relations",
-                 residual, 0.0, tol, note="" if residual <= tol else _eigen_worst(basis))
+                 residual, 0.0, tol, note="" if residual <= tol else _eigen_deviations(basis)[1])
         if previous is not None:
             a, b = (previous, basis) if (previous.kind, kind) in _PHASE_PAIRS else (basis, previous)
             overlap = _scan(a, b, modulus=True) if (a.kind, b.kind) == _PHASE_PAIRS[0] else None
@@ -251,28 +255,24 @@ def _check_bases(checks, split, d, tol):
 
 def _check_kernel(checks, split, d, tol):
     M, M1, M2 = split.M, split.M1, split.M2
-    grid = crt_grid(split)
-    r1, r2 = np.arange(M1), np.arange(M2)
-    kernel1 = factor_kernel(split, r1, r1[:, None])  # [q1, k1]
-    kernel2 = factor_kernel(split.swapped(), r2, r2[:, None])  # [q2, k2]
-    q2, k1, k2 = np.ix_(r2, r1, r2)
-    dev_inv, dev_plain, worst = 0.0, 0.0, ""
-    for q1 in range(M1):  # one (M2, M1, M2) block of [q2, k1, k2] at a time
+    q, every = crt_grid(split).ravel(), np.arange(M)
+    n1, n2 = np.arange(M1), np.arange(M2)
+    kernel1 = factor_kernel(split, n1, n1[:, None])  # [q1, k1]
+    kernel2 = factor_kernel(split.swapped(), n2, n2[:, None])  # [q2, k2]
+    r1, r2 = np.divmod(every, M2)  # the (q1, q2) of a row, the (k1, k2) of a column
+    found = found_plain = None
+    for r in _label_blocks(M):
         # <k|q> = conj(F[q, k]) at CRT-composed labels, without a dense F
-        brute = np.conj(omega_power(M, FOURIER_SIGN * grid[q1, :, None, None] * grid)
-                        / math.sqrt(M))
-        err = np.abs(brute - kernel1[q1, None, :, None] * kernel2[:, None, :])
-        at = np.unravel_index(int(np.argmax(err)), err.shape)  # (q2, k1, k2), a NaN first
-        if err[at] > dev_inv or err[at] != err[at] and dev_inv == dev_inv:  # a NaN is the worst
-            dev_inv, worst = float(err[at]), f"(q={grid[q1, at[0]]}, k={grid[at[1], at[2]]})"
-        del err  # the dels keep at most two blocks alive at a time
-        plain = (np.exp(-2j * np.pi * (q1 * k1 * split.L1 + q2 * k2 * split.L2) / M)
-                 / math.sqrt(M))
-        dev_plain = float(np.maximum(dev_plain, np.abs(brute - plain).max()))  # keeps a NaN
-        del brute, plain
+        brute = np.conj(omega_power(M, FOURIER_SIGN * q[r, None] * q) / math.sqrt(M))
+        found = _worst(found, np.abs(brute - kernel1[r1[r, None], r1] * kernel2[r2[r, None], r2]),
+                       r, every)
+        plain = omega_power(M, -(r1[r, None] * r1 * split.L1 + r2[r, None] * r2 * split.L2))
+        found_plain = _worst(found_plain, np.abs(brute - plain / math.sqrt(M)), r, every)
+    (dev_inv, (i, j)), dev_plain = found, found_plain[0]
+    worst = f"worst at (q={q[i]}, k={q[j]})"
     _add(checks, f"kernel.product[{d}]",
          "<k|q> factorizes into the two single-factor kernels under CRT labels",
-         dev_inv, 0.0, tol, note="" if dev_inv <= tol else f"worst at {worst}")
+         dev_inv, 0.0, tol, note="" if dev_inv <= tol else worst)
     matches = [name for name, dev in
                [("with-inverse-factors", dev_inv), ("inverse-free", dev_plain)]
                if dev < tol]
@@ -280,7 +280,8 @@ def _check_kernel(checks, split, d, tol):
          "which factorized kernel form matches brute force",
          dev_inv, 0.0, tol,
          note=f"matching forms: {matches or ['none']}; "
-              f"inverse-free form max deviation {dev_plain:.3e}",
+              f"inverse-free form max deviation {dev_plain:.3e}"
+              + ("" if "with-inverse-factors" in matches else f"; {worst}"),
          status="pass" if "with-inverse-factors" in matches else "fail")
 
 
@@ -322,9 +323,10 @@ def _check_pls(checks, split, d, tol):
         verdict = classify_vn_state(conjugate_state(state), swapped)
         bad_conjugate += int(verdict != VNLattice(swapped, k2, q1))
     stack = _comb_basis(BasisKind.C2, amps, "position", crt_grid(split))
+    residual = stack.gram_residual()
     _add(checks, f"pls.orthonormal[{d}]",
-         "the M partially localized states are orthonormal",
-         stack.gram_residual(), 0.0, tol)
+         "the M partially localized states are orthonormal", residual, 0.0, tol,
+         note="" if residual <= tol else _scan(stack, stack, modulus=False)[2])
     # each wrong verdict leaves its shift unseen and its lattice's cells uncovered
     _add(checks, f"pls.lattice-bijection[{d}]",
          "each PLS sits over exactly its shifted lattice; supports tile the grid",

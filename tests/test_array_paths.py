@@ -768,7 +768,8 @@ def corrupted(basis):
 
 SPLITS_30_210 = [s for M in (30, 210) for split in enumerate_splits(M)
                  for s in (split, split.swapped())]
-EIGEN_CASES = [(15, 3), (15, 5)] + [(s.M, s.M1) for s in SPLITS_30_210] + [(12, 2), (12, 6)]
+EIGEN_CASES = [(15, 3), (15, 5)] + [(s.M, s.M1) for s in SPLITS_30_210] + [(12, 2), (12, 6),
+                                                                           (330, 2)]
 
 
 @pytest.mark.parametrize("M, M1", EIGEN_CASES)
@@ -820,7 +821,7 @@ def same_records(got, want):
             assert g.measured == pytest.approx(w.measured, rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.parametrize("M", [6, 30, 210])
+@pytest.mark.parametrize("M", [6, 30, 210, 330])  # 330 has the 2xN split 2x165
 def test_shift_and_kernel_records_match_reference(M):
     tol = default_tolerance(M)
     got, want = [], []

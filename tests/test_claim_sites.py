@@ -10,7 +10,13 @@ and reps._comb_basis to assign it.
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import phasecrt
+from phasecrt import reps
+from phasecrt.numtheory import make_split
+from phasecrt.reps import BasisKind, build_C1
 
 ROOTS = [Path(phasecrt.__file__).resolve().parent, Path(__file__).resolve().parent]
 ALLOWED = {("reps.py", "RepBasis.__init__"), ("reps.py", "_comb_basis")}
@@ -77,3 +83,11 @@ def f(basis, good):
         pass
 """
     assert [node.lineno for _, node in comb_assignments(ast.parse(source))] == [3, 4, 5, 6, 7, 8]
+
+
+def test_a_momentum_claim_without_coefficients_is_refused():
+    # a momentum comb's class blocks are its coefficients; a claim without them
+    # would give a basis whose products cannot read its classes
+    c1 = build_C1(make_split(15, 3))
+    with pytest.raises(ValueError, match="coefficients"):
+        reps._comb_basis(BasisKind.C1, np.array(c1._amps), "momentum", c1._comb[1])

@@ -126,6 +126,9 @@ class TestPlsRecords:
         failed = {c.check_id: c.measured for c in report.checks if c.status == "fail"}
         # |<PLS(0, 0)|PLS(1, k2)>| = (1/sqrt(5))**2 at the moved position
         assert failed.pop("pls.orthonormal[3x5]") == pytest.approx(0.2)
+        # so do |<PLS(0, 0)|PLS(0, k2)>|, which lost that term; ties fall by roundoff
+        note = next(c.note for c in report.checks if c.check_id == "pls.orthonormal[3x5]")
+        assert re.fullmatch(r"worst at \(q1=0, k2=0\) x \(q1=[01], k2=\d\)", note)
         # one wrong verdict, 14 distinct shifts, an uncovered lattice
         assert failed == {"pls.lattice-bijection[3x5]": 3, "conjugate.duality[3x5]": 1,
                           "lattice.area[3x5]": 1}
@@ -356,8 +359,7 @@ class TestWorstLocation:
 
     def test_failing_kernel_names_its_worst_phase_point(self, monkeypatch):
         # scaling <k1=1|q1=2> and <k2=3|q2=4> by 1.5 moves their product by
-        # 1.25/sqrt(15) and every other entry by at most 0.5/sqrt(15); the joint
-        # point sits in the last q1 block, so the worst is kept across blocks
+        # 1.25/sqrt(15) and every other entry by at most 0.5/sqrt(15)
         real = suite.factor_kernel
 
         def perturbed(split, k, q):
@@ -389,7 +391,7 @@ class TestNanIsTheWorst:
         def with_nan(split, k, q):
             out = np.array(real(split, k, q))
             if split.M1 == 3:
-                out[0, 1] = np.nan  # <k1=1|q1=0>, in the first of three q1 blocks
+                out[0, 1] = np.nan  # <k1=1|q1=0>
             return out
 
         split = make_split(15, 3)
@@ -399,7 +401,7 @@ class TestNanIsTheWorst:
         product, form = checks
         assert product.status == form.status == "fail"
         assert math.isnan(product.measured) and math.isnan(form.measured)
-        # the first NaN of block q1 = 0 sits at q2 = 0, k1 = 1, k2 = 0
+        # the first NaN in row-major (q1, q2) x (k1, k2) order sits at (0, 0) x (1, 0)
         q, k = crt_compose(split, 0, 0), crt_compose(split, 1, 0)
         assert product.note == f"worst at (q={q}, k={k})"
 
@@ -412,10 +414,53 @@ class TestNanIsTheWorst:
         raise_ = checks[0]
         assert raise_.check_id == "operators.shift.momentum-raise"
         assert raise_.status == "fail" and math.isnan(raise_.measured)
+        # row k of the relation is clock|k> - |k+1>: F[4] enters rows 3 and 4 first at q = 11
+        assert raise_.note == "worst at (k=3, q=11)"
         checks = []
         suite._check_mub(checks, 210, F)
         assert checks[0].status == "fail" and math.isnan(checks[0].measured)
         assert checks[0].note == "worst at (q=4, k=11)"
+
+    def test_a_nan_in_a_later_label_block_names_the_epos_label_and_relation(self, monkeypatch):
+        # Epos of 14x15: vector (0, 1) fails in the first of four label blocks
+        # and a NaN in vector (9, 3), label 138, sits in the third; both relations
+        # of that vector are NaN, and the first in row-major order is clock
+        assert len(reps._label_blocks(210)) == 4
+        good = build_basis(BasisKind.E_POS, 210, 14)
+        amps = np.array(good._amps)
+        amps[0, 1, np.flatnonzero(amps[0, 1])[1]] *= -1
+        amps[9, 3, np.flatnonzero(amps[9, 3])[2]] = np.nan
+        build_instead(monkeypatch, reps._comb_basis(BasisKind.E_POS, amps, "position",
+                                                    good._comb[1]))
+        checks = []
+        suite._check_bases(checks, make_split(210, 14), "14x15", default_tolerance(210))
+        eigen = next(c for c in checks if c.check_id == "basis.eigen.Epos[14x15]")
+        assert eigen.status == "fail" and math.isnan(eigen.measured)
+        assert eigen.note == "worst at (q1=9, k2=3), clock relation"
+
+    def test_a_nan_kernel_entry_in_a_later_label_block_names_its_phase_point(self, monkeypatch):
+        # at 2x105 rows (q1, q2) = 0..104 and 105..209 straddle the first two of
+        # four label blocks; <k1=1|q1=1> is NaN, so every row q1 = 1 is NaN from
+        # column (k1, k2) = (1, 0) on, and the first of them, row (1, 0), is in block 2
+        real = suite.factor_kernel
+
+        def with_nan(split, k, q):
+            out = np.array(real(split, k, q))
+            if split.M1 == 2:
+                out[1, 1] = np.nan
+            return out
+
+        split = make_split(210, 2)
+        assert len(reps._label_blocks(210)) == 4
+        monkeypatch.setattr(suite, "factor_kernel", with_nan)
+        checks = []
+        suite._check_kernel(checks, split, "2x105", default_tolerance(210))
+        product, form = checks
+        assert product.status == form.status == "fail"
+        assert math.isnan(product.measured)
+        q = crt_compose(split, 1, 0)
+        assert product.note == f"worst at (q={q}, k={q})"
+        assert form.note.endswith(f"; worst at (q={q}, k={q})")
 
     def test_a_nan_c2_amplitude_names_the_c1c2_label(self, monkeypatch):
         def with_nan(amps):
@@ -476,6 +521,33 @@ class TestClassBlockWorkingSet:
     def test_the_c2_epos_product_holds_no_class_block_lists(self, M, M1, bound):
         peak = scan_peak_in_square_arrays(M, M1)
         assert peak <= bound, f"peak {peak:.2f} (M, M) arrays"
+
+
+def check_peak_in_square_arrays(M, check):
+    """The heap check() takes above its caller, in (M, M) arrays."""
+    check()  # lazy imports and the root table are not working set
+    tracemalloc.start()
+    try:
+        check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (16 * M ** 2)
+
+
+class TestLabelBlockWorkingSet:
+    # the kernel and eigen checks stream label blocks; with a block per q1 they
+    # held 2.00 and 1.01 arrays at 2x665 (measured 0.50 and 0.03 since)
+    def test_the_kernel_check_holds_about_half_an_array_at_2x665(self):
+        split = make_split(1330, 2)
+        peak = check_peak_in_square_arrays(
+            1330, lambda: suite._check_kernel([], split, "2x665", default_tolerance(1330)))
+        assert peak <= 0.75, f"peak {peak:.2f} (M, M) arrays"
+
+    def test_the_eigen_check_holds_a_small_share_of_an_array_at_2x665(self):
+        c2 = reps.build_C2(make_split(1330, 2))
+        peak = check_peak_in_square_arrays(1330, lambda: reps.eigen_residuals(c2))
+        assert peak <= 0.25, f"peak {peak:.2f} (M, M) arrays"
 
 
 # every M from 2 to 400 gives no fail record; tier-1 runs a seeded sample,
