@@ -107,6 +107,17 @@ class StateVector:
         return f"StateVector(dim={self.dim}, normalized={self.normalized})"
 
 
+def _fill_momentum(states: list[StateVector]) -> None:
+    """Give fresh states of one dimension their DFTs, taken as one batched FFT: a
+    state keeps its row of the frozen result, byte for byte what its
+    momentum_amplitudes() would compute (a row FFT does a lone FFT's arithmetic)."""
+    rows = np.fft.fft(np.stack([state.amplitudes for state in states]), axis=-1)
+    rows /= math.sqrt(rows.shape[-1])
+    rows.setflags(write=False)
+    for state, row in zip(states, rows):
+        state._momentum = row
+
+
 def _check_label(M: int, value: int, name: str) -> None:
     if not 0 <= value < M:
         raise ValueError(f"{name}={value} out of range [0, {M})")

@@ -193,8 +193,8 @@ def build_pls(split: CoprimeSplit, q01: int, k02: int) -> StateVector:
     amps = np.zeros(split.M, dtype=np.complex128)
     q2 = np.arange(split.M2)
     row = (q01 * split.N1 * split.L1 + q2 * split.N2 * split.L2) % split.M  # crt_grid(split)[q01]
-    amps[row] = omega_power(split.M2, split.N2 * k02 * q2)
-    return StateVector(amps / math.sqrt(split.M2), normalized=True)
+    amps[row] = omega_power(split.M2, split.N2 * k02 * q2) / math.sqrt(split.M2)
+    return StateVector(amps, normalized=True)
 
 
 def _check_divisor(M: int, M1: int) -> int:

@@ -11,9 +11,10 @@ is the truth source. Each check is one batched array expression over a
 bounded block: a split keeps two of its bases alive at a time, and products
 and the eigen, kernel and shift relations stream in blocks of labels, each
 folded into its worst value and location by one rule (reps._worst). The PLS
-check is one pass over the labels: build, classify, conjugate, classify the
-conjugate against the swapped split. A state keeps the DFT its verdict takes,
-and conjugate_state reads it, so each PLS costs two DFTs.
+check walks the labels in the same blocks: build, classify, conjugate, classify
+the conjugate against the swapped split. Each PLS costs two transforms, its own
+and its conjugate's, taken as one FFT per label block on each side: a state
+keeps its row, its verdict reads it, and conjugate_state reads it too.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from .core import (
     FOURIER_SIGN,
     _apply_rows,
+    _fill_momentum,
     clock,
     compose,
     default_tolerance,
@@ -313,15 +315,21 @@ def _check_cross_phases(checks, split, d, tol, comparisons):
 def _check_pls(checks, split, d, tol):
     swapped, amps = split.swapped(), np.empty((split.M1, split.M2, split.M), dtype=np.complex128)
     bad = bad_conjugate = wrong_count = 0
-    for q1, k2 in np.ndindex(split.M1, split.M2):  # one state and its conjugate at a time
-        state = build_pls(split, q1, k2)
-        amps[q1, k2] = state.amplitudes
-        verdict = classify_vn_state(state, split)
-        bad += int(verdict != VNLattice(split, q1, k2))
-        wrong_count += int(isinstance(verdict, NotVN) and verdict.reason == "wrong count")
-        # conjugate_state reads the DFT that the verdict took and the state keeps
-        verdict = classify_vn_state(conjugate_state(state), swapped)
-        bad_conjugate += int(verdict != VNLattice(swapped, k2, q1))
+    for block in _label_blocks(split.M):  # each side's DFTs taken as one FFT per block
+        labels = [divmod(int(i), split.M2) for i in block]
+        states = [build_pls(split, q1, k2) for q1, k2 in labels]
+        for (q1, k2), state in zip(labels, states):
+            amps[q1, k2] = state.amplitudes
+        _fill_momentum(states)
+        for (q1, k2), state in zip(labels, states):
+            verdict = classify_vn_state(state, split)
+            bad += int(verdict != VNLattice(split, q1, k2))
+            wrong_count += int(isinstance(verdict, NotVN) and verdict.reason == "wrong count")
+        states = [conjugate_state(state) for state in states]  # each reads its state's row
+        _fill_momentum(states)
+        for (q1, k2), state in zip(labels, states):
+            verdict = classify_vn_state(state, swapped)
+            bad_conjugate += int(verdict != VNLattice(swapped, k2, q1))
     stack = _comb_basis(BasisKind.C2, amps, "position", crt_grid(split))
     residual = stack.gram_residual()
     _add(checks, f"pls.orthonormal[{d}]",

@@ -6,6 +6,8 @@ table. classify_vn_state counts a pure state's support through
 of one row FFT each; the row FFT is checked against the seed's dense rho @ F,
 and the streamed verdicts against the whole |mixed_element_matrix(rho)|. The
 tiled Hermitian residual of DensityMatrix equals max|rho - rho^H| bit for bit.
+States whose DFTs core._fill_momentum takes as one batched FFT keep each
+state's own DFT bit for bit, and classify and conjugate as fresh states do.
 The references below evaluate the docstring sums label by label with
 crt_compose and omega_power, and classify from the dense complex (M, M)
 product with the lattice's M points and a per-point deviation. Position
@@ -36,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasecrt import lattice, reps, suite
+from phasecrt import core, lattice, reps, suite
 from phasecrt.core import (
     PHASE_EXPONENT_RESIDUAL_TOL,
     StateVector,
@@ -1107,3 +1109,58 @@ def test_blocked_products_reassemble_the_whole_product_bit_for_bit(split):
     assert len(list(reps._label_blocks(split.M))) > 1
     for a, b in pairs:
         assert overlap_matrix(a, b).tobytes() == seed_whole_product(a, b).tobytes(), (a, b)
+
+
+FILL_SPLITS = {M: [s for split in enumerate_splits(M) for s in (split, split.swapped())]
+               for M in (6, 15, 211, 330, 667, 2310)}
+
+
+@st.composite
+def state_stacks(draw):
+    """(rows, cases): 1 to 64 amplitude rows of one dimension, each a PLS, a
+    conjugated PLS, a perturbed PLS or random (211 is prime: random only), and
+    per row an oriented split and the thresholds to classify it at. A perturbed
+    PLS is classified at one of its products a[q]*b[k] and a float step either side."""
+    M = draw(st.sampled_from(sorted(FILL_SPLITS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cases = [], []
+    for _ in range(draw(st.integers(1, 64))):
+        kind = "random" if not FILL_SPLITS[M] else \
+            draw(st.sampled_from(["pls", "conjugated", "perturbed", "random"]))
+        noise = rng.normal(size=M) + 1j * rng.normal(size=M)
+        split = FILL_SPLITS[M][rng.integers(len(FILL_SPLITS[M]))] if FILL_SPLITS[M] else None
+        thresholds = [None]
+        if kind == "random":
+            amps = noise
+        else:
+            amps = build_pls(split, rng.integers(split.M1), rng.integers(split.M2)).amplitudes
+            if kind == "conjugated":
+                amps = conjugate_state(StateVector(amps)).amplitudes
+            elif kind == "perturbed":
+                amps = amps + 10.0 ** rng.uniform(-7, -5) * noise
+                fresh = StateVector(amps)
+                q, k = rng.integers(M, size=2)
+                thresholds += around(np.abs(amps[q]) * np.abs(fresh.momentum_amplitudes()[k]))
+        rows.append(amps)
+        cases.append((rng.choice(FILL_SPLITS[M]) if FILL_SPLITS[M] and rng.random() < 0.5
+                      else split, thresholds))
+    return np.stack(rows), cases
+
+
+@settings(max_examples=60, deadline=None)
+@given(state_stacks())
+def test_filled_momentum_is_each_states_own_dft(stack):
+    rows, cases = stack
+    states = [StateVector(row) for row in rows]
+    core._fill_momentum(states)
+    for row, state, (split, thresholds) in zip(rows, states, cases):
+        fresh = StateVector(row)
+        momentum = state.momentum_amplitudes()
+        assert momentum.tobytes() == fresh.momentum_amplitudes().tobytes()
+        assert not momentum.flags.writeable
+        assert state.momentum_amplitudes() is momentum
+        assert conjugate_state(state).amplitudes.tobytes() \
+            == conjugate_state(fresh).amplitudes.tobytes()
+        for t in thresholds if split is not None else ():
+            got, want = classify_vn_state(state, split, t), classify_vn_state(fresh, split, t)
+            assert got == want and repr(got) == repr(want)

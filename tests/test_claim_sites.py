@@ -1,10 +1,15 @@
-"""A comb's claim is made and checked in one place.
+"""A comb's claim is made and checked in one place; so is a state's DFT.
 
 reps._comb_basis checks a comb claim once, when the basis is made, and the
 products trust it from then on. Code that assigned RepBasis._comb anywhere
 else would skip that check, so this test reads every module of the package
 and every test module and allows only RepBasis.__init__ (which sets None)
 and reps._comb_basis to assign it.
+
+A state's verdicts and its conjugate read StateVector._momentum as its DFT
+without taking it again, so only StateVector.__init__ (which sets None),
+StateVector.momentum_amplitudes and core._fill_momentum, which take that DFT,
+may assign it.
 """
 
 import ast
@@ -20,6 +25,8 @@ from phasecrt.reps import BasisKind, build_C1
 
 ROOTS = [Path(phasecrt.__file__).resolve().parent, Path(__file__).resolve().parent]
 ALLOWED = {("reps.py", "RepBasis.__init__"), ("reps.py", "_comb_basis")}
+MOMENTUM_ALLOWED = {("core.py", "StateVector.__init__"),
+                    ("core.py", "StateVector.momentum_amplitudes"), ("core.py", "_fill_momentum")}
 
 
 def targets(node):
@@ -31,9 +38,9 @@ def targets(node):
     return [node]
 
 
-def comb_assignments(tree):
+def assignments(tree, attr):
     """(qualified name of the enclosing function or class, node) for each assignment
-    of ._comb, including setattr(..., "_comb", ...) and del."""
+    of .attr, including setattr(..., attr, ...) and del."""
     found = []
 
     def visit(node, scope):
@@ -48,10 +55,10 @@ def comb_assignments(tree):
             assigned = [t for target in node.targets for t in targets(target)]
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in ("setattr", "delattr") and len(node.args) >= 2
-              and isinstance(node.args[1], ast.Constant) and node.args[1].value == "_comb"):
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value == attr):
             found.append((scope, node))
         found.extend((scope, node) for t in assigned
-                     if isinstance(t, ast.Attribute) and t.attr == "_comb")
+                     if isinstance(t, ast.Attribute) and t.attr == attr)
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
@@ -59,16 +66,26 @@ def comb_assignments(tree):
     return found
 
 
-def test_only_the_claim_site_assigns_comb():
+def assigning_sites(attr, allowed, init):
+    """Every (module, scope) assigning .attr; each must be allowed, and init sets None."""
     sites = []
     for root in ROOTS:
         for path in sorted(root.glob("*.py")):
-            for scope, node in comb_assignments(ast.parse(path.read_text())):
+            for scope, node in assignments(ast.parse(path.read_text()), attr):
                 sites.append((path.name, scope))
-                assert (path.name, scope) in ALLOWED, f"{path.name}:{node.lineno} in {scope}"
-                if scope == "RepBasis.__init__":
+                assert (path.name, scope) in allowed, f"{path.name}:{node.lineno} in {scope}"
+                if scope == init:
                     assert isinstance(node, ast.Assign) and ast.literal_eval(node.value) is None
-    assert sorted(set(sites)) == sorted(ALLOWED)
+    return sorted(set(sites))
+
+
+def test_only_the_claim_site_assigns_comb():
+    assert assigning_sites("_comb", ALLOWED, "RepBasis.__init__") == sorted(ALLOWED)
+
+
+def test_only_the_dft_sites_assign_momentum():
+    assert (assigning_sites("_momentum", MOMENTUM_ALLOWED, "StateVector.__init__")
+            == sorted(MOMENTUM_ALLOWED))
 
 
 def test_the_guard_sees_each_form_of_assignment():
@@ -82,7 +99,10 @@ def f(basis, good):
     for basis._comb in ():
         pass
 """
-    assert [node.lineno for _, node in comb_assignments(ast.parse(source))] == [3, 4, 5, 6, 7, 8]
+    assert [node.lineno for _, node in assignments(ast.parse(source), "_comb")] == [3, 4, 5, 6, 7, 8]
+    momentum = source.replace("_comb", "_momentum")
+    assert [node.lineno for _, node in assignments(ast.parse(momentum), "_momentum")] \
+        == [3, 4, 5, 6, 7, 8]
 
 
 def test_a_momentum_claim_without_coefficients_is_refused():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from phasecrt import reps, suite
+from phasecrt.core import StateVector
 from phasecrt.reps import BasisKind
 from phasecrt.suite import run_suite
 
@@ -21,7 +22,7 @@ GOLDEN = {report["M"]: {c["id"]: c["status"] for c in report["checks"]}
           ["reports"]}
 
 real_factor_kernel, real_fourier_matrix = suite.factor_kernel, suite.fourier_matrix
-real_build_basis = suite.build_basis
+real_build_basis, real_build_pls = suite.build_basis, suite.build_pls
 
 
 def sign_flipped_kernel(split, k, q):
@@ -45,6 +46,21 @@ def rephased_c2(kind, M, M1):
     return reps._comb_basis(kind, amps, "position", basis._comb[1])
 
 
+def unconjugated_state(state):
+    """The momentum amplitudes of state as positions, without the complex conjugation."""
+    return StateVector(state.momentum_amplitudes(), normalized=state.normalized)
+
+
+def rephased_pls(split, q01, k02):
+    """PLS (1, 2) with one amplitude times 1j; every other PLS as built."""
+    state = real_build_pls(split, q01, k02)
+    if (q01, k02) != (1, 2):
+        return state
+    amps = np.array(state.amplitudes)
+    amps[np.flatnonzero(amps)[0]] *= 1j
+    return StateVector(amps, normalized=True)
+
+
 # row: (the name in suite it replaces, the replacement, the ids it kills; {d} is the split)
 ROWS = {
     "factor_kernel sign flip": ("factor_kernel", sign_flipped_kernel,
@@ -55,6 +71,12 @@ ROWS = {
                                ["basis.gram.C2[{d}]", "basis.eigen.C2[{d}]",
                                 "basis.c1c2-identity[{d}]", "overlap.phase.C1-C2[{d}]",
                                 "overlap.phase.C2-Epos[{d}]"]),
+    # each conjugate is classified on its own transform, not on its PLS's
+    "conjugate_state without conjugation": ("conjugate_state", unconjugated_state,
+                                            ["conjugate.duality[{d}]"]),
+    "PLS amplitude re-phased": ("build_pls", rephased_pls,
+                                ["pls.orthonormal[{d}]", "pls.lattice-bijection[{d}]",
+                                 "conjugate.duality[{d}]", "lattice.area[{d}]"]),
 }
 
 

@@ -12,7 +12,7 @@ from phasecrt import lattice, reps, suite
 from phasecrt.core import StateVector, default_tolerance, fourier_matrix
 from phasecrt.lattice import VNLattice
 from phasecrt.numtheory import crt_compose, crt_grid, enumerate_splits, make_split
-from phasecrt.reps import BasisKind, RepBasis, build_basis
+from phasecrt.reps import BasisKind, RepBasis, _label_blocks, build_basis
 from phasecrt.suite import format_table, reports_to_dict, run_suite, run_suites
 
 
@@ -174,21 +174,39 @@ class TestPlsRecords:
     @pytest.mark.parametrize("M1", [2, 3, 5, 6, 10, 15])
     def test_two_dfts_per_pls(self, M1, monkeypatch):
         # the verdict's DFT of a PLS is the one its conjugate reads; the conjugate's
-        # verdict takes the other, and the stack's Gram takes none
-        calls = 0
+        # verdict takes the other, and the stack's Gram takes none. The transforms
+        # are counted in rows: each label block takes one FFT per side
+        calls = rows = 0
         real = np.fft.fft
 
-        def counted(*args, **kwargs):
-            nonlocal calls
+        def counted(a, *args, **kwargs):
+            nonlocal calls, rows
             calls += 1
-            return real(*args, **kwargs)
+            rows += 1 if np.ndim(a) == 1 else len(a)
+            return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", counted)
         split = make_split(30, M1)
         checks = []
         suite._check_pls(checks, split, split.describe(), default_tolerance(30))
-        assert calls == 2 * 30
+        assert rows == 2 * 30
+        assert calls == 2 * len(_label_blocks(30))
         assert all(c.status == "pass" for c in checks)
+
+    def test_one_fft_per_label_block_on_each_side(self, monkeypatch):
+        # 14x15 of 210 takes its 210 labels in several blocks
+        shapes, real = [], np.fft.fft
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", recorded)
+        split = make_split(210, 14)
+        suite._check_pls([], split, split.describe(), default_tolerance(210))
+        blocks = [(len(block), 210) for block in _label_blocks(210)]
+        assert len(blocks) > 1
+        assert shapes == [shape for shape in blocks for _ in range(2)]
 
     @pytest.mark.parametrize("M", [30, 210])
     def test_every_pls_verdict_counts_on_its_rectangle(self, M, monkeypatch):
