@@ -99,8 +99,7 @@ class StateVector:
         call returns that same read-only array.
         """
         if self._momentum is None:
-            self._momentum = np.fft.fft(self.amplitudes) / math.sqrt(self.dim)
-            self._momentum.setflags(write=False)
+            _fill_momentum([self])
         return self._momentum
 
     def __repr__(self) -> str:
@@ -109,8 +108,9 @@ class StateVector:
 
 def _fill_momentum(states: list[StateVector]) -> None:
     """Give fresh states of one dimension their DFTs, taken as one batched FFT: a
-    state keeps its row of the frozen result, byte for byte what its
-    momentum_amplitudes() would compute (a row FFT does a lone FFT's arithmetic)."""
+    state keeps its row of the frozen result. A row FFT does a lone FFT's
+    arithmetic, so the row's bytes do not depend on the stack (momentum_amplitudes
+    fills a lone state)."""
     rows = np.fft.fft(np.stack([state.amplitudes for state in states]), axis=-1)
     rows /= math.sqrt(rows.shape[-1])
     rows.setflags(write=False)

@@ -1157,6 +1157,7 @@ def test_filled_momentum_is_each_states_own_dft(stack):
         fresh = StateVector(row)
         momentum = state.momentum_amplitudes()
         assert momentum.tobytes() == fresh.momentum_amplitudes().tobytes()
+        assert momentum.tobytes() == (np.fft.fft(row) / math.sqrt(row.size)).tobytes()
         assert not momentum.flags.writeable
         assert state.momentum_amplitudes() is momentum
         assert conjugate_state(state).amplitudes.tobytes() \

@@ -7,9 +7,8 @@ and every test module and allows only RepBasis.__init__ (which sets None)
 and reps._comb_basis to assign it.
 
 A state's verdicts and its conjugate read StateVector._momentum as its DFT
-without taking it again, so only StateVector.__init__ (which sets None),
-StateVector.momentum_amplitudes and core._fill_momentum, which take that DFT,
-may assign it.
+without taking it again, so only StateVector.__init__ (which sets None) and
+core._fill_momentum, which takes that DFT, may assign it.
 """
 
 import ast
@@ -25,8 +24,7 @@ from phasecrt.reps import BasisKind, build_C1
 
 ROOTS = [Path(phasecrt.__file__).resolve().parent, Path(__file__).resolve().parent]
 ALLOWED = {("reps.py", "RepBasis.__init__"), ("reps.py", "_comb_basis")}
-MOMENTUM_ALLOWED = {("core.py", "StateVector.__init__"),
-                    ("core.py", "StateVector.momentum_amplitudes"), ("core.py", "_fill_momentum")}
+MOMENTUM_ALLOWED = {("core.py", "StateVector.__init__"), ("core.py", "_fill_momentum")}
 
 
 def targets(node):

@@ -171,30 +171,13 @@ class TestPlsRecords:
         assert calls == {"build_pls": n, "classify_vn_state": 2 * n, "conjugate_state": n,
                          "StateVector": 2 * n}
 
-    @pytest.mark.parametrize("M1", [2, 3, 5, 6, 10, 15])
-    def test_two_dfts_per_pls(self, M1, monkeypatch):
+    @pytest.mark.parametrize("M, M1", [pytest.param(30, M1, id=str(M1))
+                                       for M1 in (2, 3, 5, 6, 10, 15)]
+                             + [pytest.param(210, 14, id="210-14")])
+    def test_two_dfts_per_pls(self, M, M1, monkeypatch):
         # the verdict's DFT of a PLS is the one its conjugate reads; the conjugate's
-        # verdict takes the other, and the stack's Gram takes none. The transforms
-        # are counted in rows: each label block takes one FFT per side
-        calls = rows = 0
-        real = np.fft.fft
-
-        def counted(a, *args, **kwargs):
-            nonlocal calls, rows
-            calls += 1
-            rows += 1 if np.ndim(a) == 1 else len(a)
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, "fft", counted)
-        split = make_split(30, M1)
-        checks = []
-        suite._check_pls(checks, split, split.describe(), default_tolerance(30))
-        assert rows == 2 * 30
-        assert calls == 2 * len(_label_blocks(30))
-        assert all(c.status == "pass" for c in checks)
-
-    def test_one_fft_per_label_block_on_each_side(self, monkeypatch):
-        # 14x15 of 210 takes its 210 labels in several blocks
+        # verdict takes the other, and the stack's Gram takes none. Each label block
+        # takes one FFT per side (14x15 of 210 takes its labels in several blocks)
         shapes, real = [], np.fft.fft
 
         def recorded(a, *args, **kwargs):
@@ -202,11 +185,13 @@ class TestPlsRecords:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", recorded)
-        split = make_split(210, 14)
-        suite._check_pls([], split, split.describe(), default_tolerance(210))
-        blocks = [(len(block), 210) for block in _label_blocks(210)]
-        assert len(blocks) > 1
+        split = make_split(M, M1)
+        checks = []
+        suite._check_pls(checks, split, split.describe(), default_tolerance(M))
+        blocks = [(len(block), M) for block in _label_blocks(M)]
         assert shapes == [shape for shape in blocks for _ in range(2)]
+        assert sum(rows for rows, _ in shapes) == 2 * M
+        assert all(c.status == "pass" for c in checks)
 
     @pytest.mark.parametrize("M", [30, 210])
     def test_every_pls_verdict_counts_on_its_rectangle(self, M, monkeypatch):
