@@ -106,16 +106,18 @@ class StateVector:
         return f"StateVector(dim={self.dim}, normalized={self.normalized})"
 
 
-def _fill_momentum(states: list[StateVector]) -> None:
-    """Give fresh states of one dimension their DFTs, taken as one batched FFT: a
-    state keeps its row of the frozen result. A row FFT does a lone FFT's
-    arithmetic, so the row's bytes do not depend on the stack (momentum_amplitudes
-    fills a lone state)."""
-    rows = np.fft.fft(np.stack([state.amplitudes for state in states]), axis=-1)
+def _fill_momentum(states: list[StateVector]) -> np.ndarray:
+    """Give fresh states of one dimension their DFTs, taken as one batched FFT, and
+    return the stack of their amplitudes that it transformed: a state keeps its row
+    of the frozen result. A row FFT does a lone FFT's arithmetic, so the row's bytes
+    do not depend on the stack (momentum_amplitudes fills a lone state)."""
+    stack = np.stack([state.amplitudes for state in states])
+    rows = np.fft.fft(stack, axis=-1)
     rows /= math.sqrt(rows.shape[-1])
     rows.setflags(write=False)
     for state, row in zip(states, rows):
         state._momentum = row
+    return stack
 
 
 def _check_label(M: int, value: int, name: str) -> None:
@@ -144,7 +146,13 @@ def momentum_state(M: int, k0: int) -> StateVector:
 
 def fourier_matrix(M: int) -> np.ndarray:
     """F[q, k] = <q|k>; the columns are the momentum states."""
-    F = omega_power(M, np.outer(np.arange(M), FOURIER_SIGN * np.arange(M)))
+    return _fourier_rows(M, np.arange(M))
+
+
+def _fourier_rows(M: int, rows: np.ndarray) -> np.ndarray:
+    """The rows F[rows] of fourier_matrix(M), with the same bytes; F is symmetric, so
+    row k is also the momentum ket |k>."""
+    F = omega_power(M, np.outer(rows, FOURIER_SIGN * np.arange(M)))
     return np.divide(F, math.sqrt(M), out=F)  # in place: F and its exponents at the peak
 
 

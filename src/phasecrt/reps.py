@@ -11,17 +11,19 @@ omega_M1**q1, and translate(M, M1), eigenvalue omega_M2**k2:
   E_POS  sum over position kets q1 + q2*M1
 
 C2 and E_POS are position combs, C1 and E_MOM momentum combs: one small DFT
-phase table scattered through an index table (crt_grid, the Good-Thomas map,
-for the C kinds; the Cooley-Tukey table for the E kinds); a momentum comb is
-the orthonormal inverse FFT of its momentum scatter. A built basis keeps that
-structure as a claim, checked once in exact integers when the basis is made,
-and a Gram or overlap streams from it in blocks of at most _SCRATCH_BYTES:
-square blocks of whole classes for two combs of one side and classes, else a
-gather over the smaller class; a plain basis takes row blocks of the dense
-product. Each reduction drops a block once read; only overlap_matrix forms the
-whole (M, M) array. The E kinds exist for any divisor M1 of M, the C kinds need
-gcd(M1, M2) = 1. C1 and C2 agree vector for vector; the others up to the
-label-dependent phases of CROSS_PHASE_FORMS, checked by compare_cross_phases.
+phase table on the classes of an index table (crt_grid, the Good-Thomas map,
+for the C kinds; the Cooley-Tukey table for the E kinds). A built basis is
+only that claim: its side, each class's points and the coefficients there,
+M * class size numbers, not M**2. Dense rows are read on demand, a block of
+labels at a time (_rows): the coefficients scattered onto their points, and on
+the momentum side taken through the orthonormal inverse FFT. A Gram or overlap
+streams in blocks of at most _SCRATCH_BYTES: square blocks of whole classes for
+two combs of one side and classes, else a gather over the smaller class; a
+plain basis (a claim that failed) keeps its amplitudes and takes row blocks of
+the dense product. Each reduction drops a block once read; only overlap_matrix
+and as_matrix form a whole (M, M) array. The E kinds exist for any divisor M1
+of M, the C kinds need gcd(M1, M2) = 1. C1 and C2 agree vector for vector; the
+others up to the label-dependent phases of CROSS_PHASE_FORMS, checked by compare_cross_phases.
 """
 
 from __future__ import annotations
@@ -69,12 +71,13 @@ class RepBasis:
 
     __slots__ = ("kind", "M1", "M2", "split", "conjugated", "_amps", "_comb")
 
-    def __init__(self, kind: BasisKind, M1: int, M2: int, amps: np.ndarray,
+    def __init__(self, kind: BasisKind, M1: int, M2: int, amps: np.ndarray | None,
                  conjugated: bool = False):
-        amps = np.asarray(amps, dtype=np.complex128).view()  # read-only, not the caller's flags
-        if amps.shape != (M1, M2, M1 * M2):
-            raise ValueError(f"amplitude block must have shape ({M1}, {M2}, {M1 * M2})")
-        amps.setflags(write=False)
+        if amps is not None:  # None only for a comb, whose claim _comb_basis then sets
+            amps = np.asarray(amps, dtype=np.complex128).view()  # read-only, not the caller's
+            if amps.shape != (M1, M2, M1 * M2):
+                raise ValueError(f"amplitude block must have shape ({M1}, {M2}, {M1 * M2})")
+            amps.setflags(write=False)
         self.kind = kind
         self.M1 = M1
         self.M2 = M2
@@ -95,7 +98,7 @@ class RepBasis:
             raise ValueError(f"q1={q1} out of range [0, {self.M1})")
         if not 0 <= k2 < self.M2:
             raise ValueError(f"k2={k2} out of range [0, {self.M2})")
-        return StateVector(self._amps[q1, k2], normalized=True)
+        return StateVector(_rows(self, np.array([q1 * self.M2 + k2]))[0], normalized=True)
 
     def labels(self) -> Iterator[TorusLabel]:
         for q1 in range(self.M1):
@@ -108,7 +111,7 @@ class RepBasis:
 
     def as_matrix(self) -> np.ndarray:
         """Columns are the basis vectors, labels in row-major (q1, k2) order."""
-        return self._amps.reshape(self.M, self.M).T
+        return _rows(self, np.arange(self.M)).T
 
     def gram_residual(self) -> float:
         return _scan(self, self, modulus=False)[1]
@@ -124,50 +127,61 @@ def _phase_table(n: int, slope: int) -> np.ndarray:
     return omega_power(n, slope * np.outer(r, r)) / math.sqrt(n)
 
 
-def _scatter(side: str, points: np.ndarray, coefficients: np.ndarray, shape) -> np.ndarray:
-    """(M1, M2, M) amplitudes, coefficients[c, v, j] at points[c, j] for vector v
-    of class c; classes run along q1 in position and along k2 in momentum."""
-    out = np.zeros(shape, dtype=np.complex128)
-    view = out if side == "position" else out.transpose(1, 0, 2)
-    C, V, _ = coefficients.shape
-    view[np.arange(C)[:, None, None], np.arange(V)[:, None], points[:, None, :]] = coefficients
-    return out
-
-
 def _comb(kind: BasisKind, side: str, index: np.ndarray, slope: int) -> RepBasis:
     """position: vector(q1,k2) = (1/sqrt(M2)) sum_q2 omega_M2**(slope*k2*q2) |q = index[q1, q2]>
     momentum: vector(q1,k2) = (1/sqrt(M1)) sum_k1 omega_M1**(-slope*k1*q1) |k = index[k1, k2]>"""
-    M1, M2 = index.shape
     points = index if side == "position" else index.T  # a row per class
     C, S = points.shape
     coefficients = np.broadcast_to(_phase_table(S, slope if side == "position" else -slope),
                                    (C, S, S))
-    amps = _scatter(side, points, coefficients, (M1, M2, M1 * M2))
-    if side == "momentum":  # <q|k> = omega_M**(q*k) / sqrt(M): the orthonormal inverse DFT
-        np.fft.ifft(amps, axis=-1, norm="ortho", out=amps)
-    return _comb_basis(kind, amps, side, points, coefficients if side == "momentum" else None)
+    return _comb_basis(kind, None, side, points, coefficients)
 
 
-def _comb_basis(kind: BasisKind, amps: np.ndarray, side: str, points: np.ndarray,
+def _comb_basis(kind: BasisKind, amps: np.ndarray | None, side: str, points: np.ndarray,
                 coefficients: np.ndarray | None = None) -> RepBasis:
-    """The basis of the fresh (M1, M2, M) array amps, claimed a comb on side with a row
-    of points per class; a momentum comb keeps its coefficients, a position comb's
-    amplitudes are its coefficients. amps is frozen and the claim checked once, in
-    exact integers: the points tile [0, M) and, on the position side, no nonzero
-    amplitude lies off its class's points. If it fails the basis is plain (dense)."""
+    """The comb on side whose vector v of class c is coefficients[c, v, j] at points[c, j];
+    classes run along q1 in position and along k2 in momentum. Given the fresh
+    (M1, M2, M) array amps too, amps is frozen and the claim checked once: the points
+    tile [0, M) and no nonzero amplitude lies off its class's points (position, in
+    exact integers; the coefficients are read there), or the coefficients' rows are
+    amps bit for bit (momentum). If it fails the basis is plain, amps; a comb keeps
+    only its coefficients."""
     if side == "momentum" and coefficients is None:
         raise ValueError("a momentum comb's claim needs its coefficients")
-    amps.setflags(write=False)
-    basis = RepBasis(kind, amps.shape[0], amps.shape[1], amps)
-    if not np.array_equal(np.sort(points, axis=None), np.arange(basis.M)):
-        return basis
-    if side == "position":
-        nonzero = basis._amps != 0
-        on_class = np.take_along_axis(nonzero, points[:, None, :], axis=2)
-        if np.count_nonzero(on_class) != np.count_nonzero(nonzero):
-            return basis
+    if amps is not None:
+        amps.setflags(write=False)
+        plain = RepBasis(kind, amps.shape[0], amps.shape[1], amps)
+        if not np.array_equal(np.sort(points, axis=None), np.arange(plain.M)):
+            return plain
+        if side == "position":
+            coefficients = np.take_along_axis(amps, points[:, None, :], axis=2)
+            if np.count_nonzero(coefficients) != np.count_nonzero(amps):
+                return plain
+    C, V, _ = coefficients.shape
+    basis = RepBasis(kind, *((C, V) if side == "position" else (V, C)), None)
     basis._comb = (side, points, coefficients)
+    if amps is not None and side == "momentum" and any(
+            _rows(basis, r).tobytes() != _rows(plain, r).tobytes()
+            for r in _label_blocks(plain.M)):
+        return plain
     return basis
+
+
+def _rows(basis: RepBasis, labels: np.ndarray) -> np.ndarray:
+    """The dense amplitudes of the vectors at a run of labels, row-major (q1, k2): a
+    view of a plain basis' array; a comb's coefficients scattered onto their class
+    points, through the orthonormal inverse DFT on the momentum side."""
+    M = basis.M
+    if basis._comb is None:
+        return basis._amps.reshape(M, M)[labels[0]:labels[-1] + 1]
+    side, points, coefficients = basis._comb
+    q1, k2 = np.divmod(labels, basis.M2)
+    c, v = (q1, k2) if side == "position" else (k2, q1)
+    out = np.zeros((len(labels), M), dtype=np.complex128)
+    out[np.arange(len(labels))[:, None], points[c]] = coefficients[c, v]
+    if side == "momentum":  # <q|k> = omega_M**(q*k) / sqrt(M): the orthonormal inverse DFT
+        np.fft.ifft(out, axis=-1, norm="ortho", out=out)
+    return out
 
 
 def build_C1(split: CoprimeSplit) -> RepBasis:
@@ -253,7 +267,8 @@ def conjugate_state(state: StateVector) -> StateVector:
 def conjugate_basis(basis: RepBasis) -> RepBasis:
     """Conjugate every vector and relabel: orientation (M1, M2) -> (M2, M1),
     vector (q1, k2) -> (k2, q1)."""
-    amps = np.conj(np.fft.fft(basis._amps, axis=-1) / math.sqrt(basis.M))
+    amps = _rows(basis, np.arange(basis.M)).reshape(basis.M1, basis.M2, basis.M)
+    amps = np.conj(np.fft.fft(amps, axis=-1) / math.sqrt(basis.M))
     return RepBasis(basis.kind, basis.M2, basis.M1, amps.transpose(1, 0, 2).copy(),
                     conjugated=not basis.conjugated)
 
@@ -280,23 +295,21 @@ def overlap_matrix(basis_a: RepBasis, basis_b: RepBasis) -> np.ndarray:
     return g
 
 
-def _label_blocks(M: int) -> list[np.ndarray]:
+def _label_blocks(M: int, temporaries: int = 1) -> list[np.ndarray]:
     """Runs of a multiple of 16 labels, the last of two or more, so that a block's matmul
-    gives the whole product's bytes: BLAS tiles labels in small multiples, one alone apart."""
-    step = 16 * max(1, _SCRATCH_BYTES // (16 * 16 * M))
+    gives the whole product's bytes: BLAS tiles labels in small multiples, one alone apart.
+    A block's temporaries of M complex entries a label share _SCRATCH_BYTES."""
+    step = 16 * max(1, _SCRATCH_BYTES // (16 * 16 * M * temporaries))
     return np.split(np.arange(M), range(step, M - 1, step))
 
 
 def _class_blocks(basis: RepBasis, points: np.ndarray):
-    """Class c's (V, S) block on demand: the basis' class c at points[c] on its side,
-    a position comb's amplitudes or a momentum comb's coefficients (permuted into
-    points' order unless points are its own). None unless each class c of the
-    basis holds exactly the points of points[c] (an integer check)."""
-    side, own, coefficients = basis._comb
+    """Class c's (V, S) block on demand: the comb's coefficients of class c at points[c]
+    (permuted into points' order unless points are its own). None unless each class c
+    of the basis holds exactly the points of points[c] (an integer check)."""
+    _, own, coefficients = basis._comb
     if not np.array_equal(np.sort(own, axis=1), np.sort(points, axis=1)):
         return None
-    if side == "position":
-        return lambda c: basis._amps[c].take(points[c], axis=1)
     if own is points:
         return coefficients.__getitem__
     at = np.argsort(own, axis=None) % own.shape[1]  # each point's place in its class of own
@@ -322,25 +335,31 @@ def _product(a: RepBasis, b: RepBasis) -> Iterator[tuple[np.ndarray, np.ndarray,
             step = max(1, math.isqrt(_SCRATCH_BYTES // 16) // V)
             for classes in np.split(np.arange(C), range(step, C, step)):
                 n = len(classes)
+                labels = (grid[classes] if side == "position" else grid[:, classes]).ravel()
+                if n == 1 and V * V * 16 > _SCRATCH_BYTES:  # a class's rows in label blocks
+                    kb = ko(classes[0]).T
+                    for r in _label_blocks(V):
+                        yield labels[r], labels, kc(classes[0])[r].conj() @ kb
+                    del kb  # before the next class's is read
+                    continue
                 g = np.zeros((n, V, n, V) if side == "position" else (V, n, V, n), np.complex128)
                 view = g if side == "position" else g.transpose(1, 0, 3, 2)
                 for k, cls in enumerate(classes):
                     np.matmul(kc(cls).conj(), ko(cls).T, out=view[k, :, k, :])
-                labels = (grid[classes] if side == "position" else grid[:, classes]).ravel()
                 yield labels, labels, g.reshape(n * V, n * V)
             return
-        kc = np.conj(coefficients if side == "momentum"
-                     else np.take_along_axis(c._amps, points[:, None, :], axis=2))
+        kc = np.conj(coefficients)
         for labels in _label_blocks(M):
-            run = other._amps.reshape(M, M)[labels[0]:labels[-1] + 1]  # a view
+            run = _rows(other, labels)
             run = run if side == "position" else np.fft.fft(run, norm="ortho")
             g = np.empty((c.M1, c.M2, len(labels)), np.complex128)
             np.matmul(kc, run.T[points], out=g if side == "position" else g.swapaxes(0, 1))
             g = g.reshape(M, -1)
             yield (every, labels, g) if c is a else (labels, every, np.conjugate(g, out=g).T)
         return
+    dense = b.as_matrix()
     for labels in _label_blocks(M):
-        yield labels, every, np.conj(a._amps.reshape(M, M)[labels]) @ b.as_matrix()
+        yield labels, every, np.conj(_rows(a, labels)) @ dense
 
 
 def _worst(found, dev, rows, cols):
@@ -457,8 +476,8 @@ def _eigen_deviations(basis: RepBasis) -> tuple[float, str]:
     blocks of vectors, and the label and relation (clock, then translate) where it sits."""
     M, M1, M2 = basis.M, basis.M1, basis.M2
     cl, tr, found = clock(M, M1), translate(M, M1 % M), None
-    for labels in _label_blocks(M):
-        block = basis._amps.reshape(M, M)[labels[0]:labels[-1] + 1]  # a view
+    for labels in _label_blocks(M, temporaries=8):  # row by row, so any blocks give its bytes
+        block = _rows(basis, labels)
         dev = [np.linalg.norm(_apply_rows(op, block) - omega_power(n, e)[:, None] * block, axis=-1)
                for op, n, e in ((cl, M1, labels // M2), (tr, M2, labels % M2))]
         found = _worst(found, np.stack(dev, axis=1), labels, (0, 1))

@@ -8,13 +8,16 @@ closed form that disagrees with brute force while the table itself is clean
 (delta structure, unit-modulus phases at exact roots of unity) is recorded as
 a "discrepancy" and does not fail the suite; the constructed linear algebra
 is the truth source. Each check is one batched array expression over a
-bounded block: a split keeps two of its bases alive at a time, and products
-and the eigen, kernel and shift relations stream in blocks of labels, each
-folded into its worst value and location by one rule (reps._worst). The PLS
-check walks the labels in the same blocks: build, classify, conjugate, classify
-the conjugate against the swapped split. Each PLS costs two transforms, its own
-and its conjugate's, taken as one FFT per label block on each side: a state
-keeps its row, its verdict reads it, and conjugate_state reads it too.
+bounded block, and no check holds an (M, M) array: a basis is its comb
+coefficients, the Fourier matrix is read in row blocks, and products, the CRT
+delta identity and the eigen, kernel and shift relations stream in blocks of
+labels, each folded into its worst value and location by one rule
+(reps._worst). The PLS check walks the labels in the same blocks: build,
+classify, conjugate, classify the conjugate against the swapped split. Each
+PLS costs two transforms, its own and its conjugate's, taken as one FFT per
+label block on each side: a state keeps its row, its verdict reads it, and
+conjugate_state reads it too. The PLS Gram reads their class coefficients,
+gathered from the block the FFT took; only a PLS off its class makes it dense.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from .core import (
     FOURIER_SIGN,
     _apply_rows,
     _fill_momentum,
+    _fourier_rows,
     clock,
     compose,
     default_tolerance,
-    fourier_matrix,
     global_phase_exponent,
     omega_power,
     operator_order,
@@ -42,9 +45,11 @@ from .lattice import NotVN, VNLattice, classify_vn_state
 from .numtheory import chi, crt_compose, crt_decompose, crt_grid, enumerate_splits, factorize
 from .reps import (
     BasisKind,
+    RepBasis,
     _comb_basis,
     _eigen_deviations,
     _label_blocks,
+    _rows,
     _scan,
     _worst,
     build_basis,
@@ -126,11 +131,13 @@ def _add(checks, check_id, description, measured, expected, tolerance,
 
 # ----------------------------------------------------------------- M-level --
 
-def _check_mub(checks, M, F):
-    err, tol = np.abs(np.abs(F) - 1.0 / math.sqrt(M)), 1e-12 * math.sqrt(M)
-    q, k = divmod(int(np.argmax(err)), M)  # F[q, k] = <q|k>
-    _add(checks, "fourier.mub", "every |<q|k>| equals 1/sqrt(M)", float(err[q, k]), 0.0, tol,
-         note="" if err[q, k] <= tol else f"worst at (q={q}, k={k})")  # a NaN fails too
+def _check_mub(checks, M):
+    found, every, tol = None, np.arange(M), 1e-12 * math.sqrt(M)
+    for r in _label_blocks(M):  # F[q, k] = <q|k>, a block of rows q at a time
+        found = _worst(found, np.abs(np.abs(_fourier_rows(M, r)) - 1.0 / math.sqrt(M)), r, every)
+    err, (q, k) = found
+    _add(checks, "fourier.mub", "every |<q|k>| equals 1/sqrt(M)", err, 0.0, tol,
+         note="" if err <= tol else f"worst at (q={q}, k={k})")  # a NaN fails too
 
 
 def _check_periods(checks, M):
@@ -150,12 +157,13 @@ def _check_commutator(checks, M):
          exponent, (M - 1) % M, 0)
 
 
-def _check_shift_relations(checks, M, tol, F):
+def _check_shift_relations(checks, M, tol):
     # a block of rows at a time: row k of F is the momentum ket |k>, of the identity |q>
     found, bad, every = None, 0, np.arange(M)
     for r in _label_blocks(M):
-        got = _apply_rows(clock(M, M), F[r])
-        got -= F[(r + 1) % M]  # np.roll(F, -1, axis=0)
+        F = _fourier_rows(M, np.append(r, r[-1] + 1) % M)  # the kets |k> and |k + 1>
+        got = _apply_rows(clock(M, M), F[:-1])
+        got -= F[1:]
         found = _worst(found, np.abs(got), r, every)
         kets = (r[:, None] == every).astype(np.complex128)
         lowered = ((r[:, None] - 1) % M == every).astype(np.complex128)  # the kets |q - 1>
@@ -185,12 +193,14 @@ def _check_crt(checks, split, d):
          "compose(decompose(q)) = q for every q", bad, 0, 0)
     _add(checks, f"crt.bijection[{d}]",
          "compose maps the label grid onto [0, M)", len(np.unique(crt_grid(split))), M, 0)
-    q, q1, q2 = np.ix_(np.arange(M), np.arange(split.M1), np.arange(split.M2))
-    lhs = (q - q1 * split.N1 * split.L1 - q2 * split.N2 * split.L2) % M == 0
-    rhs = ((q - q1) % split.M1 == 0) & ((q - q2) % split.M2 == 0)
+    bad = 0
+    for r in _label_blocks(M):  # a block of q at a time
+        q, q1, q2 = np.ix_(r, np.arange(split.M1), np.arange(split.M2))
+        lhs = (q - q1 * split.N1 * split.L1 - q2 * split.N2 * split.L2) % M == 0
+        rhs = ((q - q1) % split.M1 == 0) & ((q - q2) % split.M2 == 0)
+        bad += int(np.count_nonzero(lhs != rhs))
     _add(checks, f"crt.delta-identity[{d}]",
-         "Delta_M(q - q1*N1*L1 - q2*N2*L2) = Delta_M1(q - q1) * Delta_M2(q - q2)",
-         int(np.count_nonzero(lhs != rhs)), 0, 0)
+         "Delta_M(q - q1*N1*L1 - q2*N2*L2) = Delta_M1(q - q1) * Delta_M2(q - q2)", bad, 0, 0)
 
 
 def _check_split_invariants(checks, split, d):
@@ -224,30 +234,26 @@ def _check_operator_splitting(checks, split, d):
 
 def _check_bases(checks, split, d, tol):
     """Gram, eigen and C1-C2 identity records; returns the comparison of each pair
-    of _PHASE_PAIRS. The pairs form a cycle: walking it, with C2 (the cheapest
-    builder) built again to close it, keeps two bases alive at a time."""
-    records = {kind: [] for kind in (BasisKind.C1, BasisKind.C2, BasisKind.E_POS, BasisKind.E_MOM)}
-    comparisons, previous = {}, None
-    for kind in (BasisKind.C2, BasisKind.E_POS, BasisKind.E_MOM, BasisKind.C1, BasisKind.C2):
-        basis = build_basis(kind, split.M, split.M1)
-        if not records[kind]:
-            residual = basis.gram_residual()
-            # a failing record names its worst label pair, from a second streamed Gram
-            _add(records[kind], f"basis.gram.{kind.value}[{d}]",
-                 f"{kind.value} Gram matrix equals the identity", residual, 0.0, tol,
-                 note="" if residual <= tol else _scan(basis, basis, modulus=False)[2])
-            residual = eigen_residuals(basis)
-            _add(records[kind], f"basis.eigen.{kind.value}[{d}]",
-                 f"every {kind.value} vector satisfies both eigen-relations",
-                 residual, 0.0, tol, note="" if residual <= tol else _eigen_deviations(basis)[1])
-        if previous is not None:
-            a, b = (previous, basis) if (previous.kind, kind) in _PHASE_PAIRS else (basis, previous)
-            overlap = _scan(a, b, modulus=True) if (a.kind, b.kind) == _PHASE_PAIRS[0] else None
-            comparisons[a.kind, b.kind] = compare_cross_phases(a, b, tol=tol, overlap=overlap)
-            del a, b  # else they keep the previous pair alive through the next build
-        previous = basis
-    checks.extend(record for kind_records in records.values() for record in kind_records)
-    err = np.abs(overlap[0] - 1.0)  # the C1-C2 diagonal, labels in row-major (q1, k2) order
+    of _PHASE_PAIRS. A basis holds only its comb coefficients, so each kind is built
+    once and all four stay alive."""
+    bases = {kind: build_basis(kind, split.M, split.M1)
+             for kind in (BasisKind.C1, BasisKind.C2, BasisKind.E_POS, BasisKind.E_MOM)}
+    for kind, basis in bases.items():
+        residual = basis.gram_residual()
+        # a failing record names its worst label pair, from a second streamed Gram
+        _add(checks, f"basis.gram.{kind.value}[{d}]",
+             f"{kind.value} Gram matrix equals the identity", residual, 0.0, tol,
+             note="" if residual <= tol else _scan(basis, basis, modulus=False)[2])
+        residual = eigen_residuals(basis)
+        _add(checks, f"basis.eigen.{kind.value}[{d}]",
+             f"every {kind.value} vector satisfies both eigen-relations",
+             residual, 0.0, tol, note="" if residual <= tol else _eigen_deviations(basis)[1])
+    # the C1-C2 overlap feeds its phase comparison and, through its diagonal, the identity
+    c1c2 = _scan(bases[BasisKind.C1], bases[BasisKind.C2], modulus=True)
+    comparisons = {pair: compare_cross_phases(*(bases[kind] for kind in pair), tol=tol,
+                                              overlap=c1c2 if pair == _PHASE_PAIRS[0] else None)
+                   for pair in _PHASE_PAIRS}
+    err = np.abs(c1c2[0] - 1.0)  # labels in row-major (q1, k2) order
     at = int(np.argmax(err))
     _add(checks, f"basis.c1c2-identity[{d}]",
          "C1 and C2 agree vector for vector (overlap exactly 1)", float(err[at]), 0.0, tol,
@@ -263,7 +269,7 @@ def _check_kernel(checks, split, d, tol):
     kernel2 = factor_kernel(split.swapped(), n2, n2[:, None])  # [q2, k2]
     r1, r2 = np.divmod(every, M2)  # the (q1, q2) of a row, the (k1, k2) of a column
     found = found_plain = None
-    for r in _label_blocks(M):
+    for r in _label_blocks(M, temporaries=8):  # element-wise, so any blocks give its bytes
         # <k|q> = conj(F[q, k]) at CRT-composed labels, without a dense F
         brute = np.conj(omega_power(M, FOURIER_SIGN * q[r, None] * q) / math.sqrt(M))
         found = _worst(found, np.abs(brute - kernel1[r1[r, None], r1] * kernel2[r2[r, None], r2]),
@@ -313,14 +319,18 @@ def _check_cross_phases(checks, split, d, tol, comparisons):
 
 
 def _check_pls(checks, split, d, tol):
-    swapped, amps = split.swapped(), np.empty((split.M1, split.M2, split.M), dtype=np.complex128)
+    swapped, grid = split.swapped(), crt_grid(split)
+    coefficients = np.empty((split.M1, split.M2, split.M2), dtype=np.complex128)
     bad = bad_conjugate = wrong_count = 0
+    off = {}  # the amplitudes of each PLS with weight off its class, by label
     for block in _label_blocks(split.M):  # each side's DFTs taken as one FFT per block
         labels = [divmod(int(i), split.M2) for i in block]
         states = [build_pls(split, q1, k2) for q1, k2 in labels]
-        for (q1, k2), state in zip(labels, states):
-            amps[q1, k2] = state.amplitudes
-        _fill_momentum(states)
+        amps = _fill_momentum(states)
+        on = coefficients.reshape(split.M, -1)[block] = np.take_along_axis(
+            amps, grid[block // split.M2], axis=1)
+        for i in np.flatnonzero(np.count_nonzero(on, axis=1) != np.count_nonzero(amps, axis=1)):
+            off[block[i]] = states[i].amplitudes
         for (q1, k2), state in zip(labels, states):
             verdict = classify_vn_state(state, split)
             bad += int(verdict != VNLattice(split, q1, k2))
@@ -330,7 +340,11 @@ def _check_pls(checks, split, d, tol):
         for (q1, k2), state in zip(labels, states):
             verdict = classify_vn_state(state, swapped)
             bad_conjugate += int(verdict != VNLattice(swapped, k2, q1))
-    stack = _comb_basis(BasisKind.C2, amps, "position", crt_grid(split))
+    stack = _comb_basis(BasisKind.C2, None, "position", grid, coefficients)
+    if off:  # a PLS off its class: the stack is plain, its other rows read from the claim
+        amps = _rows(stack, np.arange(split.M))
+        amps[list(off)] = list(off.values())
+        stack = RepBasis(BasisKind.C2, split.M1, split.M2, amps.reshape(split.M1, split.M2, -1))
     residual = stack.gram_residual()
     _add(checks, f"pls.orthonormal[{d}]",
          "the M partially localized states are orthonormal", residual, 0.0, tol,
@@ -358,12 +372,10 @@ def run_suite(M: int, tolerance: float | None = None) -> VerificationReport:
     report = VerificationReport(M=M, splits=[s.describe() for s in splits], tolerance=tol)
     checks = report.checks
 
-    F = fourier_matrix(M)
-    _check_mub(checks, M, F)
+    _check_mub(checks, M)
     _check_periods(checks, M)
     _check_commutator(checks, M)
-    _check_shift_relations(checks, M, tol, F)
-    del F
+    _check_shift_relations(checks, M, tol)
     _check_split_count(checks, M, splits)
     if not splits:
         _add(checks, "splits.none",

@@ -1,7 +1,11 @@
 """Cross-checks of the whole-array paths against scalar reference loops.
 
-The builders scatter small DFT tables through crt_grid or the Cooley-Tukey
-table. classify_vn_state counts a pure state's support through
+The builders place small DFT tables on the classes of crt_grid or the
+Cooley-Tukey table and keep only those coefficients; the dense rows read from
+them on demand (through vector, label blocks and as_matrix, and the files
+`phasecrt basis` writes) must equal in bytes the whole-array builder kept here
+as the reference: one scatter, and one inverse FFT on the momentum side.
+classify_vn_state counts a pure state's support through
 |psi(q)| * |psi~(k)| and streams a density matrix's |rho @ F| in row blocks
 of one row FFT each; the row FFT is checked against the seed's dense rho @ F,
 and the streamed verdicts against the whole |mixed_element_matrix(rho)|. The
@@ -39,6 +43,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasecrt import core, lattice, reps, suite
+from phasecrt.cli import main
 from phasecrt.core import (
     PHASE_EXPONENT_RESIDUAL_TOL,
     StateVector,
@@ -63,6 +68,7 @@ from phasecrt.lattice import (
     support,
 )
 from phasecrt.numtheory import crt_compose, crt_grid, enumerate_splits, make_split
+from phasecrt.statefile import save_basis
 from phasecrt.reps import (
     CROSS_PHASE_FORMS,
     BasisKind,
@@ -82,7 +88,7 @@ from phasecrt.reps import (
     factor_kernel,
     overlap_matrix,
 )
-from phasecrt.reps import _phase_table, _scatter
+from phasecrt.reps import _phase_table
 
 MOMENTUM_ATOL = 4 * np.finfo(np.float64).eps
 
@@ -162,6 +168,29 @@ def amplitudes(basis):
     return basis.as_matrix().T.reshape(basis.M1, basis.M2, basis.M)
 
 
+def seed_scatter(side, points, coefficients, shape):
+    """(M1, M2, M) amplitudes, coefficients[c, v, j] at points[c, j] for vector v
+    of class c; classes run along q1 in position and along k2 in momentum."""
+    out = np.zeros(shape, dtype=np.complex128)
+    view = out if side == "position" else out.transpose(1, 0, 2)
+    C, V, _ = coefficients.shape
+    view[np.arange(C)[:, None, None], np.arange(V)[:, None], points[:, None, :]] = coefficients
+    return out
+
+
+def seed_amplitudes(basis):
+    """oracle: the (M1, M2, M) amplitudes as the builders made them before a comb's rows
+    were read on demand: one whole-array scatter of its coefficients, through one
+    whole-array inverse FFT on the momentum side; a plain basis' own array."""
+    if basis._comb is None:
+        return basis._amps
+    side, points, coefficients = basis._comb
+    amps = seed_scatter(side, points, coefficients, (basis.M1, basis.M2, basis.M))
+    if side == "momentum":
+        np.fft.ifft(amps, axis=-1, norm="ortho", out=amps)
+    return amps
+
+
 ORIENTED_SPLITS = [s for M in (15, 30) for split in enumerate_splits(M)
                    for s in (split, split.swapped())]
 DIVISORS = [(15, 3), (15, 5), (30, 2), (30, 3), (30, 5), (30, 6), (30, 10), (12, 2), (12, 6)]
@@ -183,6 +212,37 @@ def test_e_builders_match_reference(M, M1):
     assert np.array_equal(amplitudes(build_E_pos(M, M1)), reference_e_pos(M, M1))
     np.testing.assert_allclose(amplitudes(build_E_mom(M, M1)), reference_e_mom(M, M1),
                                rtol=0, atol=MOMENTUM_ATOL)
+
+
+ROW_SPLITS = [s for M in (6, 15, 30, 210) for split in enumerate_splits(M)
+              for s in (split, split.swapped())] + [make_split(667, 23), make_split(667, 29)]
+
+
+@pytest.mark.parametrize("split", ROW_SPLITS, ids=lambda s: f"{s.M}:{s.describe()}")
+def test_rows_read_on_demand_are_the_whole_array_builders_bytes(split):
+    # a comb stores its coefficients only; every reader rebuilds rows from them
+    M, blocks = split.M, reps._label_blocks(split.M)
+    for kind, basis in all_bases(M, split.M1).items():
+        assert basis._amps is None and basis._comb is not None, kind
+        want = seed_amplitudes(basis).reshape(M, M)
+        assert basis.as_matrix().tobytes() == want.T.tobytes(), kind
+        assert np.concatenate([reps._rows(basis, r) for r in blocks]).tobytes() \
+            == want.tobytes(), kind
+        for label, vector in basis.items():
+            assert vector.amplitudes.tobytes() == want[label.q1 * split.M2 + label.k2].tobytes()
+
+
+@pytest.mark.parametrize("kind", list(BasisKind))
+@pytest.mark.parametrize("conjugate", [False, True], ids=["plain", "conjugate"])
+def test_basis_files_are_the_whole_array_builders_bytes(kind, conjugate, tmp_path, capsys):
+    # `phasecrt basis 210 14 KIND` writes what the whole-array builders wrote
+    out = tmp_path / "got.json"
+    assert main(["basis", "210", "14", kind.value, "--out", str(out)]
+                + ["--conjugate"] * conjugate) == 0
+    basis = build_basis(kind, 210, 14)
+    seed = RepBasis(kind, 14, 15, seed_amplitudes(basis))
+    save_basis(tmp_path / "want.json", conjugate_basis(seed) if conjugate else seed)
+    assert out.read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 # ---------------------------------------------------------- classifier --
@@ -827,7 +887,7 @@ def same_records(got, want):
 def test_shift_and_kernel_records_match_reference(M):
     tol = default_tolerance(M)
     got, want = [], []
-    suite._check_shift_relations(got, M, tol, fourier_matrix(M))
+    suite._check_shift_relations(got, M, tol)
     reference_check_shift_relations(want, M, tol)
     for split in enumerate_splits(M):
         suite._check_kernel(got, split, split.describe(), tol)
@@ -986,7 +1046,8 @@ def test_comb_with_overlapping_classes_falls_back_to_dense():
 
 
 def test_a_claim_that_fails_when_made_gives_a_plain_basis():
-    # off-class weight on the position side, or points that do not tile [0, M)
+    # off-class weight on the position side, points that do not tile [0, M), or
+    # momentum amplitudes one float step off the rows of their coefficients
     split = make_split(15, 3)
     grid, c1 = crt_grid(split), build_C1(split)
     c2 = amplitudes(build_C2(split))
@@ -997,16 +1058,21 @@ def test_a_claim_that_fails_when_made_gives_a_plain_basis():
     side, c1_points, coefficients = c1._comb
     short = c1_points.copy()
     short[0, 0] = short[0, 1]
+    stepped = amplitudes(c1).copy()
+    stepped[2, 3, 4] = np.nextafter(stepped[2, 3, 4].real, 2) + 1j * stepped[2, 3, 4].imag
     claims = [(BasisKind.C2, off, "position", grid, None),
               (BasisKind.C2, c2.copy(), "position", doubled, None),
-              (BasisKind.C1, amplitudes(c1).copy(), "momentum", short, coefficients)]
+              (BasisKind.C1, amplitudes(c1).copy(), "momentum", short, coefficients),
+              (BasisKind.C1, stepped, "momentum", c1_points, coefficients)]
     for kind, amps, side, points, coefficients in claims:
         bad = reps._comb_basis(kind, amps, side, points, coefficients)
         assert bad._comb is None
         for a, b in ((bad, bad), (bad, c1), (c1, bad), (bad, build_E_pos(15, 3))):
             assert np.array_equal(overlap_matrix(a, b), dense_product(a, b))
     good = reps._comb_basis(BasisKind.C2, c2.copy(), "position", grid)
-    assert good._comb[1] is grid and good._comb[2] is None
+    # it keeps only the coefficients, read at its points
+    assert good._comb[1] is grid and good._amps is None
+    assert good._comb[2].tobytes() == np.take_along_axis(c2, grid[:, None, :], axis=2).tobytes()
 
 
 def test_a_claimed_array_cannot_be_written():
@@ -1042,10 +1108,10 @@ def test_class_blocks_are_read_through_the_claim():
 
 def seed_on_side(basis, side):
     if side == "position":
-        return basis._amps
+        return seed_amplitudes(basis)
     if basis._comb and basis._comb[0] == side:
-        return _scatter(*basis._comb, basis._amps.shape)
-    return np.fft.fft(basis._amps, norm="ortho")
+        return seed_scatter(*basis._comb, (basis.M1, basis.M2, basis.M))
+    return np.fft.fft(seed_amplitudes(basis), norm="ortho")
 
 
 def seed_class_blocks(basis, side, points):
@@ -1079,12 +1145,14 @@ def seed_whole_product(a, b):
             np.matmul(np.conj(kc), gathered, out=g if side == "position" else g.transpose(1, 0, 2))
             g = g.reshape(M, M)
             return g if c is a else np.conjugate(g, out=g).T
-    return a.as_matrix().conj().T @ b.as_matrix()
+    return np.conj(seed_amplitudes(a).reshape(M, M)) @ seed_amplitudes(b).reshape(M, M).T
 
 
-# at 385 the last block would be a single label without the merge
+# at 385 the last block would be a single label without the merge; at 262 a class of
+# 131 vectors is larger than the scratch budget, so its rows come in label blocks
 BLOCKED_SPLITS = [s for M in (210, 667) for split in enumerate_splits(M)
-                  for s in (split, split.swapped())] + [make_split(385, 5), make_split(385, 77)]
+                  for s in (split, split.swapped())] + [make_split(385, 5), make_split(385, 77),
+                                                        make_split(262, 2), make_split(262, 131)]
 
 
 def test_label_blocks_are_runs_of_sixteen_with_no_lone_last_label():
@@ -1152,7 +1220,7 @@ def state_stacks(draw):
 def test_filled_momentum_is_each_states_own_dft(stack):
     rows, cases = stack
     states = [StateVector(row) for row in rows]
-    core._fill_momentum(states)
+    assert core._fill_momentum(states).tobytes() == rows.tobytes()  # the stack it transformed
     for row, state, (split, thresholds) in zip(rows, states, cases):
         fresh = StateVector(row)
         momentum = state.momentum_amplitudes()

@@ -108,4 +108,5 @@ def test_a_momentum_claim_without_coefficients_is_refused():
     # would give a basis whose products cannot read its classes
     c1 = build_C1(make_split(15, 3))
     with pytest.raises(ValueError, match="coefficients"):
-        reps._comb_basis(BasisKind.C1, np.array(c1._amps), "momentum", c1._comb[1])
+        reps._comb_basis(BasisKind.C1, c1.as_matrix().T.reshape(3, 5, 15).copy(), "momentum",
+                         c1._comb[1])

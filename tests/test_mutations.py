@@ -1,7 +1,8 @@
 """Each row corrupts one construction the suite reads, and names the checks it kills.
 
 A row monkeypatches one name in phasecrt.suite, runs the suite at M = 15 and
-35 (one split each, 3x5 and 5x7), and lists the check ids that must fail.
+35 (one split each, 3x5 and 5x7), and lists the check ids that must fail, for
+both or for each M.
 Every failing float record must name where its worst value sits ("worst at"
 in its note), and every other id keeps its status in tests/golden/w1.json.
 """
@@ -14,6 +15,7 @@ import pytest
 
 from phasecrt import reps, suite
 from phasecrt.core import StateVector
+from phasecrt.numtheory import crt_grid, make_split
 from phasecrt.reps import BasisKind
 from phasecrt.suite import run_suite
 
@@ -21,7 +23,7 @@ GOLDEN = {report["M"]: {c["id"]: c["status"] for c in report["checks"]}
           for report in json.loads((Path(__file__).parent / "golden" / "w1.json").read_text())
           ["reports"]}
 
-real_factor_kernel, real_fourier_matrix = suite.factor_kernel, suite.fourier_matrix
+real_factor_kernel, real_fourier_rows = suite.factor_kernel, suite._fourier_rows
 real_build_basis, real_build_pls = suite.build_basis, suite.build_pls
 
 
@@ -30,9 +32,10 @@ def sign_flipped_kernel(split, k, q):
     return np.conj(real_factor_kernel(split, k, q))
 
 
-def scaled_fourier_matrix(M):
-    F = real_fourier_matrix(M)
-    F[2, 3] *= 1.5
+def scaled_fourier_rows(M, rows):
+    """Rows of the Fourier matrix with its entry (2, 3) times 1.5."""
+    F = real_fourier_rows(M, rows)
+    F[rows == 2, 3] *= 1.5
     return F
 
 
@@ -41,9 +44,18 @@ def rephased_c2(kind, M, M1):
     basis = real_build_basis(kind, M, M1)
     if kind is not BasisKind.C2:
         return basis
-    amps = np.array(basis._amps)
+    amps = basis.as_matrix().T.reshape(basis.M1, basis.M2, basis.M).copy()
     amps[1, 2, np.flatnonzero(amps[1, 2])[0]] *= 1j
     return reps._comb_basis(kind, amps, "position", basis._comb[1])
+
+
+def c1_with_n1_plus_one(kind, M, M1):
+    """C1 built with the inverse co-factor N1 + 1 in place of N1: a momentum comb with
+    the wrong phase table, whose rows are read from its coefficients alone."""
+    if kind is not BasisKind.C1:
+        return real_build_basis(kind, M, M1)
+    split = make_split(M, M1)
+    return reps._comb(kind, "momentum", crt_grid(split), split.N1 + 1)
 
 
 def unconjugated_state(state):
@@ -61,16 +73,25 @@ def rephased_pls(split, q01, k02):
     return StateVector(amps, normalized=True)
 
 
-# row: (the name in suite it replaces, the replacement, the ids it kills; {d} is the split)
+# row: (the name in suite it replaces, the replacement, the ids it kills, or per M the
+# ids it kills; {d} is the split)
 ROWS = {
     "factor_kernel sign flip": ("factor_kernel", sign_flipped_kernel,
                                 ["kernel.product[{d}]", "kernel.label-form[{d}]"]),
-    "fourier_matrix entry scaled": ("fourier_matrix", scaled_fourier_matrix,
+    # the suite reads F in row blocks, so the row reader is what it corrupts
+    "fourier_matrix entry scaled": ("_fourier_rows", scaled_fourier_rows,
                                     ["fourier.mub", "operators.shift.momentum-raise"]),
     "C2 amplitude re-phased": ("build_basis", rephased_c2,
                                ["basis.gram.C2[{d}]", "basis.eigen.C2[{d}]",
                                 "basis.c1c2-identity[{d}]", "overlap.phase.C1-C2[{d}]",
                                 "overlap.phase.C2-Epos[{d}]"]),
+    # N1 + 1 = 3 = 0 mod 3 at 3x5: one constant phase per class, so C1's Gram fails too;
+    # N1 + 1 = 4 is a unit mod 5 at 5x7: C1 stays orthonormal, with the wrong eigenvalues
+    "C1 built with N1 + 1": ("build_basis", c1_with_n1_plus_one, {
+        15: ["basis.gram.C1[{d}]", "basis.eigen.C1[{d}]", "basis.c1c2-identity[{d}]",
+             "overlap.phase.C1-C2[{d}]", "overlap.phase.C1-Emom[{d}]"],
+        35: ["basis.eigen.C1[{d}]", "basis.c1c2-identity[{d}]", "overlap.phase.C1-C2[{d}]",
+             "overlap.phase.C1-Emom[{d}]"]}),
     # each conjugate is classified on its own transform, not on its PLS's
     "conjugate_state without conjugation": ("conjugate_state", unconjugated_state,
                                             ["conjugate.duality[{d}]"]),
@@ -84,6 +105,7 @@ ROWS = {
 @pytest.mark.parametrize("row", ROWS)
 def test_a_corruption_fails_exactly_its_checks(row, M, monkeypatch):
     name, replacement, kills = ROWS[row]
+    kills = kills[M] if isinstance(kills, dict) else kills
     monkeypatch.setattr(suite, name, replacement)
     report = run_suite(M)
     (d,) = report.splits

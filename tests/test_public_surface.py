@@ -19,6 +19,7 @@ UNCALLED = {
     "apply": "per-layer metric core.apply; test oracle",
     "support": "per-layer metric lattice.support; test oracle",
     "overlap_matrix": "per-layer metric reps.overlap_matrix; test oracle",
+    "fourier_matrix": "per-layer metric core.fourier_matrix; test oracle",
     # the acceptance criteria state the paper's claims through these
     "position_state": "acceptance criteria",
     "momentum_state": "acceptance criteria",
