@@ -20,10 +20,11 @@ the momentum side taken through the orthonormal inverse FFT. A Gram or overlap
 streams in blocks of at most _SCRATCH_BYTES: square blocks of whole classes for
 two combs of one side and classes, else a gather over the smaller class; a
 plain basis (a claim that failed) keeps its amplitudes and takes row blocks of
-the dense product. Each reduction drops a block once read; only overlap_matrix
-and as_matrix form a whole (M, M) array. The E kinds exist for any divisor M1
-of M, the C kinds need gcd(M1, M2) = 1. C1 and C2 agree vector for vector; the
-others up to the label-dependent phases of CROSS_PHASE_FORMS, checked by compare_cross_phases.
+the dense product. Each reduction drops a block once read; only overlap_matrix,
+as_matrix and conjugate_basis form a whole (M, M) array. The E kinds exist for
+any divisor M1 of M, the C kinds need gcd(M1, M2) = 1. C1 and C2 agree vector
+for vector; the others up to the label-dependent phases of CROSS_PHASE_FORMS,
+checked by compare_cross_phases.
 """
 
 from __future__ import annotations
