@@ -230,6 +230,12 @@ def compose(left: MonomialOperator, right: MonomialOperator) -> MonomialOperator
     )
 
 
+def _fourier_conjugate(op: MonomialOperator) -> MonomialOperator:
+    """F^H op F, op on momentum amplitudes: |k> -> omega**(s*k + a*s + b) |k + a>."""
+    s, a, b = op.shift, op.phase_slope, op.phase_offset
+    return MonomialOperator(op.dim, -FOURIER_SIGN * a, FOURIER_SIGN * s, a * s + b)
+
+
 def equal_up_to_global_phase(a: MonomialOperator, b: MonomialOperator) -> bool:
     """True when a = omega**n * b for some integer n (offsets may differ)."""
     return a.dim == b.dim and a.shift == b.shift and a.phase_slope == b.phase_slope

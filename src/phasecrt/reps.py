@@ -20,7 +20,9 @@ the momentum side taken through the orthonormal inverse FFT. A Gram or overlap
 streams in blocks of at most _SCRATCH_BYTES: square blocks of whole classes for
 two combs of one side and classes, else a gather over the smaller class; a
 plain basis (a claim that failed) keeps its amplitudes and takes row blocks of
-the dense product. Each reduction drops a block once read; only overlap_matrix,
+the dense product. The eigen relations act on blocks of coefficients, in momentum
+through each operator's Fourier conjugate (where clock shifts and translate
+multiplies). Each reduction drops a block once read; only overlap_matrix,
 as_matrix and conjugate_basis form a whole (M, M) array. The E kinds exist for
 any divisor M1 of M, the C kinds need gcd(M1, M2) = 1. C1 and C2 agree vector
 for vector; the others up to the label-dependent phases of CROSS_PHASE_FORMS,
@@ -41,7 +43,7 @@ from .core import (
     _SCRATCH_BYTES,
     DimensionMismatchError,
     StateVector,
-    _apply_rows,
+    _fourier_conjugate,
     clock,
     default_tolerance,
     omega_power,
@@ -369,8 +371,9 @@ def _worst(found, dev, rows, cols):
     goes to the first label pair in row-major order."""
     y, x = divmod(int(np.argmax(dev)), dev.shape[1])  # argmax takes the first NaN
     value, at = float(dev[y, x]), (int(rows[y]), int(cols[x]))
-    if found is None or value > found[0] or value == found[0] and at < found[1] \
-            or value != value and found[0] == found[0]:
+    rank = lambda v: (v != v, 0.0 if v != v else v)  # a NaN above every number
+    if found is None or rank(value) > rank(found[0]) or rank(value) == rank(found[0]) \
+            and at < found[1]:
         return value, at
     return found
 
@@ -473,15 +476,42 @@ def compare_cross_phases(
 
 
 def _eigen_deviations(basis: RepBasis) -> tuple[float, str]:
-    """The _worst residual norm of a vector under its two eigen-relations, over label
-    blocks of vectors, and the label and relation (clock, then translate) where it sits."""
+    """The _worst residual norm of a vector under its two eigen-relations, and the label
+    and relation (clock, then translate) where it sits. Each relation (s, a, b) acts on a
+    comb's coefficients, in momentum as F^H op F: the one at class point p, times
+    omega_M**(a*p + b), moves to p - s, in its class (an integer check). A plain basis, or
+    a comb whose classes a shift does not keep, is one class of all M points read from
+    _rows. A block holds whole classes, or a run of the vectors of one too large alone."""
     M, M1, M2 = basis.M, basis.M1, basis.M2
-    cl, tr, found = clock(M, M1), translate(M, M1 % M), None
-    for labels in _label_blocks(M, temporaries=8):  # row by row, so any blocks give its bytes
-        block = _rows(basis, labels)
-        dev = [np.linalg.norm(_apply_rows(op, block) - omega_power(n, e)[:, None] * block, axis=-1)
-               for op, n, e in ((cl, M1, labels // M2), (tr, M2, labels % M2))]
-        found = _worst(found, np.stack(dev, axis=1), labels, (0, 1))
+    side, points, coefficients = basis._comb or ("position", None, None)
+    ops = [clock(M, M1), translate(M, M1 % M)]
+    acting = [_fourier_conjugate(op) for op in ops] if side == "momentum" else ops
+    if points is None or any(not np.array_equal(np.sort((points + op.shift) % M, axis=1),
+                                                np.sort(points, axis=1)) for op in acting):
+        side, points, coefficients, acting = "position", np.arange(M)[None], None, ops
+    (C, S), V, found = points.shape, M // points.shape[0], None
+    at = np.argsort(points, axis=None) % S  # each point's place in its class
+    moves = [(at[(points + op.shift) % M],  # where the coefficient each point takes sits
+              omega_power(M, op.phase_slope * (points + op.shift) + op.phase_offset))
+             for op in acting]
+    labels = np.arange(M).reshape(C, V) if side == "position" else np.arange(M).reshape(V, C).T
+    eigenvalues = omega_power(M1, labels // M2), omega_power(M2, labels % M2)  # [class, vector]
+    step = _SCRATCH_BYTES // (16 * 4 * V * S)  # whole classes, 4 temporaries an entry
+    runs = [(c, c + step, 0, V) for c in range(0, C, step)] if step else [
+        (c, c + 1, r[0], r[-1] + 1) for c in range(C) for r in _label_blocks(V, temporaries=4)]
+    for c0, c1, v0, v1 in runs:
+        block = coefficients[c0:c1, v0:v1] if coefficients is not None else \
+            _rows(basis, np.arange(v0, v1))[None]
+        dev = np.empty(block.shape[:2] + (2,))
+        for k, ((src, phase), eigenvalue) in enumerate(zip(moves, eigenvalues)):
+            moved = np.take_along_axis(block, src[c0:c1, None], axis=2)
+            np.multiply(phase[c0:c1, None], moved, out=moved)
+            moved -= eigenvalue[c0:c1, v0:v1, None] * block
+            dev[..., k] = np.linalg.norm(moved, axis=-1)
+        run = labels[c0:c1, v0:v1]
+        if side == "momentum":  # labels run along the vectors, then the classes
+            dev, run = dev.swapaxes(0, 1), run.T
+        found = _worst(found, dev.reshape(-1, 2), run.ravel(), (0, 1))
     (q1, k2), relation = divmod(found[1][0], M2), ("clock", "translate")[found[1][1]]
     return found[0], f"worst at (q1={q1}, k2={k2}), {relation} relation"
 

@@ -9,14 +9,14 @@ closed form that disagrees with brute force while the table itself is clean
 a "discrepancy" and does not fail the suite; the constructed linear algebra
 is the truth source. Each check is one batched array expression over a
 bounded block, and no check holds an (M, M) array: a basis is its comb
-coefficients, the Fourier matrix is read in row blocks, and products, the CRT
-delta identity and the eigen, kernel and shift relations stream in blocks of
-labels, each folded into its worst value and location by one rule
-(reps._worst). The PLS check walks the labels in the same blocks: build,
-classify, conjugate, classify the conjugate against the swapped split. Each
-PLS costs two transforms, its own and its conjugate's, taken as one FFT per
-label block on each side: a state keeps its row, its verdict reads it, and
-conjugate_state reads it too. The PLS Gram reads their class coefficients,
+coefficients, the eigen relations act on blocks of them, F is read in row blocks
+(one walk feeds the mub and shift records), and products, the CRT delta identity
+and the kernel relation stream in blocks of labels, each folded into its worst
+value and location by one rule (reps._worst). The PLS check walks the labels in
+the same blocks: build, classify, conjugate, classify the conjugate against the
+swapped split. Each PLS costs two transforms, its own and its conjugate's, taken
+as one FFT per label block on each side: a state keeps its row, its verdict reads
+it, and conjugate_state reads it too. The PLS Gram reads their class coefficients,
 gathered from the block the FFT took; only a PLS off its class makes it dense.
 """
 
@@ -131,11 +131,24 @@ def _add(checks, check_id, description, measured, expected, tolerance,
 
 # ----------------------------------------------------------------- M-level --
 
-def _check_mub(checks, M):
-    found, every, tol = None, np.arange(M), 1e-12 * math.sqrt(M)
-    for r in _label_blocks(M):  # F[q, k] = <q|k>, a block of rows q at a time
-        found = _worst(found, np.abs(np.abs(_fourier_rows(M, r)) - 1.0 / math.sqrt(M)), r, every)
-    err, (q, k) = found
+def _walk_fourier(M):
+    """One walk over F's row blocks, row k the ket |k>: the _worst of ||<q|k>| - 1/sqrt(M)|
+    and of |clock|k> - |k+1>|, and the kets |q> that translate(M, 1) does not lower exactly."""
+    mub, raise_, bad, every = None, None, 0, np.arange(M)
+    for r in _label_blocks(M):
+        F = _fourier_rows(M, np.append(r, r[-1] + 1) % M)  # the kets |k> and |k + 1>
+        mub = _worst(mub, np.abs(np.abs(F[:-1]) - 1.0 / math.sqrt(M)), r, every)
+        got = _apply_rows(clock(M, M), F[:-1])
+        got -= F[1:]
+        raise_ = _worst(raise_, np.abs(got), r, every)
+        kets = (r[:, None] == every).astype(np.complex128)
+        lowered = ((r[:, None] - 1) % M == every).astype(np.complex128)  # the kets |q - 1>
+        bad += int(np.count_nonzero(np.any(_apply_rows(translate(M, 1), kets) != lowered, axis=1)))
+    return mub, raise_, bad
+
+
+def _check_mub(checks, M, walk):
+    (err, (q, k)), tol = walk[0], 1e-12 * math.sqrt(M)
     _add(checks, "fourier.mub", "every |<q|k>| equals 1/sqrt(M)", err, 0.0, tol,
          note="" if err <= tol else f"worst at (q={q}, k={k})")  # a NaN fails too
 
@@ -157,18 +170,8 @@ def _check_commutator(checks, M):
          exponent, (M - 1) % M, 0)
 
 
-def _check_shift_relations(checks, M, tol):
-    # a block of rows at a time: row k of F is the momentum ket |k>, of the identity |q>
-    found, bad, every = None, 0, np.arange(M)
-    for r in _label_blocks(M):
-        F = _fourier_rows(M, np.append(r, r[-1] + 1) % M)  # the kets |k> and |k + 1>
-        got = _apply_rows(clock(M, M), F[:-1])
-        got -= F[1:]
-        found = _worst(found, np.abs(got), r, every)
-        kets = (r[:, None] == every).astype(np.complex128)
-        lowered = ((r[:, None] - 1) % M == every).astype(np.complex128)  # the kets |q - 1>
-        bad += int(np.count_nonzero(np.any(_apply_rows(translate(M, 1), kets) != lowered, axis=1)))
-    clock_dev, (k, q) = found
+def _check_shift_relations(checks, tol, walk):
+    (clock_dev, (k, q)), bad = walk[1:]
     _add(checks, "operators.shift.momentum-raise",
          "clock(M,M) maps |k> to |k+1>", clock_dev, 0.0, tol,
          note="" if clock_dev <= tol else f"worst at (k={k}, q={q})")
@@ -372,10 +375,11 @@ def run_suite(M: int, tolerance: float | None = None) -> VerificationReport:
     report = VerificationReport(M=M, splits=[s.describe() for s in splits], tolerance=tol)
     checks = report.checks
 
-    _check_mub(checks, M)
+    walk = _walk_fourier(M)  # feeds the mub and shift records, with these two between them
+    _check_mub(checks, M, walk)
     _check_periods(checks, M)
     _check_commutator(checks, M)
-    _check_shift_relations(checks, M, tol)
+    _check_shift_relations(checks, tol, walk)
     _check_split_count(checks, M, splits)
     if not splits:
         _add(checks, "splits.none",

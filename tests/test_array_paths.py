@@ -26,9 +26,11 @@ momentum combs against their former construction from columns of a dense F.
 
 The suite's batched checks keep their per-vector loops here as references:
 eigen_residuals (per-vector apply; norms summed in another order, so within
-rtol 1e-12), scalar factor_kernel calls, compare_cross_phases with one
-phase_exponent per label, conjugate_basis with one conjugate_state per
-vector, and the shift and kernel checks with single states and a dense F.
+rtol 1e-12; a momentum comb is measured on its coefficients, against the same
+loop in momentum and within 4 u sqrt(M) of the position one), scalar
+factor_kernel calls, compare_cross_phases with one phase_exponent per label,
+conjugate_basis with one conjugate_state per vector, and the shift and kernel
+checks with single states and a dense F.
 Kernel tables, comparisons and conjugated bases must match exactly; the
 shift and kernel records match in status, integers and notes, and their
 float residuals within rtol 1e-12.
@@ -46,6 +48,7 @@ from phasecrt import core, lattice, reps, suite
 from phasecrt.cli import main
 from phasecrt.core import (
     PHASE_EXPONENT_RESIDUAL_TOL,
+    MonomialOperator,
     StateVector,
     apply,
     clock,
@@ -731,6 +734,48 @@ def reference_eigen_residuals(basis):
     return worst
 
 
+def reference_momentum_eigen_residuals(basis):
+    """reference_eigen_residuals on the momentum amplitudes of a momentum comb, its
+    coefficients on their points: op = (s, a, b) acts there as F^H op F, the monomial
+    |k> -> omega_M**(s*k + a*s + b) |k + a>."""
+    M = basis.M
+    _, points, coefficients = basis._comb
+    worst = 0.0
+    for op, n, exponent in ((clock(M, basis.M1), basis.M1, lambda label: label.q1),
+                            (translate(M, basis.M1 % M), basis.M2, lambda label: label.k2)):
+        s, a, b = op.shift, op.phase_slope, op.phase_offset
+        conjugate = MonomialOperator(M, -a, s, a * s + b)
+        for label in basis.labels():
+            phi = np.zeros(M, dtype=np.complex128)
+            phi[points[label.k2]] = coefficients[label.k2, label.q1]
+            want = omega_power(n, exponent(label)) * phi
+            got = apply(conjugate, StateVector(phi, normalized=True)).amplitudes
+            worst = max(worst, float(np.linalg.norm(got - want)))
+    return worst
+
+
+def dense_eigen_deviations(basis, cl, tr):
+    """Each vector's residual norms under cl and tr, from their dense matrices, in
+    (label, relation) order."""
+    M, A = basis.M, basis.as_matrix()
+    q1, k2 = np.divmod(np.arange(M), basis.M2)
+    return np.stack([np.linalg.norm(op.matrix() @ A - A * omega_power(n, e), axis=0)
+                     for op, n, e in ((cl, basis.M1, q1), (tr, basis.M2, k2))], axis=1).ravel()
+
+
+def reference_eigen_record(basis, tol):
+    """The status and note of basis.eigen from the dense matrices of both operators; a
+    NaN counts as largest and a tie goes to the first (label, relation)."""
+    M = basis.M
+    dev = dense_eigen_deviations(basis, clock(M, basis.M1), translate(M, basis.M1 % M))
+    i = int(np.argmax(np.isnan(dev))) if np.isnan(dev).any() else int(np.argmax(dev))
+    if dev[i] <= tol:
+        return "pass", ""
+    (label, relation) = divmod(i, 2)
+    return "fail", (f"worst at (q1={label // basis.M2}, k2={label % basis.M2}), "
+                    f"{('clock', 'translate')[relation]} relation")
+
+
 def reference_compare_cross_phases(basis_a, basis_b, tol):
     M = basis_a.M
     split = basis_a.split or basis_b.split
@@ -811,38 +856,96 @@ def reference_check_kernel(checks, split, d, tol):
 
 
 def all_bases(M, M1):
-    """The four kinds at one orientation; E kinds only when gcd(M1, M/M1) > 1."""
-    kinds = BasisKind if math.gcd(M1, M // M1) == 1 else (BasisKind.E_POS, BasisKind.E_MOM)
+    """The four kinds at one orientation; E kinds only when gcd(M1, M/M1) > 1 or M1 is
+    1 or M."""
+    kinds = BasisKind if math.gcd(M1, M // M1) == 1 and 1 < M1 < M else (BasisKind.E_POS,
+                                                                          BasisKind.E_MOM)
     return {kind: build_basis(kind, M, M1) for kind in kinds}
 
 
 def corrupted(basis):
-    """basis with one entry of one vector re-phased and one entry of another moved."""
+    """basis with one entry of one vector re-phased and its last nonzero entry swapped with
+    the next in another (a move where that one is zero; one vector at M = 2)."""
     amps = amplitudes(basis).copy()
-    v = amps[0, 1]
+    v = amps.reshape(basis.M, basis.M)[1]
     v[np.flatnonzero(v)[0]] *= np.exp(0.5j)
-    w = amps[-1, -1]
+    w = amps.reshape(basis.M, basis.M)[-1]
     j = np.flatnonzero(w)[-1]
-    w[(j + 1) % basis.M] += w[j]
-    w[j] = 0
+    w[[j, (j + 1) % basis.M]] = w[[(j + 1) % basis.M, j]]
     return RepBasis(basis.kind, basis.M1, basis.M2, amps)
 
 
 SPLITS_30_210 = [s for M in (30, 210) for split in enumerate_splits(M)
                  for s in (split, split.swapped())]
-EIGEN_CASES = [(15, 3), (15, 5)] + [(s.M, s.M1) for s in SPLITS_30_210] + [(12, 2), (12, 6),
-                                                                           (330, 2)]
+# E kinds at the degenerate divisors 1 and M; at 3x385 and 385x3 one class holds more
+# coefficients than the scratch budget
+EIGEN_CASES = [(15, 3), (15, 5)] + [(s.M, s.M1) for s in SPLITS_30_210] + [
+    (12, 2), (12, 6), (330, 2), (12, 1), (12, 12), (2, 1), (2, 2), (1155, 3), (1155, 385)]
 
 
 @pytest.mark.parametrize("M, M1", EIGEN_CASES)
 def test_eigen_residuals_match_reference(M, M1):
     for basis in all_bases(M, M1).values():
-        assert eigen_residuals(basis) == pytest.approx(reference_eigen_residuals(basis),
-                                                       rel=1e-12, abs=0)
+        got, position = eigen_residuals(basis), reference_eigen_residuals(basis)
+        if SIDE[basis.kind] == "momentum":
+            # measured on the coefficients, in momentum: a few units of roundoff away
+            assert got == pytest.approx(reference_momentum_eigen_residuals(basis),
+                                        rel=1e-12, abs=0)
+            assert abs(got - position) <= 4 * 2.0 ** -53 * math.sqrt(M)  # 4 u sqrt(M)
+        else:
+            assert got == pytest.approx(position, rel=1e-12, abs=0)
         bad = corrupted(basis)
         got = eigen_residuals(bad)
         assert got == pytest.approx(reference_eigen_residuals(bad), rel=1e-12, abs=0)
         assert got > default_tolerance(M)
+
+
+def corrupted_comb(basis, corruption):
+    """basis with one coefficient of a vector in its last class negated, re-phased by
+    1e-6 rad or NaN; still a comb on its classes."""
+    side, points, coefficients = basis._comb
+    coefficients = np.array(coefficients)
+    c, v = coefficients.shape[0] - 1, coefficients.shape[1] // 2
+    coefficients[c, v, 1] = {"negated": -1, "re-phased": np.exp(1e-6j),
+                             "nan": np.nan}[corruption] * coefficients[c, v, 1]
+    return reps._comb_basis(basis.kind, None, side, points, coefficients)
+
+
+@pytest.mark.parametrize("corruption", ["negated", "re-phased", "nan"])
+@pytest.mark.parametrize("M, M1", [(15, 3), (210, 14), (667, 23)])
+def test_corrupted_combs_give_the_references_eigen_record(M, M1, corruption):
+    tol = default_tolerance(M)
+    for basis in all_bases(M, M1).values():
+        bad = corrupted_comb(basis, corruption)
+        assert bad._comb is not None
+        value, note = reps._eigen_deviations(bad)
+        assert (("pass", "") if value <= tol else ("fail", note)) == \
+            reference_eigen_record(bad, tol) != ("pass", "")
+
+
+@pytest.mark.parametrize("M, M1", [(15, 3), (667, 23)])
+@pytest.mark.parametrize("name, wrong", [
+    # shifts momentum kets by M2 + 1, across the momentum classes: those combs read rows
+    ("clock", lambda M, d: MonomialOperator(M, phase_slope=M // d + 1)),
+    # steps by M1 + 1, across the position classes
+    ("translate", lambda M, L: translate(M, (L + 1) % M)),
+    # (s, a, b) = (M1, 1, 1) keeps the position classes, and (1, M2, 1) the momentum
+    # ones (acting there as (-M2, 1, M2 + 1)): each shifts and multiplies, a*s != 0 mod M
+    ("clock", lambda M, d: MonomialOperator(M, d, 1, 1)),
+    ("clock", lambda M, d: MonomialOperator(M, 1, M // d, 1)),
+], ids=["clock-off-by-one", "translate-off-by-one", "position-shift-and-phase",
+        "momentum-shift-and-phase"])
+def test_any_relation_operator_gives_the_dense_residual(M, M1, name, wrong, monkeypatch):
+    monkeypatch.setattr(reps, name, wrong)
+    rng = np.random.default_rng(M)
+    for basis in all_bases(M, M1).values():
+        # random coefficients too: a vector not orthogonal to its image shows a phase error
+        side, points, coefficients = basis._comb
+        scrambled = reps._comb_basis(basis.kind, None, side, points, rng.normal(
+            size=coefficients.shape) + 1j * rng.normal(size=coefficients.shape))
+        for b in (basis, scrambled):
+            want = dense_eigen_deviations(b, reps.clock(M, M1), reps.translate(M, M1 % M))
+            assert eigen_residuals(b) == pytest.approx(float(np.max(want)), rel=1e-12)
 
 
 @pytest.mark.parametrize("split", SPLITS_30_210, ids=lambda s: f"{s.M}:{s.describe()}")
@@ -887,7 +990,7 @@ def same_records(got, want):
 def test_shift_and_kernel_records_match_reference(M):
     tol = default_tolerance(M)
     got, want = [], []
-    suite._check_shift_relations(got, M, tol)
+    suite._check_shift_relations(got, tol, suite._walk_fourier(M))
     reference_check_shift_relations(want, M, tol)
     for split in enumerate_splits(M):
         suite._check_kernel(got, split, split.describe(), tol)

@@ -12,6 +12,7 @@ from phasecrt.core import (
     MonomialOperator,
     StateVector,
     _apply_rows,
+    _fourier_conjugate,
     _roots,
     apply,
     clock,
@@ -281,6 +282,20 @@ class TestPowersAndOrder:
                         assert operator_order(op) == n
 
 
+class TestFourierConjugate:
+    def test_every_operator_up_to_dim_12_is_its_dense_fourier_conjugate(self):
+        # the eigen relations act on momentum combs through F^H op F
+        for dim in range(2, 13):
+            F = fourier_matrix(dim)
+            for s in range(dim):
+                for a in range(dim):
+                    for b in range(dim):
+                        op = MonomialOperator(dim, s, a, b)
+                        np.testing.assert_allclose(_fourier_conjugate(op).matrix(),
+                                                   F.conj().T @ op.matrix() @ F,
+                                                   rtol=0, atol=1e-12)
+
+
 class TestApply:
     def test_clock_raises_momentum_label(self):
         M = 15
@@ -405,7 +420,8 @@ class TestRootTable:
                 if mod_name.split(".")[0] == "phasecrt" and getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, ref)
                     patched.add((mod_name, name))
+        # reps applies the eigen relations to comb coefficients, without _apply_rows
         assert {("phasecrt.core", "omega_power"), ("phasecrt.reps", "omega_power"),
                 ("phasecrt.suite", "omega_power"), ("phasecrt.core", "_apply_rows"),
-                ("phasecrt.reps", "_apply_rows"), ("phasecrt.suite", "_apply_rows")} <= patched
+                ("phasecrt.suite", "_apply_rows")} <= patched
         assert report() == shipped

@@ -376,14 +376,14 @@ class TestWorstLocation:
 
     def test_failing_mub_names_its_worst_point(self, monkeypatch):
         checks = []
-        suite._check_mub(checks, 15)
+        suite._check_mub(checks, 15, suite._walk_fourier(15))
         assert checks[0].status == "pass" and checks[0].note == ""
         F = fourier_matrix(15)
         F[4, 11] *= 1.5  # the smaller twin at (11, 4) tells (q, k) from (k, q)
         F[11, 4] *= 1.25
         read_fourier_rows_from(monkeypatch, F)
         checks = []
-        suite._check_mub(checks, 15)
+        suite._check_mub(checks, 15, suite._walk_fourier(15))
         assert checks[0].status == "fail"
         assert checks[0].measured == pytest.approx(0.5 / math.sqrt(15))
         assert checks[0].note == "worst at (q=4, k=11)"
@@ -441,35 +441,63 @@ class TestNanIsTheWorst:
         F[4, 11] = np.nan  # in the first of four label blocks
         assert len(reps._label_blocks(210)) == 4
         read_fourier_rows_from(monkeypatch, F)
+        walk = suite._walk_fourier(210)  # one walk over F feeds both records
         checks = []
-        suite._check_shift_relations(checks, 210, default_tolerance(210))
+        suite._check_shift_relations(checks, default_tolerance(210), walk)
         raise_ = checks[0]
         assert raise_.check_id == "operators.shift.momentum-raise"
         assert raise_.status == "fail" and math.isnan(raise_.measured)
         # row k of the relation is clock|k> - |k+1>: F[4] enters rows 3 and 4 first at q = 11
         assert raise_.note == "worst at (k=3, q=11)"
         checks = []
-        suite._check_mub(checks, 210)
+        suite._check_mub(checks, 210, walk)
         assert checks[0].status == "fail" and math.isnan(checks[0].measured)
         assert checks[0].note == "worst at (q=4, k=11)"
 
     def test_a_nan_in_a_later_label_block_names_the_epos_label_and_relation(self, monkeypatch):
-        # Epos of 14x15: the eigen relations walk blocks of 16 labels; vector
-        # (0, 1) fails in the first and a NaN in vector (9, 3), label 138, sits in
-        # the ninth; both relations of that vector are NaN, and the first in
+        # Epos of 23x29: the eigen relations walk blocks of whole classes q1; vector
+        # (0, 1) fails in the first and a NaN in vector (9, 3), label 264, sits in a
+        # later one; both relations of that vector are NaN, and the first in
         # row-major order is clock
-        assert [len(r) for r in reps._label_blocks(210, temporaries=8)][:9] == [16] * 9
-        good = build_basis(BasisKind.E_POS, 210, 14)
-        amps = good.as_matrix().T.reshape(14, 15, 210).copy()
+        good = build_basis(BasisKind.E_POS, 667, 23)
+        amps = good.as_matrix().T.reshape(23, 29, 667).copy()
         amps[0, 1, np.flatnonzero(amps[0, 1])[1]] *= -1
         amps[9, 3, np.flatnonzero(amps[9, 3])[2]] = np.nan
-        build_instead(monkeypatch, reps._comb_basis(BasisKind.E_POS, amps, "position",
-                                                    good._comb[1]))
+        bad = reps._comb_basis(BasisKind.E_POS, amps, "position", good._comb[1])
+        assert bad._comb is not None
+        blocks, real = [], reps._worst
+
+        def recording(found, dev, rows, cols):
+            blocks.append(set(rows.tolist()))
+            return real(found, dev, rows, cols)
+
+        monkeypatch.setattr(reps, "_worst", recording)
+        reps.eigen_residuals(bad)
+        assert 1 in blocks[0] and 9 * 29 + 3 not in blocks[0]
+        assert any(9 * 29 + 3 in block for block in blocks[1:])
+        monkeypatch.setattr(reps, "_worst", real)
+        build_instead(monkeypatch, bad)
         checks = []
-        suite._check_bases(checks, make_split(210, 14), "14x15", default_tolerance(210))
-        eigen = next(c for c in checks if c.check_id == "basis.eigen.Epos[14x15]")
+        suite._check_bases(checks, make_split(667, 23), "23x29", default_tolerance(667))
+        eigen = next(c for c in checks if c.check_id == "basis.eigen.Epos[23x29]")
         assert eigen.status == "fail" and math.isnan(eigen.measured)
         assert eigen.note == "worst at (q1=9, k2=3), clock relation"
+
+    # Emom of 23x29: the eigen relations walk blocks of momentum classes k2, so vector
+    # (5, 0), label 145, is read in a block before vector (0, 20), label 20; at 3x5 the
+    # one block holds vector (1, 0), label 5, in an earlier class than (0, 1), label 1
+    @pytest.mark.parametrize("M, M1, first, second", [(667, 23, (5, 0), (0, 20)),
+                                                      (15, 3, (1, 0), (0, 1))])
+    def test_two_nans_name_the_first_label_in_any_block_order(self, M, M1, first, second):
+        good = build_basis(BasisKind.E_MOM, M, M1)
+        side, points, coefficients = good._comb
+        coefficients = np.array(coefficients)  # [k2, q1, point]
+        for q1, k2 in (first, second):
+            coefficients[k2, q1, 1] = np.nan
+        bad = reps._comb_basis(BasisKind.E_MOM, None, side, points, coefficients)
+        value, note = reps._eigen_deviations(bad)
+        assert math.isnan(value)
+        assert note == f"worst at (q1={second[0]}, k2={second[1]}), clock relation"
 
     def test_a_nan_kernel_entry_in_a_later_label_block_names_its_phase_point(self, monkeypatch):
         # at 2x105 the kernel walks rows (q1, q2) in blocks of 16 labels;
@@ -577,10 +605,11 @@ def check_peak_in_square_arrays(M, check):
 
 
 class TestLabelBlockWorkingSet:
-    # the kernel and eigen checks stream label blocks; with a block per q1 they
-    # held 2.00 and 1.01 arrays at 2x665 (measured 0.50 and 0.04 since). The
-    # kernel's blocks are sized for its temporaries: with blocks sized for one it
-    # held 1.79 arrays at 2x105 (measured 0.65 since)
+    # the kernel check streams label blocks, the eigen check blocks of comb classes;
+    # with a block per q1 they held 2.00 and 1.01 arrays at 2x665 (measured 0.50 and
+    # 0.02 since; the eigen check 0.04 at 23x29). The kernel's blocks are sized for its
+    # temporaries: with blocks sized for one it held 1.79 arrays at 2x105 (measured 0.65
+    # since)
     @pytest.mark.parametrize("M, M1", [pytest.param(1330, 2, id="2x665"),
                                        pytest.param(210, 2, id="2x105")])
     def test_the_kernel_check_stays_within_0_75_arrays(self, M, M1):
@@ -589,10 +618,14 @@ class TestLabelBlockWorkingSet:
             M, lambda: suite._check_kernel([], split, split.describe(), default_tolerance(M)))
         assert peak <= 0.75, f"peak {peak:.2f} (M, M) arrays"
 
-    def test_the_eigen_check_holds_a_small_share_of_an_array_at_2x665(self):
-        c2 = reps.build_C2(make_split(1330, 2))
-        peak = check_peak_in_square_arrays(1330, lambda: reps.eigen_residuals(c2))
-        assert peak <= 0.25, f"peak {peak:.2f} (M, M) arrays"
+    @pytest.mark.parametrize("M, M1", [pytest.param(1330, 2, id="2x665"),
+                                       pytest.param(1155, 3, id="3x385"),
+                                       pytest.param(667, 23, id="23x29")])
+    def test_the_eigen_check_holds_a_small_share_of_an_array(self, M, M1):
+        for kind in BasisKind:
+            basis = build_basis(kind, M, M1)
+            peak = check_peak_in_square_arrays(M, lambda: reps.eigen_residuals(basis))
+            assert peak <= 0.25, f"{kind.value}: peak {peak:.2f} (M, M) arrays"
 
 
 # every M from 2 to 400 gives no fail record; tier-1 runs a seeded sample,
