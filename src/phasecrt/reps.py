@@ -12,21 +12,25 @@ omega_M1**q1, and translate(M, M1), eigenvalue omega_M2**k2:
 
 C2 and E_POS are position combs, C1 and E_MOM momentum combs: one small DFT
 phase table on the classes of an index table (crt_grid, the Good-Thomas map,
-for the C kinds; the Cooley-Tukey table for the E kinds). A built basis is
-only that claim: its side, each class's points and the coefficients there,
-M * class size numbers, not M**2. Dense rows are read on demand, a block of
-labels at a time (_rows): the coefficients scattered onto their points, and on
-the momentum side taken through the orthonormal inverse FFT. A Gram or overlap
-streams in blocks of at most _SCRATCH_BYTES: square blocks of whole classes for
-two combs of one side and classes, else a gather over the smaller class; a
-plain basis (a claim that failed) keeps its amplitudes and takes row blocks of
-the dense product. The eigen relations act on blocks of coefficients, in momentum
-through each operator's Fourier conjugate (where clock shifts and translate
-multiplies). Each reduction drops a block once read; only overlap_matrix,
-as_matrix and conjugate_basis form a whole (M, M) array. The E kinds exist for
-any divisor M1 of M, the C kinds need gcd(M1, M2) = 1. C1 and C2 agree vector
-for vector; the others up to the label-dependent phases of CROSS_PHASE_FORMS,
-checked by compare_cross_phases.
+for the C kinds; the Cooley-Tukey table for the E kinds). Every basis is
+only such a claim: its side, each class's points and the coefficients there,
+M * class size numbers, not M**2. Its labels come from the coefficients' shape
+(C classes of V vectors): c*V + v in position, v*C + c in momentum. Amplitudes
+given to RepBasis are the position comb of one class holding all M points;
+_comb_basis checks every other claim where it is made (its points tile [0, M))
+and makes one that fails the one-class comb of its dense rows. Dense rows are
+read on demand, a block of labels at a time (_rows): the coefficients scattered
+onto their points, and on the momentum side taken through the orthonormal
+inverse FFT. A Gram or overlap streams in blocks of at most _SCRATCH_BYTES:
+square blocks of whole classes for two combs of one side and classes, else a
+gather over the smaller class. The eigen relations act on blocks of
+coefficients, in momentum through each operator's Fourier conjugate (where clock
+shifts and translate multiplies). Each reduction drops a block once read; only
+overlap_matrix, as_matrix, conjugate_basis and the dense rows of a claim that
+fails (or whose classes a shift does not keep) form a whole (M, M) array. The
+E kinds exist for any divisor M1 of M, the C kinds need gcd(M1, M2) = 1. C1 and
+C2 agree vector for vector; the others up to the label-dependent phases of
+CROSS_PHASE_FORMS, checked by compare_cross_phases.
 """
 
 from __future__ import annotations
@@ -72,25 +76,28 @@ class TorusLabel:
 class RepBasis:
     """M orthonormal vectors labeled by (q1, k2) in [0, M1) x [0, M2)."""
 
-    __slots__ = ("kind", "M1", "M2", "split", "conjugated", "_amps", "_comb")
+    __slots__ = ("kind", "M1", "M2", "split", "conjugated", "_comb")
 
     def __init__(self, kind: BasisKind, M1: int, M2: int, amps: np.ndarray | None,
                  conjugated: bool = False):
+        M = M1 * M2
         if amps is not None:  # None only for a comb, whose claim _comb_basis then sets
             amps = np.asarray(amps, dtype=np.complex128).view()  # read-only, not the caller's
-            if amps.shape != (M1, M2, M1 * M2):
-                raise ValueError(f"amplitude block must have shape ({M1}, {M2}, {M1 * M2})")
+            if amps.shape != (M1, M2, M):
+                raise ValueError(f"amplitude block must have shape ({M1}, {M2}, {M})")
             amps.setflags(write=False)
         self.kind = kind
         self.M1 = M1
         self.M2 = M2
         try:
-            self.split = make_split(M1 * M2, M1)
+            self.split = make_split(M, M1)
         except ValueError:  # (M1, M2) is not a coprime split; E kinds allow that
             self.split = None
         self.conjugated = conjugated
-        self._amps = amps
-        self._comb = None  # a checked (side, class points, coefficients); see _comb_basis
+        # a checked (side, class points, coefficients); see _comb_basis. Amplitudes are
+        # the position comb of one class that holds all M points
+        self._comb = None if amps is None else ("position", np.arange(M)[None],
+                                                amps.reshape(1, M, M))
 
     @property
     def M(self) -> int:
@@ -137,50 +144,36 @@ def _comb(kind: BasisKind, side: str, index: np.ndarray, slope: int) -> RepBasis
     C, S = points.shape
     coefficients = np.broadcast_to(_phase_table(S, slope if side == "position" else -slope),
                                    (C, S, S))
-    return _comb_basis(kind, None, side, points, coefficients)
+    return _comb_basis(kind, side, points, coefficients)
 
 
-def _comb_basis(kind: BasisKind, amps: np.ndarray | None, side: str, points: np.ndarray,
-                coefficients: np.ndarray | None = None) -> RepBasis:
+def _comb_basis(kind: BasisKind, side: str, points: np.ndarray,
+                coefficients: np.ndarray) -> RepBasis:
     """The comb on side whose vector v of class c is coefficients[c, v, j] at points[c, j];
-    classes run along q1 in position and along k2 in momentum. Given the fresh
-    (M1, M2, M) array amps too, amps is frozen and the claim checked once: the points
-    tile [0, M) and no nonzero amplitude lies off its class's points (position, in
-    exact integers; the coefficients are read there), or the coefficients' rows are
-    amps bit for bit (momentum). If it fails the basis is plain, amps; a comb keeps
-    only its coefficients."""
-    if side == "momentum" and coefficients is None:
-        raise ValueError("a momentum comb's claim needs its coefficients")
-    if amps is not None:
-        amps.setflags(write=False)
-        plain = RepBasis(kind, amps.shape[0], amps.shape[1], amps)
-        if not np.array_equal(np.sort(points, axis=None), np.arange(plain.M)):
-            return plain
-        if side == "position":
-            coefficients = np.take_along_axis(amps, points[:, None, :], axis=2)
-            if np.count_nonzero(coefficients) != np.count_nonzero(amps):
-                return plain
+    labels run c*V + v in position and v*C + c in momentum, for C classes of V vectors.
+    The claim is checked here, in exact integers: the points tile [0, M). A claim that
+    fails is the one-class comb of its dense rows, so every check reads what was built."""
     C, V, _ = coefficients.shape
     basis = RepBasis(kind, *((C, V) if side == "position" else (V, C)), None)
     basis._comb = (side, points, coefficients)
-    if amps is not None and side == "momentum" and any(
-            _rows(basis, r).tobytes() != _rows(plain, r).tobytes()
-            for r in _label_blocks(plain.M)):
-        return plain
-    return basis
+    return basis if np.array_equal(np.sort(points, axis=None), np.arange(basis.M)) else \
+        _plain(basis)
+
+
+def _plain(basis: RepBasis) -> RepBasis:
+    """The one-class comb of basis' dense rows."""
+    amps = _rows(basis, np.arange(basis.M)).reshape(basis.M1, basis.M2, basis.M)
+    return RepBasis(basis.kind, basis.M1, basis.M2, amps)
 
 
 def _rows(basis: RepBasis, labels: np.ndarray) -> np.ndarray:
-    """The dense amplitudes of the vectors at a run of labels, row-major (q1, k2): a
-    view of a plain basis' array; a comb's coefficients scattered onto their class
-    points, through the orthonormal inverse DFT on the momentum side."""
-    M = basis.M
-    if basis._comb is None:
-        return basis._amps.reshape(M, M)[labels[0]:labels[-1] + 1]
+    """The dense amplitudes of the vectors at a run of labels, row-major (q1, k2): the
+    comb's coefficients scattered onto their class points, through the orthonormal
+    inverse DFT on the momentum side."""
     side, points, coefficients = basis._comb
-    q1, k2 = np.divmod(labels, basis.M2)
-    c, v = (q1, k2) if side == "position" else (k2, q1)
-    out = np.zeros((len(labels), M), dtype=np.complex128)
+    C, V, _ = coefficients.shape
+    c, v = np.divmod(labels, V) if side == "position" else np.divmod(labels, C)[::-1]
+    out = np.zeros((len(labels), basis.M), dtype=np.complex128)
     out[np.arange(len(labels))[:, None], points[c]] = coefficients[c, v]
     if side == "momentum":  # <q|k> = omega_M**(q*k) / sqrt(M): the orthonormal inverse DFT
         np.fft.ifft(out, axis=-1, norm="ortho", out=out)
@@ -308,12 +301,12 @@ def _label_blocks(M: int, temporaries: int = 1) -> list[np.ndarray]:
 
 def _class_blocks(basis: RepBasis, points: np.ndarray):
     """Class c's (V, S) block on demand: the comb's coefficients of class c at points[c]
-    (permuted into points' order unless points are its own). None unless each class c
-    of the basis holds exactly the points of points[c] (an integer check)."""
+    (permuted into points' order unless they are its own, compared by value). None unless
+    each class c of the basis holds exactly the points of points[c] (an integer check)."""
     _, own, coefficients = basis._comb
     if not np.array_equal(np.sort(own, axis=1), np.sort(points, axis=1)):
         return None
-    if own is points:
+    if np.array_equal(own, points):
         return coefficients.__getitem__
     at = np.argsort(own, axis=None) % own.shape[1]  # each point's place in its class of own
     return lambda c: coefficients[c][:, at[points[c]]]
@@ -321,48 +314,44 @@ def _class_blocks(basis: RepBasis, points: np.ndarray):
 
 def _product(a: RepBasis, b: RepBasis) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """a^H b as blocks g[ix_(rows, cols)] over ascending labels, exact zeros outside
-    them. Of two combs, c has the smaller class. With the other on c's side and
+    them. Of the two combs, c has the smaller class. With the other on c's side and
     classes: square blocks of whole classes, each class's blocks read in turn; else
     c's classes gather a block of the other's labels on c's side (M * class size
-    work each). A basis without a claim takes dense row blocks."""
+    work each)."""
     M, every = a.M, np.arange(a.M)
-    if a._comb and b._comb:
-        c, other = (a, b) if a._comb[1].shape[1] <= b._comb[1].shape[1] else (b, a)
-        side, points, coefficients = c._comb
-        same = other._comb[0] == side and (a.M1, a.M2) == (b.M1, b.M2)
-        ko = _class_blocks(other, points) if same else None
-        if ko is not None:  # classes of one size, so c is a
-            # n classes of V vectors per square block, exact zeros between classes
-            kc, (C, V) = _class_blocks(c, points), points.shape
-            grid = np.arange(M).reshape(a.M1, a.M2)
-            step = max(1, math.isqrt(_SCRATCH_BYTES // 16) // V)
-            for classes in np.split(np.arange(C), range(step, C, step)):
-                n = len(classes)
-                labels = (grid[classes] if side == "position" else grid[:, classes]).ravel()
-                if n == 1 and V * V * 16 > _SCRATCH_BYTES:  # a class's rows in label blocks
-                    kb = ko(classes[0]).T
-                    for r in _label_blocks(V):
-                        yield labels[r], labels, kc(classes[0])[r].conj() @ kb
-                    del kb  # before the next class's is read
-                    continue
-                g = np.zeros((n, V, n, V) if side == "position" else (V, n, V, n), np.complex128)
-                view = g if side == "position" else g.transpose(1, 0, 3, 2)
-                for k, cls in enumerate(classes):
-                    np.matmul(kc(cls).conj(), ko(cls).T, out=view[k, :, k, :])
-                yield labels, labels, g.reshape(n * V, n * V)
-            return
-        kc = np.conj(coefficients)
-        for labels in _label_blocks(M):
-            run = _rows(other, labels)
-            run = run if side == "position" else np.fft.fft(run, norm="ortho")
-            g = np.empty((c.M1, c.M2, len(labels)), np.complex128)
-            np.matmul(kc, run.T[points], out=g if side == "position" else g.swapaxes(0, 1))
-            g = g.reshape(M, -1)
-            yield (every, labels, g) if c is a else (labels, every, np.conjugate(g, out=g).T)
+    c, other = (a, b) if a._comb[1].shape[1] <= b._comb[1].shape[1] else (b, a)
+    side, points, coefficients = c._comb
+    C, V, _ = coefficients.shape
+    ko = _class_blocks(other, points) if other._comb[0] == side else None
+    if ko is not None:  # classes of one size, so c is a
+        # n classes of V vectors per square block, exact zeros between classes
+        kc = _class_blocks(c, points)
+        grid = np.arange(M).reshape((C, V) if side == "position" else (V, C))  # the labels
+        step = max(1, math.isqrt(_SCRATCH_BYTES // 16) // V)
+        for classes in np.split(np.arange(C), range(step, C, step)):
+            n = len(classes)
+            labels = (grid[classes] if side == "position" else grid[:, classes]).ravel()
+            if n == 1 and V * V * 16 > _SCRATCH_BYTES:  # a class's rows in label blocks
+                kb = ko(classes[0]).T
+                for r in _label_blocks(V):
+                    yield labels[r], labels, kc(classes[0])[r].conj() @ kb
+                del kb  # before the next class's is read
+                continue
+            g = np.zeros((n, V, n, V) if side == "position" else (V, n, V, n), np.complex128)
+            view = g if side == "position" else g.transpose(1, 0, 3, 2)
+            for k, cls in enumerate(classes):
+                np.matmul(kc(cls).conj(), ko(cls).T, out=view[k, :, k, :])
+            yield labels, labels, g.reshape(n * V, n * V)
         return
-    dense = b.as_matrix()
+    kc = np.conj(coefficients)
     for labels in _label_blocks(M):
-        yield labels, every, np.conj(_rows(a, labels)) @ dense
+        run = _rows(other, labels)
+        run = run if side == "position" else np.fft.fft(run, norm="ortho")
+        g = np.empty((C, V, len(labels)) if side == "position" else (V, C, len(labels)),
+                     np.complex128)
+        np.matmul(kc, run.T[points], out=g if side == "position" else g.swapaxes(0, 1))
+        g = g.reshape(M, -1)
+        yield (every, labels, g) if c is a else (labels, every, np.conjugate(g, out=g).T)
 
 
 def _worst(found, dev, rows, cols):
@@ -479,17 +468,17 @@ def _eigen_deviations(basis: RepBasis) -> tuple[float, str]:
     """The _worst residual norm of a vector under its two eigen-relations, and the label
     and relation (clock, then translate) where it sits. Each relation (s, a, b) acts on a
     comb's coefficients, in momentum as F^H op F: the one at class point p, times
-    omega_M**(a*p + b), moves to p - s, in its class (an integer check). A plain basis, or
-    a comb whose classes a shift does not keep, is one class of all M points read from
-    _rows. A block holds whole classes, or a run of the vectors of one too large alone."""
+    omega_M**(a*p + b), moves to p - s, in its class (an integer check). A comb whose
+    classes a shift does not keep is read as the one class of its dense rows, which every
+    shift keeps. A block holds whole classes, or a run of the vectors of one too large alone."""
     M, M1, M2 = basis.M, basis.M1, basis.M2
-    side, points, coefficients = basis._comb or ("position", None, None)
+    side, points, coefficients = basis._comb
     ops = [clock(M, M1), translate(M, M1 % M)]
     acting = [_fourier_conjugate(op) for op in ops] if side == "momentum" else ops
-    if points is None or any(not np.array_equal(np.sort((points + op.shift) % M, axis=1),
-                                                np.sort(points, axis=1)) for op in acting):
-        side, points, coefficients, acting = "position", np.arange(M)[None], None, ops
-    (C, S), V, found = points.shape, M // points.shape[0], None
+    if any(not np.array_equal(np.sort((points + op.shift) % M, axis=1), np.sort(points, axis=1))
+           for op in acting):
+        (side, points, coefficients), acting = _plain(basis)._comb, ops
+    (C, V, S), found = coefficients.shape, None
     at = np.argsort(points, axis=None) % S  # each point's place in its class
     moves = [(at[(points + op.shift) % M],  # where the coefficient each point takes sits
               omega_power(M, op.phase_slope * (points + op.shift) + op.phase_offset))
@@ -500,8 +489,7 @@ def _eigen_deviations(basis: RepBasis) -> tuple[float, str]:
     runs = [(c, c + step, 0, V) for c in range(0, C, step)] if step else [
         (c, c + 1, r[0], r[-1] + 1) for c in range(C) for r in _label_blocks(V, temporaries=4)]
     for c0, c1, v0, v1 in runs:
-        block = coefficients[c0:c1, v0:v1] if coefficients is not None else \
-            _rows(basis, np.arange(v0, v1))[None]
+        block = coefficients[c0:c1, v0:v1]
         dev = np.empty(block.shape[:2] + (2,))
         for k, ((src, phase), eigenvalue) in enumerate(zip(moves, eigenvalues)):
             moved = np.take_along_axis(block, src[c0:c1, None], axis=2)

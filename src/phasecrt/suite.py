@@ -343,7 +343,7 @@ def _check_pls(checks, split, d, tol):
         for (q1, k2), state in zip(labels, states):
             verdict = classify_vn_state(state, swapped)
             bad_conjugate += int(verdict != VNLattice(swapped, k2, q1))
-    stack = _comb_basis(BasisKind.C2, None, "position", grid, coefficients)
+    stack = _comb_basis(BasisKind.C2, "position", grid, coefficients)
     if off:  # a PLS off its class: the stack is plain, its other rows read from the claim
         amps = _rows(stack, np.arange(split.M))
         amps[list(off)] = list(off.values())

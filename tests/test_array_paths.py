@@ -175,8 +175,8 @@ def seed_scatter(side, points, coefficients, shape):
     """(M1, M2, M) amplitudes, coefficients[c, v, j] at points[c, j] for vector v
     of class c; classes run along q1 in position and along k2 in momentum."""
     out = np.zeros(shape, dtype=np.complex128)
-    view = out if side == "position" else out.transpose(1, 0, 2)
     C, V, _ = coefficients.shape
+    view = out.reshape(C, V, -1) if side == "position" else out.transpose(1, 0, 2)
     view[np.arange(C)[:, None, None], np.arange(V)[:, None], points[:, None, :]] = coefficients
     return out
 
@@ -184,9 +184,7 @@ def seed_scatter(side, points, coefficients, shape):
 def seed_amplitudes(basis):
     """oracle: the (M1, M2, M) amplitudes as the builders made them before a comb's rows
     were read on demand: one whole-array scatter of its coefficients, through one
-    whole-array inverse FFT on the momentum side; a plain basis' own array."""
-    if basis._comb is None:
-        return basis._amps
+    whole-array inverse FFT on the momentum side (a plain basis is one class of its array)."""
     side, points, coefficients = basis._comb
     amps = seed_scatter(side, points, coefficients, (basis.M1, basis.M2, basis.M))
     if side == "momentum":
@@ -226,7 +224,7 @@ def test_rows_read_on_demand_are_the_whole_array_builders_bytes(split):
     # a comb stores its coefficients only; every reader rebuilds rows from them
     M, blocks = split.M, reps._label_blocks(split.M)
     for kind, basis in all_bases(M, split.M1).items():
-        assert basis._amps is None and basis._comb is not None, kind
+        assert basis._comb[1].shape in ((split.M1, split.M2), (split.M2, split.M1)), kind
         want = seed_amplitudes(basis).reshape(M, M)
         assert basis.as_matrix().tobytes() == want.T.tobytes(), kind
         assert np.concatenate([reps._rows(basis, r) for r in blocks]).tobytes() \
@@ -908,7 +906,7 @@ def corrupted_comb(basis, corruption):
     c, v = coefficients.shape[0] - 1, coefficients.shape[1] // 2
     coefficients[c, v, 1] = {"negated": -1, "re-phased": np.exp(1e-6j),
                              "nan": np.nan}[corruption] * coefficients[c, v, 1]
-    return reps._comb_basis(basis.kind, None, side, points, coefficients)
+    return reps._comb_basis(basis.kind, side, points, coefficients)
 
 
 @pytest.mark.parametrize("corruption", ["negated", "re-phased", "nan"])
@@ -917,7 +915,7 @@ def test_corrupted_combs_give_the_references_eigen_record(M, M1, corruption):
     tol = default_tolerance(M)
     for basis in all_bases(M, M1).values():
         bad = corrupted_comb(basis, corruption)
-        assert bad._comb is not None
+        assert bad._comb[1] is basis._comb[1]  # the claim holds: the points still tile
         value, note = reps._eigen_deviations(bad)
         assert (("pass", "") if value <= tol else ("fail", note)) == \
             reference_eigen_record(bad, tol) != ("pass", "")
@@ -941,7 +939,7 @@ def test_any_relation_operator_gives_the_dense_residual(M, M1, name, wrong, monk
     for basis in all_bases(M, M1).values():
         # random coefficients too: a vector not orthogonal to its image shows a phase error
         side, points, coefficients = basis._comb
-        scrambled = reps._comb_basis(basis.kind, None, side, points, rng.normal(
+        scrambled = reps._comb_basis(basis.kind, side, points, rng.normal(
             size=coefficients.shape) + 1j * rng.normal(size=coefficients.shape))
         for b in (basis, scrambled):
             want = dense_eigen_deviations(b, reps.clock(M, M1), reps.translate(M, M1 % M))
@@ -1017,12 +1015,18 @@ SIDE = {BasisKind.C1: "momentum", BasisKind.E_MOM: "momentum",
         BasisKind.C2: "position", BasisKind.E_POS: "position"}
 
 
+def position_comb(kind, amps, points):
+    """The position comb of amps's coefficients at points, class q1 at points[q1]."""
+    return reps._comb_basis(kind, "position", points,
+                            np.take_along_axis(amps, points[:, None, :], axis=2))
+
+
 def pls_stack(split):
     """The suite's PLS stack: a position comb over crt_grid."""
     amps = np.reshape([build_pls(split, q01, k02).amplitudes
                        for q01 in range(split.M1) for k02 in range(split.M2)],
                       (split.M1, split.M2, split.M))
-    return reps._comb_basis(BasisKind.C2, amps, "position", crt_grid(split))
+    return position_comb(BasisKind.C2, amps, crt_grid(split))
 
 
 def assert_products_match_dense(bases):
@@ -1080,22 +1084,24 @@ def test_structured_products_match_dense_on_random_splits(split):
 
 
 def corrupted_c2(split):
-    """C2 of split with one nonzero amplitude off the class of vector (0, 1)."""
+    """C2 of split with one nonzero amplitude off the class of vector (0, 1): no comb on
+    C2's classes holds it, so it is a plain basis."""
     basis = build_C2(split)
     amps = amplitudes(basis).copy()
     amps[0, 1, crt_grid(split)[1, 0]] = 0.5
-    return reps._comb_basis(BasisKind.C2, amps, "position", crt_grid(split))
+    return RepBasis(BasisKind.C2, split.M1, split.M2, amps)
 
 
 def test_corrupted_position_comb_falls_back_to_dense():
     split = make_split(15, 3)
     bad = corrupted_c2(split)
-    g = dense_product(bad, bad)
+    g = dense_product(bad, bad)  # two plain bases: the dense product, bit for bit
     g.flat[::bad.M + 1] -= 1.0
     assert bad.gram_residual() == float(np.max(np.abs(g)))
+    # against a comb it is gathered on the comb's side, as either operand
     epos = build_E_pos(15, 3)
-    assert np.array_equal(overlap_matrix(bad, epos), dense_product(bad, epos))
-    # its claim failed when it was made, so as either operand it is a plain basis
+    np.testing.assert_allclose(overlap_matrix(bad, epos), dense_product(bad, epos),
+                               rtol=0, atol=PRODUCT_ATOL)
     for other in (epos, build_C1(split)):
         np.testing.assert_allclose(overlap_matrix(other, bad), dense_product(other, bad),
                                    rtol=0, atol=PRODUCT_ATOL)
@@ -1116,9 +1122,9 @@ def test_a_nan_amplitude_makes_the_gram_residual_nan(keep_comb):
     basis = build_C2(make_split(210, 14))
     amps = amplitudes(basis).copy()
     amps[13, 14, crt_grid(basis.split)[13, 0]] = np.nan
-    bad = (reps._comb_basis(BasisKind.C2, amps, "position", crt_grid(basis.split)) if keep_comb
+    bad = (position_comb(BasisKind.C2, amps, crt_grid(basis.split)) if keep_comb
            else RepBasis(BasisKind.C2, 14, 15, amps))
-    assert (bad._comb is not None) == keep_comb  # a NaN on its class keeps the claim
+    assert (len(bad._comb[1]) == 14) == keep_comb  # C2's classes, or one of all points
     assert math.isnan(bad.gram_residual())
 
 
@@ -1129,9 +1135,9 @@ def test_a_nan_amplitude_fails_the_cross_phase_comparison(keep_comb):
     basis = build_C2(split)
     amps = amplitudes(basis).copy()
     amps[1, 2, crt_grid(split)[1, 0]] = np.nan
-    bad = (reps._comb_basis(BasisKind.C2, amps, "position", crt_grid(split)) if keep_comb
+    bad = (position_comb(BasisKind.C2, amps, crt_grid(split)) if keep_comb
            else RepBasis(BasisKind.C2, 3, 5, amps))
-    assert (bad._comb is not None) == keep_comb  # a NaN on its class keeps the claim
+    assert (len(bad._comb[1]) == 3) == keep_comb  # C2's classes, or one of all points
     cmp = compare_cross_phases(build_C1(split), bad)
     assert cmp.status == "fail"
     assert math.isnan(cmp.max_modulus_error)
@@ -1144,47 +1150,51 @@ def test_comb_with_overlapping_classes_falls_back_to_dense():
     amps[1] = amps[0]  # class 1 repeats the vectors and the points of class 0
     points = crt_grid(split).copy()
     points[1] = points[0]
-    bad = reps._comb_basis(BasisKind.C2, amps, "position", points)
+    bad = position_comb(BasisKind.C2, amps, points)
+    assert np.array_equal(bad._comb[1], np.arange(15)[None])  # one class of its dense rows
+    assert bad.as_matrix().tobytes() == amps.reshape(15, 15).T.tobytes()
     assert np.array_equal(overlap_matrix(bad, bad), dense_product(bad, bad))
 
 
 def test_a_claim_that_fails_when_made_gives_a_plain_basis():
-    # off-class weight on the position side, points that do not tile [0, M), or
-    # momentum amplitudes one float step off the rows of their coefficients
+    # points that do not tile [0, M): a position class repeated, or a momentum class
+    # with a point twice and one missing
     split = make_split(15, 3)
     grid, c1 = crt_grid(split), build_C1(split)
-    c2 = amplitudes(build_C2(split))
-    off = c2.copy()
-    off[0, 1, grid[1, 0]] = 0.5
     doubled = grid.copy()
     doubled[1] = grid[0]
     side, c1_points, coefficients = c1._comb
     short = c1_points.copy()
     short[0, 0] = short[0, 1]
-    stepped = amplitudes(c1).copy()
-    stepped[2, 3, 4] = np.nextafter(stepped[2, 3, 4].real, 2) + 1j * stepped[2, 3, 4].imag
-    claims = [(BasisKind.C2, off, "position", grid, None),
-              (BasisKind.C2, c2.copy(), "position", doubled, None),
-              (BasisKind.C1, amplitudes(c1).copy(), "momentum", short, coefficients),
-              (BasisKind.C1, stepped, "momentum", c1_points, coefficients)]
-    for kind, amps, side, points, coefficients in claims:
-        bad = reps._comb_basis(kind, amps, side, points, coefficients)
-        assert bad._comb is None
-        for a, b in ((bad, bad), (bad, c1), (c1, bad), (bad, build_E_pos(15, 3))):
-            assert np.array_equal(overlap_matrix(a, b), dense_product(a, b))
-    good = reps._comb_basis(BasisKind.C2, c2.copy(), "position", grid)
-    # it keeps only the coefficients, read at its points
-    assert good._comb[1] is grid and good._amps is None
-    assert good._comb[2].tobytes() == np.take_along_axis(c2, grid[:, None, :], axis=2).tobytes()
+    claims = [(BasisKind.C2, "position", doubled, build_C2(split)._comb[2]),
+              (BasisKind.C1, "momentum", short, coefficients)]
+    for kind, side, points, coefficients in claims:
+        bad = reps._comb_basis(kind, side, points, coefficients)
+        # one position class of all M points, holding the rows the claim scatters
+        assert bad._comb[0] == "position" and np.array_equal(bad._comb[1], np.arange(15)[None])
+        want = seed_scatter(side, points, coefficients, (3, 5, 15))
+        if side == "momentum":
+            np.fft.ifft(want, axis=-1, norm="ortho", out=want)
+        assert bad._comb[2].tobytes() == want.reshape(1, 15, 15).tobytes()
+        assert np.array_equal(overlap_matrix(bad, bad), dense_product(bad, bad))
+        for a, b in ((bad, c1), (c1, bad), (bad, build_E_pos(15, 3))):
+            np.testing.assert_allclose(overlap_matrix(a, b), dense_product(a, b),
+                                       rtol=0, atol=PRODUCT_ATOL)
+    coefficients = build_C2(split)._comb[2]
+    good = reps._comb_basis(BasisKind.C2, "position", grid, coefficients)
+    # a claim that holds keeps its points and coefficients as given
+    assert good._comb[1] is grid and good._comb[2] is coefficients
 
 
 def test_a_claimed_array_cannot_be_written():
+    # the dense rows that a failed claim keeps are read-only, like a plain basis's
     split = make_split(15, 3)
-    amps = amplitudes(build_C2(split)).copy()
-    basis = reps._comb_basis(BasisKind.C2, amps, "position", crt_grid(split))
-    assert basis._comb is not None
+    points = crt_grid(split).copy()
+    points[1] = points[0]
+    bad = reps._comb_basis(BasisKind.C2, "position", points, build_C2(split)._comb[2])
+    assert len(bad._comb[1]) == 1
     with pytest.raises(ValueError):
-        amps[0, 1, crt_grid(split)[1, 0]] = 0.5
+        bad._comb[2][0, 1, points[0, 0]] = 0.5
 
 
 def test_class_blocks_are_read_through_the_claim():
@@ -1198,6 +1208,13 @@ def test_class_blocks_are_read_through_the_claim():
         for c in range(len(points)):
             assert np.array_equal(blocks(c), want[c])
     assert np.shares_memory(reps._class_blocks(c1, c1._comb[1])(1), c1._comb[2])  # no copy
+    # points are compared by value: a copy of its own reads the coefficients as well,
+    # and two plain bases read each other's
+    assert np.shares_memory(reps._class_blocks(c1, c1._comb[1].copy())(1), c1._comb[2])
+    amps = amplitudes(c2)
+    a, b = (RepBasis(BasisKind.C2, 3, 5, amps.copy()) for _ in range(2))
+    assert a._comb[1] is not b._comb[1]
+    assert np.shares_memory(reps._class_blocks(b, a._comb[1])(0), b._comb[2])
     rolled = c2._comb[1].copy()
     rolled[:, 0] = np.roll(rolled[:, 0], 1)  # class q1 takes a point of class q1 - 1
     assert np.array_equal(np.sort(rolled, axis=None), np.arange(15))
@@ -1220,9 +1237,10 @@ def seed_on_side(basis, side):
 def seed_class_blocks(basis, side, points):
     if not np.array_equal(np.sort(points, axis=None), np.arange(basis.M)):
         return None
-    if basis._comb[1] is points and basis._comb[2] is not None:
+    if basis._comb[1] is points:
         return basis._comb[2]
     full = seed_on_side(basis, side).transpose((0, 1, 2) if side == "position" else (1, 0, 2))
+    full = full.reshape(len(points), -1, basis.M)  # [class, vector, point]
     blocks = [np.take(vectors, pts, axis=1) for vectors, pts in zip(full, points)]
     return blocks if sum(map(np.count_nonzero, blocks)) == np.count_nonzero(full) else None
 
@@ -1230,24 +1248,23 @@ def seed_class_blocks(basis, side, points):
 def seed_whole_product(a, b):
     """oracle: the product formed as one (M, M) array, as it was before it streamed blocks"""
     M = a.M
-    if a._comb and b._comb:
-        c, other = (a, b) if a._comb[1].shape[1] <= b._comb[1].shape[1] else (b, a)
-        side, points, _ = c._comb
-        kc = seed_class_blocks(c, side, points)
-        same = other._comb[0] == side and (a.M1, a.M2) == (b.M1, b.M2)
-        ko = kc if other is c else seed_class_blocks(other, side, points) if same else None
-        if kc is not None and ko is not None:
-            g = np.zeros((a.M1, a.M2, a.M1, a.M2), dtype=np.complex128)
-            view = g if side == "position" else g.transpose(1, 0, 3, 2)
-            for cls, (block_a, block_b) in enumerate(zip(kc, ko)):
-                np.matmul(block_a.conj(), block_b.T, out=view[cls, :, cls, :])
-            return g.reshape(M, M)
-        if kc is not None:
-            gathered = seed_on_side(other, side).reshape(M, M).T[points]
-            g = np.empty((c.M1, c.M2, M), dtype=np.complex128)
-            np.matmul(np.conj(kc), gathered, out=g if side == "position" else g.transpose(1, 0, 2))
-            g = g.reshape(M, M)
-            return g if c is a else np.conjugate(g, out=g).T
+    c, other = (a, b) if a._comb[1].shape[1] <= b._comb[1].shape[1] else (b, a)
+    side, points, _ = c._comb
+    kc = seed_class_blocks(c, side, points)
+    (C, V), same = c._comb[2].shape[:2], other._comb[0] == side
+    ko = kc if other is c else seed_class_blocks(other, side, points) if same else None
+    if kc is not None and ko is not None:
+        g = np.zeros((C, V, C, V) if side == "position" else (V, C, V, C), np.complex128)
+        view = g if side == "position" else g.transpose(1, 0, 3, 2)
+        for cls, (block_a, block_b) in enumerate(zip(kc, ko)):
+            np.matmul(block_a.conj(), block_b.T, out=view[cls, :, cls, :])
+        return g.reshape(M, M)
+    if kc is not None:
+        gathered = seed_on_side(other, side).reshape(M, M).T[points]
+        g = np.empty((C, V, M) if side == "position" else (V, C, M), np.complex128)
+        np.matmul(np.conj(kc), gathered, out=g if side == "position" else g.transpose(1, 0, 2))
+        g = g.reshape(M, M)
+        return g if c is a else np.conjugate(g, out=g).T
     return np.conj(seed_amplitudes(a).reshape(M, M)) @ seed_amplitudes(b).reshape(M, M).T
 
 

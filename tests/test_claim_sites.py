@@ -1,10 +1,12 @@
-"""A comb's claim is made and checked in one place; so is a state's DFT.
+"""A basis's claim is made and checked in one place; so is a state's DFT.
 
-reps._comb_basis checks a comb claim once, when the basis is made, and the
-products trust it from then on. Code that assigned RepBasis._comb anywhere
-else would skip that check, so this test reads every module of the package
-and every test module and allows only RepBasis.__init__ (which sets None)
-and reps._comb_basis to assign it.
+Every RepBasis is a comb claim. reps._comb_basis checks a claim once, when
+the basis is made (its points must tile [0, M)), and the products trust it
+from then on. Code that assigned RepBasis._comb anywhere else would skip that
+check, so this test reads every module of the package and every test module
+and allows only RepBasis.__init__ and reps._comb_basis to assign it. The
+constructor sets None (which _comb_basis replaces) or the one-class claim of
+the amplitudes it was given, which tiles [0, M) by construction.
 
 A state's verdicts and its conjugate read StateVector._momentum as its DFT
 without taking it again, so only StateVector.__init__ (which sets None) and
@@ -15,12 +17,9 @@ import ast
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 import phasecrt
-from phasecrt import reps
-from phasecrt.numtheory import make_split
-from phasecrt.reps import BasisKind, build_C1
+from phasecrt.reps import BasisKind, RepBasis
 
 ROOTS = [Path(phasecrt.__file__).resolve().parent, Path(__file__).resolve().parent]
 ALLOWED = {("reps.py", "RepBasis.__init__"), ("reps.py", "_comb_basis")}
@@ -65,7 +64,8 @@ def assignments(tree, attr):
 
 
 def assigning_sites(attr, allowed, init):
-    """Every (module, scope) assigning .attr; each must be allowed, and init sets None."""
+    """Every (module, scope) assigning .attr; each must be allowed, and init (if named)
+    sets None."""
     sites = []
     for root in ROOTS:
         for path in sorted(root.glob("*.py")):
@@ -78,7 +78,11 @@ def assigning_sites(attr, allowed, init):
 
 
 def test_only_the_claim_site_assigns_comb():
-    assert assigning_sites("_comb", ALLOWED, "RepBasis.__init__") == sorted(ALLOWED)
+    assert assigning_sites("_comb", ALLOWED, None) == sorted(ALLOWED)
+    amps = np.zeros((3, 5, 15), dtype=complex)
+    side, points, coefficients = RepBasis(BasisKind.C2, 3, 5, amps)._comb
+    assert side == "position" and np.array_equal(points, np.arange(15)[None])
+    assert coefficients.shape == (1, 15, 15)
 
 
 def test_only_the_dft_sites_assign_momentum():
@@ -101,12 +105,3 @@ def f(basis, good):
     momentum = source.replace("_comb", "_momentum")
     assert [node.lineno for _, node in assignments(ast.parse(momentum), "_momentum")] \
         == [3, 4, 5, 6, 7, 8]
-
-
-def test_a_momentum_claim_without_coefficients_is_refused():
-    # a momentum comb's class blocks are its coefficients; a claim without them
-    # would give a basis whose products cannot read its classes
-    c1 = build_C1(make_split(15, 3))
-    with pytest.raises(ValueError, match="coefficients"):
-        reps._comb_basis(BasisKind.C1, c1.as_matrix().T.reshape(3, 5, 15).copy(), "momentum",
-                         c1._comb[1])

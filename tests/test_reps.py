@@ -391,6 +391,8 @@ class TestBuildDispatch:
         amps = np.zeros((2, 3, 6), dtype=complex)
         basis = RepBasis(BasisKind.E_POS, 2, 3, amps)
         assert amps.flags.writeable  # the caller's array keeps its flags
-        assert np.shares_memory(basis.as_matrix(), amps)  # and is not copied
+        side, points, coefficients = basis._comb  # one position class of all M points
+        assert side == "position" and np.array_equal(points, np.arange(6)[None])
+        assert np.shares_memory(coefficients, amps)  # and is not copied
         with pytest.raises(ValueError):
-            basis.as_matrix()[0, 0] = 1
+            coefficients[0, 0, 0] = 1

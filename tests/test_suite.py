@@ -245,13 +245,17 @@ def build_instead(monkeypatch, bad):
 
 
 def corrupt_c2(monkeypatch, corrupt):
-    """Has the suite build C2 of 3x5 from its amplitudes with corrupt applied;
-    the comb is claimed again, so the products read the amplitudes (densely
-    where the corruption breaks the claim)."""
+    """Has the suite build C2 of 3x5 from its amplitudes with corrupt applied: the
+    comb of their coefficients on C2's classes where every nonzero amplitude stays
+    there, else the plain basis of the amplitudes."""
     good = build_basis(BasisKind.C2, 15, 3)
     amps = good.as_matrix().T.reshape(3, 5, 15).copy()
     corrupt(amps)
-    bad = reps._comb_basis(BasisKind.C2, amps, "position", good._comb[1])
+    points = good._comb[1]
+    coefficients = np.take_along_axis(amps, points[:, None, :], axis=2)
+    bad = (reps._comb_basis(BasisKind.C2, "position", points, coefficients)
+           if np.count_nonzero(coefficients) == np.count_nonzero(amps)
+           else RepBasis(BasisKind.C2, 3, 5, amps))
     build_instead(monkeypatch, bad)
     return make_split(15, 3)
 
@@ -348,11 +352,10 @@ class TestWorstLocation:
         side, points, coefficients = good._comb
         coefficients = np.array(coefficients)  # [k2, q1, point]
         coefficients[13, 0] = coefficients[1, 1] = 2 * coefficients[0, 0]
-        claimed = reps._comb_basis(BasisKind.E_MOM, None, side, points, coefficients)
+        claimed = reps._comb_basis(BasisKind.E_MOM, side, points, coefficients)
         amps = claimed.as_matrix().T.reshape(14, 15, 210).copy()  # its rows, bit for bit
-        bad = (reps._comb_basis(BasisKind.E_MOM, amps, side, points, coefficients) if keep_comb
-               else RepBasis(BasisKind.E_MOM, 14, 15, amps))
-        assert (bad._comb is not None) == keep_comb
+        bad = claimed if keep_comb else RepBasis(BasisKind.E_MOM, 14, 15, amps)
+        assert (bad._comb[0] == "momentum") == keep_comb
         build_instead(monkeypatch, bad)
         checks = []
         tol = default_tolerance(210)
@@ -459,12 +462,11 @@ class TestNanIsTheWorst:
         # (0, 1) fails in the first and a NaN in vector (9, 3), label 264, sits in a
         # later one; both relations of that vector are NaN, and the first in
         # row-major order is clock
-        good = build_basis(BasisKind.E_POS, 667, 23)
-        amps = good.as_matrix().T.reshape(23, 29, 667).copy()
-        amps[0, 1, np.flatnonzero(amps[0, 1])[1]] *= -1
-        amps[9, 3, np.flatnonzero(amps[9, 3])[2]] = np.nan
-        bad = reps._comb_basis(BasisKind.E_POS, amps, "position", good._comb[1])
-        assert bad._comb is not None
+        side, points, coefficients = build_basis(BasisKind.E_POS, 667, 23)._comb
+        coefficients = np.array(coefficients)  # [q1, k2, point]
+        coefficients[0, 1, 1] *= -1
+        coefficients[9, 3, 2] = np.nan
+        bad = reps._comb_basis(BasisKind.E_POS, side, points, coefficients)
         blocks, real = [], reps._worst
 
         def recording(found, dev, rows, cols):
@@ -494,7 +496,7 @@ class TestNanIsTheWorst:
         coefficients = np.array(coefficients)  # [k2, q1, point]
         for q1, k2 in (first, second):
             coefficients[k2, q1, 1] = np.nan
-        bad = reps._comb_basis(BasisKind.E_MOM, None, side, points, coefficients)
+        bad = reps._comb_basis(BasisKind.E_MOM, side, points, coefficients)
         value, note = reps._eigen_deviations(bad)
         assert math.isnan(value)
         assert note == f"worst at (q1={second[0]}, k2={second[1]}), clock relation"
