@@ -4,7 +4,7 @@ Conventions, fixed once for the whole package (c = hbar = 1):
 
 * omega_M = exp(2j*pi/M); the momentum label k stands for p = 2*pi*k/M.
 * Fourier kernel <q|k> = omega_M**(FOURIER_SIGN*q*k) / sqrt(M) with
-  FOURIER_SIGN = +1, so <k|q> is its complex conjugate.
+  FOURIER_SIGN = +1, read by every transform (_dft); <k|q> is its conjugate.
 
 Every operator is monomial: |q> -> omega_M**(a*q + b) |q - s>, with
 (s, a, b) kept as exact integers mod M, so operator identities are integer
@@ -61,11 +61,12 @@ def omega_power(M: int, exponent) -> complex | np.ndarray:
     return complex(out) if e.ndim == 0 else out
 
 
-def phase_exponent(z: complex, M: int) -> tuple[int, float]:
-    """Nearest integer n with z/|z| = omega_M**n, plus the rounding residual."""
+def phase_exponent(z, M: int):
+    """Nearest integer n with z/|z| = omega_M**n and the residual, per entry (NaN: n = 0)."""
     x = np.angle(z) * M / (2.0 * np.pi)
-    n = int(round(x))
-    return n % M, abs(x - n)
+    n = np.round(x)
+    e = np.nan_to_num(n).astype(np.int64) % M
+    return (int(e) if np.ndim(z) == 0 else e), abs(x - n)
 
 
 class StateVector:
@@ -106,14 +107,21 @@ class StateVector:
         return f"StateVector(dim={self.dim}, normalized={self.normalized})"
 
 
+def _dft(x: np.ndarray, inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
+    """The unitary DFT along the last axis: position amplitudes to momentum ones,
+    <k|x> = sum_q omega_M**(-FOURIER_SIGN*q*k) x[q] / sqrt(M), or back if inverse.
+    The one transform of the package (numpy's fft has the kernel omega_M**(-q*k))."""
+    fft = np.fft.fft if (FOURIER_SIGN > 0) != inverse else np.fft.ifft
+    return fft(x, axis=-1, norm="ortho", out=out)
+
+
 def _fill_momentum(states: list[StateVector]) -> np.ndarray:
     """Give fresh states of one dimension their DFTs, taken as one batched FFT, and
     return the stack of their amplitudes that it transformed: a state keeps its row
     of the frozen result. A row FFT does a lone FFT's arithmetic, so the row's bytes
     do not depend on the stack (momentum_amplitudes fills a lone state)."""
     stack = np.stack([state.amplitudes for state in states])
-    rows = np.fft.fft(stack, axis=-1)
-    rows /= math.sqrt(rows.shape[-1])
+    rows = _dft(stack)
     rows.setflags(write=False)
     for state, row in zip(states, rows):
         state._momentum = row

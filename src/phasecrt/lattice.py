@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _SCRATCH_BYTES, StateVector, default_tolerance, norm_tolerance
+from .core import _SCRATCH_BYTES, StateVector, _dft, default_tolerance, norm_tolerance
 from .numtheory import CoprimeSplit
 
 
@@ -58,7 +58,7 @@ _TILE = math.isqrt(_SCRATCH_BYTES // (2 * 16 + 2 + 8))
 
 
 def _block_rows(M: int) -> int:
-    """Rows of one classifier block: its complex ifft, float magnitudes and
+    """Rows of one classifier block: its complex inverse DFT, float magnitudes and
     bool support take 25 bytes an entry."""
     return min(M, max(1, _SCRATCH_BYTES // ((16 + 8 + 1) * M)))
 
@@ -142,11 +142,11 @@ def _dim(rho) -> int:
 
 
 def mixed_element_matrix(rho: StateVector | DensityMatrix) -> np.ndarray:
-    """<q|rho|k> for all (q, k); rows position, columns momentum; rho @ F is a row ifft."""
+    """<q|rho|k> for all (q, k); rows position, columns momentum; rho @ F = inverse row DFT."""
     _dim(rho)
     if isinstance(rho, StateVector):
         return np.outer(rho.amplitudes, np.conj(rho.momentum_amplitudes()))
-    return np.fft.ifft(rho.matrix, axis=1, norm="ortho")
+    return _dft(rho.matrix, inverse=True)
 
 
 def default_support_threshold(M: int) -> float:
@@ -202,7 +202,7 @@ def _sort_count(a: np.ndarray, b: np.ndarray, t: float) -> int:
 def _dense_support(rho: DensityMatrix, t: float, M1: int, M2: int):
     """(count, first row-major point, lattice) of |rho @ F| > t, as _pure_support.
 
-    |rho @ F| is read one row block at a time, each block a row ifft of rho into
+    |rho @ F| is read one row block at a time, each block the rows' inverse DFT into
     reused scratch (bit for bit the rows of mixed_element_matrix(rho)); only the
     magnitudes on the lattice through the first support point are kept. Lattice
     rows before the first support row hold no support; they are kept as 0,
@@ -216,7 +216,7 @@ def _dense_support(rho: DensityMatrix, t: float, M1: int, M2: int):
     count, first, on_lattice = 0, (0, 0), None
     for i in range(0, M, rows):
         n = min(rows, M - i)
-        np.fft.ifft(m[i:i + n], axis=1, norm="ortho", out=z[:n])
+        _dft(m[i:i + n], inverse=True, out=z[:n])
         np.abs(z[:n], out=mag[:n])
         count += int(np.count_nonzero(np.greater(mag[:n], t, out=hit[:n])))
         if on_lattice is None:

@@ -17,20 +17,21 @@ only such a claim: its side, each class's points and the coefficients there,
 M * class size numbers, not M**2. Its labels come from the coefficients' shape
 (C classes of V vectors): c*V + v in position, v*C + c in momentum. Amplitudes
 given to RepBasis are the position comb of one class holding all M points;
-_comb_basis checks every other claim where it is made (its points tile [0, M))
-and makes one that fails the one-class comb of its dense rows. Dense rows are
-read on demand, a block of labels at a time (_rows): the coefficients scattered
-onto their points, and on the momentum side taken through the orthonormal
-inverse FFT. A Gram or overlap streams in blocks of at most _SCRATCH_BYTES:
-square blocks of whole classes for two combs of one side and classes, else a
-gather over the smaller class. The eigen relations act on blocks of
-coefficients, in momentum through each operator's Fourier conjugate (where clock
-shifts and translate multiplies). Each reduction drops a block once read; only
-overlap_matrix, as_matrix, conjugate_basis and the dense rows of a claim that
-fails (or whose classes a shift does not keep) form a whole (M, M) array. The
-E kinds exist for any divisor M1 of M, the C kinds need gcd(M1, M2) = 1. C1 and
-C2 agree vector for vector; the others up to the label-dependent phases of
-CROSS_PHASE_FORMS, checked by compare_cross_phases.
+_comb_basis checks every other claim where it is made (class c of C holds the
+residue class c mod C of [0, M)) and makes one that fails the one-class comb of
+its dense rows. Dense rows are read on demand, a block of labels at a time
+(_rows): the coefficients scattered onto their points, and on the momentum side
+taken through the inverse of core._dft. A Gram or overlap streams in blocks of
+at most _SCRATCH_BYTES: square blocks of whole classes for two combs of one side
+and class count, else a gather over the smaller class. The eigen relations act
+on blocks of coefficients, in momentum through each operator's Fourier conjugate
+(where clock shifts and translate multiplies), and a shift keeps the classes
+when C divides it. Each reduction drops a block once read; only overlap_matrix,
+as_matrix, conjugate_basis and the dense rows of a claim that fails (or whose
+classes a shift does not keep) form a whole (M, M) array. The E kinds exist for
+any divisor M1 of M, the C kinds need gcd(M1, M2) = 1. C1 and C2 agree vector
+for vector; the others up to the label-dependent phases of CROSS_PHASE_FORMS,
+checked by compare_cross_phases.
 """
 
 from __future__ import annotations
@@ -47,10 +48,12 @@ from .core import (
     _SCRATCH_BYTES,
     DimensionMismatchError,
     StateVector,
+    _dft,
     _fourier_conjugate,
     clock,
     default_tolerance,
     omega_power,
+    phase_exponent,
     translate,
 )
 from .numtheory import CoprimeSplit, NonCoprimeError, _labels, crt_grid, make_split
@@ -151,33 +154,34 @@ def _comb_basis(kind: BasisKind, side: str, points: np.ndarray,
                 coefficients: np.ndarray) -> RepBasis:
     """The comb on side whose vector v of class c is coefficients[c, v, j] at points[c, j];
     labels run c*V + v in position and v*C + c in momentum, for C classes of V vectors.
-    The claim is checked here, in exact integers: the points tile [0, M). A claim that
-    fails is the one-class comb of its dense rows, so every check reads what was built."""
+    The claim is checked here, in exact integers: class c holds exactly the points
+    p = c mod C of [0, M), its residue class, so two combs of one side and class count
+    share their classes. A claim that fails is the one-class comb of its dense rows, so
+    every check reads what was built."""
     C, V, _ = coefficients.shape
     basis = RepBasis(kind, *((C, V) if side == "position" else (V, C)), None)
     basis._comb = (side, points, coefficients)
-    return basis if np.array_equal(np.sort(points, axis=None), np.arange(basis.M)) else \
-        _plain(basis)
+    return basis if np.array_equal(np.sort(points, axis=1), np.arange(basis.M).reshape(-1, C).T) \
+        else _plain(basis)
 
 
 def _plain(basis: RepBasis) -> RepBasis:
-    """The one-class comb of basis' dense rows."""
-    amps = _rows(basis, np.arange(basis.M)).reshape(basis.M1, basis.M2, basis.M)
-    return RepBasis(basis.kind, basis.M1, basis.M2, amps)
+    """The one-class comb of basis' dense rows, where a point given twice in a class
+    holds the sum of its coefficients."""
+    amps = _rows(basis, np.arange(basis.M), scatter=np.add.at)
+    return RepBasis(basis.kind, basis.M1, basis.M2, amps.reshape(basis.M1, basis.M2, basis.M))
 
 
-def _rows(basis: RepBasis, labels: np.ndarray) -> np.ndarray:
+def _rows(basis: RepBasis, labels: np.ndarray, scatter=np.ndarray.__setitem__) -> np.ndarray:
     """The dense amplitudes of the vectors at a run of labels, row-major (q1, k2): the
-    comb's coefficients scattered onto their class points, through the orthonormal
-    inverse DFT on the momentum side."""
+    comb's coefficients scattered onto their class points (assigned, or added by _plain's
+    np.add.at), through the inverse DFT on the momentum side."""
     side, points, coefficients = basis._comb
     C, V, _ = coefficients.shape
     c, v = np.divmod(labels, V) if side == "position" else np.divmod(labels, C)[::-1]
     out = np.zeros((len(labels), basis.M), dtype=np.complex128)
-    out[np.arange(len(labels))[:, None], points[c]] = coefficients[c, v]
-    if side == "momentum":  # <q|k> = omega_M**(q*k) / sqrt(M): the orthonormal inverse DFT
-        np.fft.ifft(out, axis=-1, norm="ortho", out=out)
-    return out
+    scatter(out, (np.arange(len(labels))[:, None], points[c]), coefficients[c, v])
+    return _dft(out, inverse=True, out=out) if side == "momentum" else out
 
 
 def build_C1(split: CoprimeSplit) -> RepBasis:
@@ -264,7 +268,7 @@ def conjugate_basis(basis: RepBasis) -> RepBasis:
     """Conjugate every vector and relabel: orientation (M1, M2) -> (M2, M1),
     vector (q1, k2) -> (k2, q1)."""
     amps = _rows(basis, np.arange(basis.M)).reshape(basis.M1, basis.M2, basis.M)
-    amps = np.conj(np.fft.fft(amps, axis=-1) / math.sqrt(basis.M))
+    amps = np.conj(_dft(amps))
     return RepBasis(basis.kind, basis.M2, basis.M1, amps.transpose(1, 0, 2).copy(),
                     conjugated=not basis.conjugated)
 
@@ -301,11 +305,10 @@ def _label_blocks(M: int, temporaries: int = 1) -> list[np.ndarray]:
 
 def _class_blocks(basis: RepBasis, points: np.ndarray):
     """Class c's (V, S) block on demand: the comb's coefficients of class c at points[c]
-    (permuted into points' order unless they are its own, compared by value). None unless
-    each class c of the basis holds exactly the points of points[c] (an integer check)."""
+    (permuted into points' order unless they are its own, compared by value). points are
+    those of a comb on basis' side with its class count: _comb_basis made both claims
+    residue classes, so class c of each holds the same points."""
     _, own, coefficients = basis._comb
-    if not np.array_equal(np.sort(own, axis=1), np.sort(points, axis=1)):
-        return None
     if np.array_equal(own, points):
         return coefficients.__getitem__
     at = np.argsort(own, axis=None) % own.shape[1]  # each point's place in its class of own
@@ -314,18 +317,17 @@ def _class_blocks(basis: RepBasis, points: np.ndarray):
 
 def _product(a: RepBasis, b: RepBasis) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """a^H b as blocks g[ix_(rows, cols)] over ascending labels, exact zeros outside
-    them. Of the two combs, c has the smaller class. With the other on c's side and
-    classes: square blocks of whole classes, each class's blocks read in turn; else
-    c's classes gather a block of the other's labels on c's side (M * class size
-    work each)."""
+    them. Of the two combs, c has the smaller class. With the other on c's side with as
+    many classes, so the same ones (see _comb_basis): square blocks of whole classes,
+    each class's blocks read in turn; else c's classes gather a block of the other's
+    labels on c's side (M * class size work each)."""
     M, every = a.M, np.arange(a.M)
     c, other = (a, b) if a._comb[1].shape[1] <= b._comb[1].shape[1] else (b, a)
     side, points, coefficients = c._comb
     C, V, _ = coefficients.shape
-    ko = _class_blocks(other, points) if other._comb[0] == side else None
-    if ko is not None:  # classes of one size, so c is a
+    if other._comb[0] == side and len(other._comb[1]) == C:  # classes of one size: c is a
         # n classes of V vectors per square block, exact zeros between classes
-        kc = _class_blocks(c, points)
+        kc, ko = _class_blocks(c, points), _class_blocks(other, points)
         grid = np.arange(M).reshape((C, V) if side == "position" else (V, C))  # the labels
         step = max(1, math.isqrt(_SCRATCH_BYTES // 16) // V)
         for classes in np.split(np.arange(C), range(step, C, step)):
@@ -346,7 +348,7 @@ def _product(a: RepBasis, b: RepBasis) -> Iterator[tuple[np.ndarray, np.ndarray,
     kc = np.conj(coefficients)
     for labels in _label_blocks(M):
         run = _rows(other, labels)
-        run = run if side == "position" else np.fft.fft(run, norm="ortho")
+        run = run if side == "position" else _dft(run)
         g = np.empty((C, V, len(labels)) if side == "position" else (V, C, len(labels)),
                      np.complex128)
         np.matmul(kc, run.T[points], out=g if side == "position" else g.swapaxes(0, 1))
@@ -442,16 +444,13 @@ def compare_cross_phases(
         tol = default_tolerance(M)
     diag, max_mod_err, worst = overlap or _scan(basis_a, basis_b, modulus=True)
 
-    # phase_exponent, for every diagonal entry at once
-    x = np.angle(diag) * M / (2.0 * np.pi)
-    n = np.round(x)
-    max_residual = float(np.max(np.abs(x - n)))
-    measured = np.nan_to_num(n).astype(np.int64) % M  # a NaN phase has no exponent to list
+    measured, residual = phase_exponent(diag, M)
+    max_residual = float(np.max(residual))
     q1, k2 = np.divmod(np.arange(M), basis_a.M2)  # labels in row-major (q1, k2) order
     claimed = np.broadcast_to(CROSS_PHASE_FORMS[key](split, q1, k2), (M,)) % M
-    mismatches = tuple(
+    mismatches = tuple(  # a NaN phase has no exponent to list
         PhaseDiscrepancy(TorusLabel(int(q1[i]), int(k2[i])), int(measured[i]), int(claimed[i]))
-        for i in np.flatnonzero((measured != claimed) & (n == n)))
+        for i in np.flatnonzero((measured != claimed) & (residual == residual)))
 
     # a NaN error is below no tolerance
     if not (max_mod_err < tol and max_residual < PHASE_EXPONENT_RESIDUAL_TOL):
@@ -468,15 +467,15 @@ def _eigen_deviations(basis: RepBasis) -> tuple[float, str]:
     """The _worst residual norm of a vector under its two eigen-relations, and the label
     and relation (clock, then translate) where it sits. Each relation (s, a, b) acts on a
     comb's coefficients, in momentum as F^H op F: the one at class point p, times
-    omega_M**(a*p + b), moves to p - s, in its class (an integer check). A comb whose
-    classes a shift does not keep is read as the one class of its dense rows, which every
-    shift keeps. A block holds whole classes, or a run of the vectors of one too large alone."""
+    omega_M**(a*p + b), moves to p - s, in its class when C classes divide s (a claim's
+    classes are residue classes, see _comb_basis). A comb whose classes a shift does not
+    keep is read as the one class of its dense rows, which every shift keeps. A block
+    holds whole classes, or a run of the vectors of one too large alone."""
     M, M1, M2 = basis.M, basis.M1, basis.M2
     side, points, coefficients = basis._comb
     ops = [clock(M, M1), translate(M, M1 % M)]
     acting = [_fourier_conjugate(op) for op in ops] if side == "momentum" else ops
-    if any(not np.array_equal(np.sort((points + op.shift) % M, axis=1), np.sort(points, axis=1))
-           for op in acting):
+    if any(op.shift % len(points) for op in acting):
         (side, points, coefficients), acting = _plain(basis)._comb, ops
     (C, V, S), found = coefficients.shape, None
     at = np.argsort(points, axis=None) % S  # each point's place in its class

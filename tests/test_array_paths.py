@@ -1156,9 +1156,20 @@ def test_comb_with_overlapping_classes_falls_back_to_dense():
     assert np.array_equal(overlap_matrix(bad, bad), dense_product(bad, bad))
 
 
+def summed_scatter(side, points, coefficients, shape):
+    """seed_scatter as a comb denotes it: a point given twice in a class holds the sum of
+    its coefficients, added one at a time."""
+    out = np.zeros(shape, dtype=np.complex128)
+    C, V, _ = coefficients.shape
+    view = out.reshape(C, V, -1) if side == "position" else out.transpose(1, 0, 2)
+    for (c, v, j), x in np.ndenumerate(coefficients):
+        view[c, v, points[c, j]] += x
+    return out
+
+
 def test_a_claim_that_fails_when_made_gives_a_plain_basis():
-    # points that do not tile [0, M): a position class repeated, or a momentum class
-    # with a point twice and one missing
+    # points that are not residue classes: a position class repeated, or a momentum
+    # class with a point twice and one missing
     split = make_split(15, 3)
     grid, c1 = crt_grid(split), build_C1(split)
     doubled = grid.copy()
@@ -1172,7 +1183,7 @@ def test_a_claim_that_fails_when_made_gives_a_plain_basis():
         bad = reps._comb_basis(kind, side, points, coefficients)
         # one position class of all M points, holding the rows the claim scatters
         assert bad._comb[0] == "position" and np.array_equal(bad._comb[1], np.arange(15)[None])
-        want = seed_scatter(side, points, coefficients, (3, 5, 15))
+        want = summed_scatter(side, points, coefficients, (3, 5, 15))
         if side == "momentum":
             np.fft.ifft(want, axis=-1, norm="ortho", out=want)
         assert bad._comb[2].tobytes() == want.reshape(1, 15, 15).tobytes()
@@ -1180,10 +1191,52 @@ def test_a_claim_that_fails_when_made_gives_a_plain_basis():
         for a, b in ((bad, c1), (c1, bad), (bad, build_E_pos(15, 3))):
             np.testing.assert_allclose(overlap_matrix(a, b), dense_product(a, b),
                                        rtol=0, atol=PRODUCT_ATOL)
+    # the comb as written: its class-0 vectors hold both coefficients at the doubled
+    # point (the last one alone gives 1/3)
+    assert reps._comb_basis(BasisKind.C1, "momentum", short, coefficients).gram_residual() \
+        == pytest.approx(2 / 3, rel=1e-12)
     coefficients = build_C2(split)._comb[2]
     good = reps._comb_basis(BasisKind.C2, "position", grid, coefficients)
     # a claim that holds keeps its points and coefficients as given
     assert good._comb[1] is grid and good._comb[2] is coefficients
+
+
+def test_a_claim_whose_classes_are_not_residue_classes_is_plain():
+    # points that tile [0, M), but class q1 (or k2) takes a point of the class before
+    split = make_split(15, 3)
+    for basis in (build_C2(split), build_C1(split), build_E_pos(15, 3), build_E_mom(15, 3)):
+        side, points, coefficients = basis._comb
+        rolled = points.copy()
+        rolled[:, 0] = np.roll(rolled[:, 0], 1)
+        assert np.array_equal(np.sort(rolled, axis=None), np.arange(15))
+        bad = reps._comb_basis(basis.kind, side, rolled, coefficients)
+        assert bad._comb[0] == "position" and np.array_equal(bad._comb[1], np.arange(15)[None])
+        want = summed_scatter(side, rolled, coefficients, (basis.M1, basis.M2, 15))
+        if side == "momentum":
+            np.fft.ifft(want, axis=-1, norm="ortho", out=want)
+        assert bad._comb[2].tobytes() == want.reshape(1, 15, 15).tobytes()
+
+
+@pytest.mark.parametrize("split", SPLITS_30_210, ids=lambda s: f"{s.M}:{s.describe()}")
+def test_every_builders_claim_keeps_its_arrays(split):
+    # class c of C holds the residue class c mod C, so no builder's claim is plain
+    claims, real = [], reps._comb_basis
+
+    def spy(kind, side, points, coefficients):
+        claims.append((kind, side, points, coefficients,
+                       real(kind, side, points, coefficients)))
+        return claims[-1][-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reps, "_comb_basis", spy)
+        patch.setattr(suite, "_comb_basis", spy)
+        all_bases(split.M, split.M1)
+        suite._check_pls([], split, split.describe(), default_tolerance(split.M))  # the stack
+    assert [(kind, side) for kind, side, *_ in claims] == [
+        (kind, SIDE[kind]) for kind in BasisKind] + [(BasisKind.C2, "position")]
+    for kind, side, points, coefficients, basis in claims:
+        assert np.all(points % len(points) == np.arange(len(points))[:, None])
+        assert basis._comb[1] is points and basis._comb[2] is coefficients
 
 
 def test_a_claimed_array_cannot_be_written():
@@ -1215,13 +1268,6 @@ def test_class_blocks_are_read_through_the_claim():
     a, b = (RepBasis(BasisKind.C2, 3, 5, amps.copy()) for _ in range(2))
     assert a._comb[1] is not b._comb[1]
     assert np.shares_memory(reps._class_blocks(b, a._comb[1])(0), b._comb[2])
-    rolled = c2._comb[1].copy()
-    rolled[:, 0] = np.roll(rolled[:, 0], 1)  # class q1 takes a point of class q1 - 1
-    assert np.array_equal(np.sort(rolled, axis=None), np.arange(15))
-    assert reps._class_blocks(epos, rolled) is None
-    rolled = c1._comb[1].copy()
-    rolled[:, 0] = np.roll(rolled[:, 0], 1)
-    assert reps._class_blocks(emom, rolled) is None
 
 
 # ------------------------------------------------- blocked products --

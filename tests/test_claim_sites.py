@@ -1,12 +1,15 @@
 """A basis's claim is made and checked in one place; so is a state's DFT.
 
 Every RepBasis is a comb claim. reps._comb_basis checks a claim once, when
-the basis is made (its points must tile [0, M)), and the products trust it
-from then on. Code that assigned RepBasis._comb anywhere else would skip that
-check, so this test reads every module of the package and every test module
-and allows only RepBasis.__init__ and reps._comb_basis to assign it. The
-constructor sets None (which _comb_basis replaces) or the one-class claim of
-the amplitudes it was given, which tiles [0, M) by construction.
+the basis is made (class c of C must hold exactly the residue class c mod C
+of [0, M)), and the products and eigen relations trust it from then on: two
+combs of one side and class count share their classes, and a shift keeps
+them when C divides it. Code that assigned RepBasis._comb anywhere else would
+skip that check, so this test reads every module of the package and every
+test module and allows only RepBasis.__init__ and reps._comb_basis to assign
+it. The constructor sets None (which _comb_basis replaces) or the one-class
+claim of the amplitudes it was given, all of [0, M), the one residue class
+mod 1, by construction.
 
 A state's verdicts and its conjugate read StateVector._momentum as its DFT
 without taking it again, so only StateVector.__init__ (which sets None) and

@@ -94,14 +94,17 @@ def translate_step_off_by_one(M, L):
 
 def grid_with_a_repeated_point(split):
     """crt_grid with entry (1, 0) a second copy of entry (0, 0); its points no longer
-    tile [0, M), so each comb over it is checked as its dense rows."""
+    tile [0, M), so each comb over it is checked as its dense rows, where the C1 comb
+    holds the sum of the two coefficients at its doubled point."""
     g = real_crt_grid(split).copy()
     g[1, 0] = g[0, 0]
     return g
 
 
 def grid_with_two_labels_swapped(split):
-    """crt_grid with entries (0, 1) and (1, 0) swapped; its points still tile [0, M)."""
+    """crt_grid with entries (0, 1) and (1, 0) swapped; its points still tile [0, M), but
+    classes 0 and 1 are no longer residue classes mod M1 (nor 0 and 1 of its transpose
+    mod M2), so each comb over it is checked as its dense rows."""
     g = real_crt_grid(split).copy()
     g[0, 1], g[1, 0] = g[1, 0], g[0, 1]
     return g
@@ -157,7 +160,7 @@ ROWS = {
     "two labels swapped in crt_grid (suite)": (suite, "crt_grid", grid_with_two_labels_swapped,
                                                fail("kernel.product[{d}]",
                                                     "kernel.label-form[{d}]")),
-    # the combs still tile [0, M), but the translate moves points across their classes
+    # the C combs are plain when claimed, and their dense rows fail the eigen relations
     "two labels swapped in crt_grid (reps)": (reps, "crt_grid", grid_with_two_labels_swapped,
                                               fail("basis.eigen.C1[{d}]", "basis.eigen.C2[{d}]",
                                                    "basis.c1c2-identity[{d}]",

@@ -23,7 +23,6 @@ UNCALLED = {
     # the acceptance criteria state the paper's claims through these
     "position_state": "acceptance criteria",
     "momentum_state": "acceptance criteria",
-    "phase_exponent": "acceptance criteria",
     # writes the state files that `phasecrt classify` reads
     "save_state": "writes the files that phasecrt classify reads",
 }
