@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numtheory import _cofactor, _integer, _labels
+
 FOURIER_SIGN = +1
 
 # Root-of-unity exponents are found by rounding arg*M/(2*pi) to an integer;
@@ -128,16 +130,11 @@ def _fill_momentum(states: list[StateVector]) -> np.ndarray:
     return stack
 
 
-def _check_label(M: int, value: int, name: str) -> None:
-    if not 0 <= value < M:
-        raise ValueError(f"{name}={value} out of range [0, {M})")
-
-
 def position_state(M: int, q0: int) -> StateVector:
     """Delta state at position q0."""
     if M < 2:
         raise ValueError(f"need M >= 2, got {M}")
-    _check_label(M, q0, "q0")
+    _labels("q0", q0, M)
     amps = np.zeros(M, dtype=np.complex128)
     amps[q0] = 1.0
     return StateVector(amps, normalized=True)
@@ -147,7 +144,7 @@ def momentum_state(M: int, k0: int) -> StateVector:
     """Plane wave with <q|k0> = omega_M**(q*k0) / sqrt(M)."""
     if M < 2:
         raise ValueError(f"need M >= 2, got {M}")
-    _check_label(M, k0, "k0")
+    _labels("k0", k0, M)
     amps = omega_power(M, FOURIER_SIGN * k0 * np.arange(M)) / math.sqrt(M)
     return StateVector(amps, normalized=True)
 
@@ -178,6 +175,8 @@ class MonomialOperator:
     phase_offset: int = 0
 
     def __post_init__(self) -> None:
+        if not all(map(_integer, (self.dim, self.shift, self.phase_slope, self.phase_offset))):
+            raise ValueError(f"an operator holds integers only, got {self!r}")
         if self.dim < 2:
             raise ValueError(f"need dim >= 2, got {self.dim}")
         object.__setattr__(self, "shift", self.shift % self.dim)
@@ -211,18 +210,14 @@ class MonomialOperator:
 
 def clock(M: int, d: int) -> MonomialOperator:
     """Diagonal unitary exp(2j*pi*x/d) = omega_M**(q*(M/d)) on |q>; d must divide M."""
-    if M < 2:
-        raise ValueError(f"need M >= 2, got {M}")
-    if d < 1 or M % d != 0:
-        raise ValueError(f"{d} does not divide {M}")
-    return MonomialOperator(M, shift=0, phase_slope=M // d)
+    return MonomialOperator(M, shift=0, phase_slope=_cofactor(M, d))
 
 
 def translate(M: int, L: int) -> MonomialOperator:
     """Cyclic step exp(i*p*L): |q> -> |q - L>."""
     if M < 2:
         raise ValueError(f"need M >= 2, got {M}")
-    _check_label(M, L, "L")
+    _labels("L", L, M)
     return MonomialOperator(M, shift=L)
 
 

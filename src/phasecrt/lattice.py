@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _SCRATCH_BYTES, StateVector, _dft, default_tolerance, norm_tolerance
-from .numtheory import CoprimeSplit
+from .numtheory import CoprimeSplit, _labels
 
 
 @dataclass(frozen=True, order=True)
@@ -45,10 +45,8 @@ class VNLattice:
     shift_k: int = 0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.shift_q < self.split.M1:
-            raise ValueError(f"shift_q={self.shift_q} out of range [0, {self.split.M1})")
-        if not 0 <= self.shift_k < self.split.M2:
-            raise ValueError(f"shift_k={self.shift_k} out of range [0, {self.split.M2})")
+        _labels("shift_q", self.shift_q, self.split.M1)
+        _labels("shift_k", self.shift_k, self.split.M2)
 
 
 # Every ufunc of a Hermitian-check tile pair or a classifier row block reads and

@@ -1,12 +1,15 @@
 """Exact integer machinery: factorization, coprime splits, CRT label maps.
 
-Everything here is exact integer arithmetic: plain Python ints, and the same
-CRT formula broadcast over integer label arrays in crt_grid, crt_compose and crt_decompose.
+Everything here is exact integer arithmetic on plain Python ints or integer arrays.
+The integer rules of the package live here alone: one CRT formula (crt_compose,
+which crt_grid and reps.build_pls call), one label rule (_labels) and one divisor
+rule (_cofactor). The two input rules refuse a bool and any non-integer.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +74,7 @@ def mod_inverse(a: int, m: int) -> int:
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
     try:
-        return pow(a, -1, m)
+        return pow(operator.index(a), -1, operator.index(m))  # numpy integers too
     except ValueError as exc:
         raise NotInvertibleError(f"{a} has no inverse mod {m} (gcd != 1)") from exc
 
@@ -101,9 +104,9 @@ class CoprimeSplit:
             raise NonCoprimeError(f"gcd({self.M1}, {self.M2}) = {math.gcd(self.M1, self.M2)} != 1")
         if self.L1 != self.M2 or self.L2 != self.M1:
             raise ValueError("L1, L2 must equal M/M1, M/M2")
-        if not (1 <= self.N1 < self.M1 and (self.N1 * self.L1) % self.M1 == 1):
+        if self.N1 != mod_inverse(self.L1, self.M1):
             raise ValueError(f"N1={self.N1} is not the inverse of L1={self.L1} mod {self.M1}")
-        if not (1 <= self.N2 < self.M2 and (self.N2 * self.L2) % self.M2 == 1):
+        if self.N2 != mod_inverse(self.L2, self.M2):
             raise ValueError(f"N2={self.N2} is not the inverse of L2={self.L2} mod {self.M2}")
 
     def swapped(self) -> "CoprimeSplit":
@@ -116,13 +119,9 @@ class CoprimeSplit:
 
 def make_split(M: int, M1: int) -> CoprimeSplit:
     """Split M into coprime factors (M1, M/M1) with the inverses populated."""
-    if M < 2:
-        raise ValueError(f"need M >= 2, got {M}")
+    M2 = _cofactor(M, M1)
     if M1 in (1, M):
         raise TrivialSplitError(f"M1={M1} gives a trivial split of {M}")
-    if M1 < 1 or M % M1 != 0:
-        raise ValueError(f"{M1} does not divide {M}")
-    M2 = M // M1
     if math.gcd(M1, M2) != 1:
         raise NonCoprimeError(f"gcd({M1}, {M2}) = {math.gcd(M1, M2)} != 1")
     return CoprimeSplit(M, M1, M2, M2, M1, mod_inverse(M2, M1), mod_inverse(M1, M2))
@@ -145,12 +144,28 @@ def enumerate_splits(M: int) -> list[CoprimeSplit]:
     return [make_split(M, m1) for m1 in sorted(lows)]
 
 
+def _integer(x) -> bool:
+    """x is a Python or numpy integer, and not a bool."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
+def _cofactor(M: int, d: int) -> int:
+    """M // d for an integer divisor d of M >= 2: the rule of every factorization."""
+    if M < 2:
+        raise ValueError(f"need M >= 2, got {M}")
+    if not _integer(d) or d < 1 or M % d != 0:
+        raise ValueError(f"{d} does not divide {M}")
+    return M // d
+
+
 def _labels(name: str, labels, n: int) -> int | np.ndarray:
     """An int label (returned as it is) or integer labels, each checked to lie in [0, n)."""
-    if isinstance(labels, (int, np.integer)):
+    if type(labels) is int or isinstance(labels, np.integer):  # _integer, inlined: hot
         bad = () if 0 <= labels < n else (labels,)
     else:
         labels = np.asarray(labels)
+        if labels.dtype.kind not in "iu":  # numpy's signed and unsigned integers
+            raise ValueError(f"{name} must be integers, got {labels!r}")
         bad = labels[(labels < 0) | (labels >= n)].ravel()
     if len(bad):
         raise ValueError(f"{name}={bad[0]} out of range [0, {n})")
@@ -171,5 +186,5 @@ def crt_decompose(split: CoprimeSplit, q) -> tuple[int | np.ndarray, int | np.nd
 
 def crt_grid(split: CoprimeSplit) -> np.ndarray:
     """(M1, M2) table grid[q1, q2] = crt_compose(split, q1, q2): the Good-Thomas index map."""
-    q1, q2 = np.arange(split.M1, dtype=np.intp), np.arange(split.M2, dtype=np.intp)
-    return (q1[:, None] * split.N1 * split.L1 + q2[None, :] * split.N2 * split.L2) % split.M
+    return crt_compose(split, np.arange(split.M1, dtype=np.intp)[:, None],
+                       np.arange(split.M2, dtype=np.intp))

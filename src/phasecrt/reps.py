@@ -56,7 +56,8 @@ from .core import (
     phase_exponent,
     translate,
 )
-from .numtheory import CoprimeSplit, NonCoprimeError, _labels, crt_grid, make_split
+from .numtheory import (CoprimeSplit, NonCoprimeError, _cofactor, _labels, crt_compose, crt_grid,
+                        make_split)
 
 
 class BasisKind(enum.Enum):
@@ -79,7 +80,7 @@ class TorusLabel:
 class RepBasis:
     """M orthonormal vectors labeled by (q1, k2) in [0, M1) x [0, M2)."""
 
-    __slots__ = ("kind", "M1", "M2", "split", "conjugated", "_comb")
+    __slots__ = ("kind", "M1", "M2", "conjugated", "_comb")
 
     def __init__(self, kind: BasisKind, M1: int, M2: int, amps: np.ndarray | None,
                  conjugated: bool = False):
@@ -92,10 +93,6 @@ class RepBasis:
         self.kind = kind
         self.M1 = M1
         self.M2 = M2
-        try:
-            self.split = make_split(M, M1)
-        except ValueError:  # (M1, M2) is not a coprime split; E kinds allow that
-            self.split = None
         self.conjugated = conjugated
         # a checked (side, class points, coefficients); see _comb_basis. Amplitudes are
         # the position comb of one class that holds all M points
@@ -107,10 +104,7 @@ class RepBasis:
         return self.M1 * self.M2
 
     def vector(self, q1: int, k2: int) -> StateVector:
-        if not 0 <= q1 < self.M1:
-            raise ValueError(f"q1={q1} out of range [0, {self.M1})")
-        if not 0 <= k2 < self.M2:
-            raise ValueError(f"k2={k2} out of range [0, {self.M2})")
+        q1, k2 = _labels("q1", q1, self.M1), _labels("k2", k2, self.M2)
         return StateVector(_rows(self, np.array([q1 * self.M2 + k2]))[0], normalized=True)
 
     def labels(self) -> Iterator[TorusLabel]:
@@ -200,23 +194,12 @@ def build_pls(split: CoprimeSplit, q01: int, k02: int) -> StateVector:
     Identical to build_C2(split).vector(q01, k02); built directly to avoid
     constructing the whole basis.
     """
-    if not 0 <= q01 < split.M1:
-        raise ValueError(f"q01={q01} out of range [0, {split.M1})")
-    if not 0 <= k02 < split.M2:
-        raise ValueError(f"k02={k02} out of range [0, {split.M2})")
+    q01, k02 = _labels("q01", q01, split.M1), _labels("k02", k02, split.M2)
     amps = np.zeros(split.M, dtype=np.complex128)
     q2 = np.arange(split.M2)
-    row = (q01 * split.N1 * split.L1 + q2 * split.N2 * split.L2) % split.M  # crt_grid(split)[q01]
+    row = crt_compose(split, q01, q2)  # crt_grid(split)[q01]
     amps[row] = omega_power(split.M2, split.N2 * k02 * q2) / math.sqrt(split.M2)
     return StateVector(amps, normalized=True)
-
-
-def _check_divisor(M: int, M1: int) -> int:
-    if M < 2:
-        raise ValueError(f"need M >= 2, got {M}")
-    if M1 < 1 or M % M1 != 0:
-        raise ValueError(f"{M1} does not divide {M}")
-    return M // M1
 
 
 def build_E_pos(M: int, M1: int) -> RepBasis:
@@ -224,7 +207,7 @@ def build_E_pos(M: int, M1: int) -> RepBasis:
 
     Defined for any divisor M1 of M; no coprimality needed.
     """
-    M2 = _check_divisor(M, M1)
+    M2 = _cofactor(M, M1)
     # Cooley-Tukey table index[q1, q2] = q1 + q2*M1
     return _comb(BasisKind.E_POS, "position", np.arange(M).reshape(M2, M1).T, 1)
 
@@ -234,7 +217,7 @@ def build_E_mom(M: int, M1: int) -> RepBasis:
 
     Defined for any divisor M1 of M; no coprimality needed.
     """
-    M2 = _check_divisor(M, M1)
+    M2 = _cofactor(M, M1)
     # Cooley-Tukey table index[k1, k2] = k2 + k1*M2
     return _comb(BasisKind.E_MOM, "momentum", np.arange(M).reshape(M1, M2), 1)
 
@@ -244,10 +227,8 @@ def build_basis(kind: BasisKind, M: int, M1: int) -> RepBasis:
     if kind.needs_coprime:
         try:
             split = make_split(M, M1)
-        except NonCoprimeError:
-            raise NonCoprimeError(
-                f"{kind.value} requires gcd(M1, M2) = 1; "
-                f"gcd({M1}, {M // M1 if M1 and M % M1 == 0 else '?'}) != 1") from None
+        except NonCoprimeError as exc:
+            raise NonCoprimeError(f"{kind.value} requires gcd(M1, M2) = 1; {exc}") from None
         return build_C1(split) if kind is BasisKind.C1 else build_C2(split)
     if kind is BasisKind.E_POS:
         return build_E_pos(M, M1)
@@ -436,9 +417,7 @@ def compare_cross_phases(
         raise ValueError(f"no claimed closed form for pair {key}")
     if basis_a.M1 != basis_b.M1 or basis_a.M2 != basis_b.M2:
         raise ValueError("bases must share the same (M1, M2) orientation")
-    split = basis_a.split or basis_b.split
-    if split is None:
-        raise ValueError("comparison needs a coprime split for the claimed form")
+    split = make_split(basis_a.M, basis_a.M1)  # the claimed forms read its inverses
     M = basis_a.M
     if tol is None:
         tol = default_tolerance(M)

@@ -776,7 +776,7 @@ def reference_eigen_record(basis, tol):
 
 def reference_compare_cross_phases(basis_a, basis_b, tol):
     M = basis_a.M
-    split = basis_a.split or basis_b.split
+    split = make_split(M, basis_a.M1)
     claimed = CROSS_PHASE_FORMS[(basis_a.kind, basis_b.kind)]
     g = overlap_matrix(basis_a, basis_b)
     mask = np.eye(M, dtype=bool)
@@ -1119,10 +1119,11 @@ def test_corrupted_position_comb_falls_back_to_dense():
 @pytest.mark.parametrize("keep_comb", [True, False], ids=["comb", "dense"])
 def test_a_nan_amplitude_makes_the_gram_residual_nan(keep_comb):
     # as np.max has it: a NaN entry is the largest, whichever block it sits in
-    basis = build_C2(make_split(210, 14))
+    split = make_split(210, 14)
+    basis, grid = build_C2(split), crt_grid(split)
     amps = amplitudes(basis).copy()
-    amps[13, 14, crt_grid(basis.split)[13, 0]] = np.nan
-    bad = (position_comb(BasisKind.C2, amps, crt_grid(basis.split)) if keep_comb
+    amps[13, 14, grid[13, 0]] = np.nan
+    bad = (position_comb(BasisKind.C2, amps, grid) if keep_comb
            else RepBasis(BasisKind.C2, 14, 15, amps))
     assert (len(bad._comb[1]) == 14) == keep_comb  # C2's classes, or one of all points
     assert math.isnan(bad.gram_residual())

@@ -170,6 +170,15 @@ class TestOperators:
         assert np.allclose(clock(10, 5).matrix(), dense_clock(10, 5), atol=1e-14)
         assert np.allclose(translate(10, 3).matrix(), dense_translate(10, 3))
 
+    @pytest.mark.parametrize("field", ["dim", "shift", "phase_slope", "phase_offset"])
+    def test_monomial_operator_holds_integers_only(self, field):
+        fields = {"dim": 15, "shift": 4, "phase_slope": 7, "phase_offset": 2}
+        for bad in (fields[field] + 0.5, float(fields[field]), np.float64(fields[field]), True):
+            with pytest.raises(ValueError, match="integers only"):
+                MonomialOperator(**{**fields, field: bad})
+        op = MonomialOperator(**{**fields, field: np.int64(fields[field])})
+        assert op == MonomialOperator(**fields)
+
 
 class TestCompose:
     def test_commutator_global_phase(self):

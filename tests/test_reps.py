@@ -370,14 +370,6 @@ class TestBuildDispatch:
         with pytest.raises(NonCoprimeError):
             build_basis(BasisKind.C2, 12, 2)
 
-    def test_split_follows_orientation(self):
-        for M in (6, 15, 210):
-            for split in enumerate_splits(M):
-                assert build_C2(split).split == split
-                assert conjugate_basis(build_C2(split)).split == split.swapped()
-                assert build_C2(split.swapped()).split == split.swapped()
-        assert build_E_pos(12, 2).split is None
-
     def test_vectors_property_and_label_checks(self):
         basis = build_E_pos(6, 2)
         vecs = dict(basis.items())
