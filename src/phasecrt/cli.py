@@ -2,8 +2,8 @@
 
 Exit codes: 0 = success (a NotVN classification is still an answer),
 1 = a suite check failed, 2 = usage, parse or file error; main maps every
-package error (a non-coprime or trivial split, a bad state file, a tolerance
-or support threshold out of range) and every OSError (an unwritable --out)
+package error (a dimension below 2, a non-coprime or trivial split, a bad state
+file, a tolerance or support threshold out of range) and every OSError (an unwritable --out)
 to 2 in one place.
 PHASECRT_TOLERANCE overrides the comparison tolerance (default 1e-9*sqrt(M)).
 """
@@ -98,8 +98,8 @@ def _map_csv(mm):
 
 
 def cmd_map(args) -> int:
+    split = make_split(args.M, args.M1)  # the dimension rule before the threshold reads M
     threshold = _support_threshold(args.M, args.threshold)
-    split = make_split(args.M, args.M1)
     state = build_pls(split, args.q01, args.k02)
     mm = np.abs(mixed_element_matrix(state))
     csv = _map_csv(mm) if args.format == "csv" or args.out else None
@@ -117,8 +117,8 @@ def cmd_map(args) -> int:
 
 def cmd_suite(args) -> int:
     Ms = [int(tok) for tok in args.M_list.split(",") if tok]
-    if not Ms or any(M < 2 for M in Ms):
-        raise ValueError(f"need a comma-separated list of dimensions >= 2, got {args.M_list!r}")
+    if not Ms:
+        raise ValueError(f"need a comma-separated list of dimensions, got {args.M_list!r}")
     reports = run_suites(Ms, tolerance=args.tolerance)
     if args.format == "json":
         text = json.dumps(reports_to_dict(reports), indent=2) + "\n"
@@ -144,13 +144,6 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _positive_dim(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"dimension must be >= 2, got {value}")
-    return value
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phasecrt",
@@ -160,15 +153,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("factor", help="prime factorization and representation count")
-    p.add_argument("M", type=_positive_dim)
+    p.add_argument("M", type=int)
     p.set_defaults(func=cmd_factor)
 
     p = sub.add_parser("splits", help="list the coprime bipartitions of M")
-    p.add_argument("M", type=_positive_dim)
+    p.add_argument("M", type=int)
     p.set_defaults(func=cmd_splits)
 
     p = sub.add_parser("crt", help="compose or decompose labels for one split")
-    p.add_argument("M", type=_positive_dim)
+    p.add_argument("M", type=int)
     p.add_argument("M1", type=int)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--compose", nargs=2, type=int, metavar=("Q1", "Q2"))
@@ -176,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_crt)
 
     p = sub.add_parser("basis", help="build a labeled basis and write it as JSON")
-    p.add_argument("M", type=_positive_dim)
+    p.add_argument("M", type=int)
     p.add_argument("M1", type=int)
     p.add_argument("kind", choices=[k.value for k in BasisKind])
     p.add_argument("--conjugate", action="store_true",
@@ -185,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_basis)
 
     p = sub.add_parser("map", help="ASCII phase-space map of a partially localized state")
-    p.add_argument("M", type=_positive_dim)
+    p.add_argument("M", type=int)
     p.add_argument("M1", type=int)
     p.add_argument("q01", type=int)
     p.add_argument("k02", type=int)

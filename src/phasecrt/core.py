@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numtheory import _cofactor, _integer, _labels
+from .numtheory import _cofactor, _dimension, _integer, _labels
 
 FOURIER_SIGN = +1
 
@@ -78,8 +78,9 @@ class StateVector:
 
     def __init__(self, amplitudes, normalized: bool = False):
         arr = np.array(amplitudes, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("amplitudes must be a 1-D sequence of length >= 2")
+        if arr.ndim != 1:
+            raise ValueError("amplitudes must be a 1-D sequence")
+        _dimension(arr.size)
         if not np.isfinite(arr).all():
             raise ValueError("amplitudes must all be finite")
         if normalized:
@@ -132,9 +133,7 @@ def _fill_momentum(states: list[StateVector]) -> np.ndarray:
 
 def position_state(M: int, q0: int) -> StateVector:
     """Delta state at position q0."""
-    if M < 2:
-        raise ValueError(f"need M >= 2, got {M}")
-    _labels("q0", q0, M)
+    _labels("q0", q0, _dimension(M), scalar=True)
     amps = np.zeros(M, dtype=np.complex128)
     amps[q0] = 1.0
     return StateVector(amps, normalized=True)
@@ -142,9 +141,7 @@ def position_state(M: int, q0: int) -> StateVector:
 
 def momentum_state(M: int, k0: int) -> StateVector:
     """Plane wave with <q|k0> = omega_M**(q*k0) / sqrt(M)."""
-    if M < 2:
-        raise ValueError(f"need M >= 2, got {M}")
-    _labels("k0", k0, M)
+    _labels("k0", k0, _dimension(M), scalar=True)
     amps = omega_power(M, FOURIER_SIGN * k0 * np.arange(M)) / math.sqrt(M)
     return StateVector(amps, normalized=True)
 
@@ -177,8 +174,7 @@ class MonomialOperator:
     def __post_init__(self) -> None:
         if not all(map(_integer, (self.dim, self.shift, self.phase_slope, self.phase_offset))):
             raise ValueError(f"an operator holds integers only, got {self!r}")
-        if self.dim < 2:
-            raise ValueError(f"need dim >= 2, got {self.dim}")
+        _dimension(self.dim)
         object.__setattr__(self, "shift", self.shift % self.dim)
         object.__setattr__(self, "phase_slope", self.phase_slope % self.dim)
         object.__setattr__(self, "phase_offset", self.phase_offset % self.dim)
@@ -215,9 +211,7 @@ def clock(M: int, d: int) -> MonomialOperator:
 
 def translate(M: int, L: int) -> MonomialOperator:
     """Cyclic step exp(i*p*L): |q> -> |q - L>."""
-    if M < 2:
-        raise ValueError(f"need M >= 2, got {M}")
-    _labels("L", L, M)
+    _labels("L", L, _dimension(M), scalar=True)
     return MonomialOperator(M, shift=L)
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _SCRATCH_BYTES, StateVector, _dft, default_tolerance, norm_tolerance
-from .numtheory import CoprimeSplit, _labels
+from .numtheory import CoprimeSplit, _dimension, _labels
 
 
 @dataclass(frozen=True, order=True)
@@ -45,8 +45,8 @@ class VNLattice:
     shift_k: int = 0
 
     def __post_init__(self) -> None:
-        _labels("shift_q", self.shift_q, self.split.M1)
-        _labels("shift_k", self.shift_k, self.split.M2)
+        _labels("shift_q", self.shift_q, self.split.M1, scalar=True)
+        _labels("shift_k", self.shift_k, self.split.M2, scalar=True)
 
 
 # Every ufunc of a Hermitian-check tile pair or a classifier row block reads and
@@ -115,9 +115,9 @@ class DensityMatrix:
     def _adopt(self, arr: np.ndarray) -> None:
         """Validate arr and keep it, read-only, as the matrix: a non-finite
         entry is reported before a non-Hermitian one, that before the trace."""
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 2:
-            raise ValueError("matrix must be square with dim >= 2")
-        M = arr.shape[0]
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError("matrix must be square")
+        M = _dimension(arr.shape[0])
         herm = _hermitian_residual(arr)
         if herm >= norm_tolerance(M):
             raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")

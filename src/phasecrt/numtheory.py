@@ -1,15 +1,15 @@
 """Exact integer machinery: factorization, coprime splits, CRT label maps.
 
 Everything here is exact integer arithmetic on plain Python ints or integer arrays.
-The integer rules of the package live here alone: one CRT formula (crt_compose,
-which crt_grid and reps.build_pls call), one label rule (_labels) and one divisor
-rule (_cofactor). The two input rules refuse a bool and any non-integer.
+The integer rules of the package live here alone: one dimension rule (_dimension),
+one label rule (_labels), one divisor rule (_cofactor) and one CRT formula
+(crt_compose, which crt_grid and reps.build_pls call). The three input rules refuse
+a bool and any non-integer.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +45,8 @@ class PrimeFactorization:
 
 
 def factorize(M: int) -> PrimeFactorization:
-    """Factor M >= 2 by trial division. Deterministic; M is desk scale."""
-    if M < 2:
-        raise ValueError(f"cannot factor M={M}; need M >= 2")
+    """Factor a dimension M by trial division. Deterministic; M is desk scale."""
+    M = _dimension(M)
     factors = []
     n = M
     p = 2
@@ -70,11 +69,12 @@ def chi(M: int) -> int:
 
 
 def mod_inverse(a: int, m: int) -> int:
-    """The x in [1, m) with a*x = 1 (mod m)."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
+    """The x in [1, m) with a*x = 1 (mod m), for an integer a and a modulus m >= 2."""
+    m = _dimension(m)
+    if not _integer(a):
+        raise ValueError(f"cannot invert {a!r} mod {m}: not an integer")
     try:
-        return pow(operator.index(a), -1, operator.index(m))  # numpy integers too
+        return pow(int(a), -1, int(m))  # numpy integers too
     except ValueError as exc:
         raise NotInvertibleError(f"{a} has no inverse mod {m} (gcd != 1)") from exc
 
@@ -96,6 +96,7 @@ class CoprimeSplit:
     N2: int
 
     def __post_init__(self) -> None:
+        _dimension(self.M)
         if self.M1 < 2 or self.M2 < 2:
             raise TrivialSplitError(f"split factors must be >= 2, got ({self.M1}, {self.M2})")
         if self.M1 * self.M2 != self.M:
@@ -133,8 +134,6 @@ def enumerate_splits(M: int) -> list[CoprimeSplit]:
     There are 2**(N-1) - 1 of them for N distinct primes; none when M is a
     prime power. The opposite orientation of any split is make_split(M, M2).
     """
-    if M < 2:
-        raise ValueError(f"need M >= 2, got {M}")
     blocks = factorize(M).prime_powers
     lows = []
     for mask in range(1, 1 << len(blocks)):
@@ -149,23 +148,31 @@ def _integer(x) -> bool:
     return type(x) is int or isinstance(x, np.integer)
 
 
+def _dimension(M) -> int:
+    """M as it is, if a dimension: a Python or numpy integer (not a bool) >= 2."""
+    if not _integer(M) or M < 2:
+        raise ValueError(f"a dimension must be an integer >= 2, got {M!r}")
+    return M
+
+
 def _cofactor(M: int, d: int) -> int:
-    """M // d for an integer divisor d of M >= 2: the rule of every factorization."""
-    if M < 2:
-        raise ValueError(f"need M >= 2, got {M}")
+    """M // d for an integer divisor d of a dimension M: the rule of every factorization."""
+    _dimension(M)
     if not _integer(d) or d < 1 or M % d != 0:
         raise ValueError(f"{d} does not divide {M}")
     return M // d
 
 
-def _labels(name: str, labels, n: int) -> int | np.ndarray:
-    """An int label (returned as it is) or integer labels, each checked to lie in [0, n)."""
+def _labels(name: str, labels, n: int, scalar: bool = False) -> int | np.ndarray:
+    """An int label (returned as it is) or, unless scalar, integer labels, each checked to
+    lie in [0, n). A scalar label is one int: an array, even of one element, is refused."""
     if type(labels) is int or isinstance(labels, np.integer):  # _integer, inlined: hot
         bad = () if 0 <= labels < n else (labels,)
     else:
         labels = np.asarray(labels)
-        if labels.dtype.kind not in "iu":  # numpy's signed and unsigned integers
-            raise ValueError(f"{name} must be integers, got {labels!r}")
+        if scalar or labels.dtype.kind not in "iu":  # numpy's signed and unsigned integers
+            raise ValueError(f"{name} must be {'an integer' if scalar else 'integers'}, "
+                             f"got {labels!r}")
         bad = labels[(labels < 0) | (labels >= n)].ravel()
     if len(bad):
         raise ValueError(f"{name}={bad[0]} out of range [0, {n})")

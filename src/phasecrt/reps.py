@@ -85,6 +85,8 @@ class RepBasis:
     def __init__(self, kind: BasisKind, M1: int, M2: int, amps: np.ndarray | None,
                  conjugated: bool = False):
         M = M1 * M2
+        for factor in (M1, M2):  # integer factors of a dimension; a factor 1 is an E kind's
+            _cofactor(M, factor)
         if amps is not None:  # None only for a comb, whose claim _comb_basis then sets
             amps = np.asarray(amps, dtype=np.complex128).view()  # read-only, not the caller's
             if amps.shape != (M1, M2, M):
@@ -104,7 +106,8 @@ class RepBasis:
         return self.M1 * self.M2
 
     def vector(self, q1: int, k2: int) -> StateVector:
-        q1, k2 = _labels("q1", q1, self.M1), _labels("k2", k2, self.M2)
+        q1 = _labels("q1", q1, self.M1, scalar=True)
+        k2 = _labels("k2", k2, self.M2, scalar=True)
         return StateVector(_rows(self, np.array([q1 * self.M2 + k2]))[0], normalized=True)
 
     def labels(self) -> Iterator[TorusLabel]:
@@ -194,7 +197,8 @@ def build_pls(split: CoprimeSplit, q01: int, k02: int) -> StateVector:
     Identical to build_C2(split).vector(q01, k02); built directly to avoid
     constructing the whole basis.
     """
-    q01, k02 = _labels("q01", q01, split.M1), _labels("k02", k02, split.M2)
+    q01 = _labels("q01", q01, split.M1, scalar=True)
+    k02 = _labels("k02", k02, split.M2, scalar=True)
     amps = np.zeros(split.M, dtype=np.complex128)
     q2 = np.arange(split.M2)
     row = crt_compose(split, q01, q2)  # crt_grid(split)[q01]

@@ -16,19 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from .core import StateVector
+from .numtheory import _dimension
 from .reps import RepBasis
 
 
 class StateFileError(ValueError):
     """Malformed state-file content."""
-
-
-def _integer(doc: dict, key: str) -> int:
-    """doc[key] as a JSON integer; a bool or a float is malformed, not truncated."""
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 def state_to_dict(state: StateVector, meta: dict | None = None) -> dict:
@@ -43,7 +36,7 @@ def state_from_dict(doc: dict) -> tuple[StateVector, dict]:
     if not isinstance(doc, dict):
         raise StateFileError("state document must be a JSON object")
     try:
-        dim = _integer(doc, "dim")
+        dim = _dimension(doc["dim"])  # a bool or a float is malformed, not truncated
         pairs = doc["amplitudes"]
     except (KeyError, TypeError, ValueError) as exc:
         raise StateFileError(f"missing or malformed field: {exc}") from exc

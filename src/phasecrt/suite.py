@@ -368,10 +368,10 @@ def _check_pls(checks, split, d, tol):
 def run_suite(M: int, tolerance: float | None = None) -> VerificationReport:
     """Run every check for one dimension; see the module docstring for scope."""
     t0 = time.perf_counter()
+    splits = enumerate_splits(M)  # the dimension rule, before the tolerance reads M
     tol = default_tolerance(M) if tolerance is None else tolerance
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
-    splits = enumerate_splits(M)
     report = VerificationReport(M=M, splits=[s.describe() for s in splits], tolerance=tol)
     checks = report.checks
 

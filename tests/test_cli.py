@@ -54,9 +54,17 @@ class TestFactor:
         assert code == 0 and out == "12 = 2^2·3, chi = 2\n"
 
     @pytest.mark.parametrize("arg", ["1", "0", "x"])
-    def test_bad_dimension_is_usage_error(self, capsys, arg):
-        code, _, err = run(capsys, "factor", arg)
-        assert code == 2
+    def test_bad_dimension_is_usage_error(self, capsys, tmp_path, arg):
+        """Every command that takes M refuses it through the package's dimension rule
+        (argparse refuses a non-integer), with exit code 2."""
+        for argv in (["factor", arg], ["splits", arg], ["crt", arg, "1", "--decompose", "0"],
+                     ["basis", arg, "1", "Epos", "--out", str(tmp_path / "b.json")],
+                     ["map", arg, "1", "0", "0"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, argv
+            if arg != "x":
+                assert "dimension must be an integer >= 2" in err, argv
+        assert not any(tmp_path.iterdir())
 
 
 class TestSplits:

@@ -1,15 +1,18 @@
 """Every integer input rule of the package lives in numtheory, and holds everywhere.
 
-Three rules stand behind the CRT relabeling: a label lies in [0, n)
-(numtheory._labels), a divisor d of M leaves the cofactor M // d
-(numtheory._cofactor), and q = q1*N1*L1 + q2*N2*L2 mod M (numtheory.crt_compose).
-The guard reads every module of the package and allows a copy of each rule only
-where the allow-list names it: the range message or a chained comparison
-0 <= x < n, the divisor message, and a product of N1 with L1 (or N2 with L2).
-The suite's CRT delta identity and split invariants state the products on
-purpose, as the claims they check. The entry points then refuse a float, a
-numpy float or a bool with ValueError wherever they take a label or a divisor,
-and accept numpy integers.
+Four rules stand behind the CRT relabeling: a dimension is an integer M >= 2
+(numtheory._dimension), a label lies in [0, n) (numtheory._labels), a divisor d
+of M leaves the cofactor M // d (numtheory._cofactor), and
+q = q1*N1*L1 + q2*N2*L2 mod M (numtheory.crt_compose). The guard reads every
+module of the package and allows a copy of each rule only where the allow-list
+names it: a comparison x < 2 (or x >= 2), the range message or a chained
+comparison 0 <= x < n, the divisor message, and a product of N1 with L1 (or N2
+with L2). CoprimeSplit's own M1 < 2 or M2 < 2 is the trivial-split rule, and the
+suite's CRT delta identity and split invariants state the products on purpose, as
+the claims they check. The entry points then refuse a float, a numpy float or a
+bool with ValueError wherever they take a dimension, a label or a divisor, refuse
+a dimension below 2 and an array where they take one label, and accept numpy
+integers.
 """
 
 import ast
@@ -19,14 +22,18 @@ import numpy as np
 import pytest
 
 import phasecrt
-from phasecrt.core import clock, momentum_state, position_state, translate
+from phasecrt.core import MonomialOperator, clock, momentum_state, position_state, translate
 from phasecrt.lattice import VNLattice
-from phasecrt.numtheory import crt_compose, crt_decompose, make_split
-from phasecrt.reps import build_C2, build_E_mom, build_E_pos, build_pls, factor_kernel
+from phasecrt.numtheory import (CoprimeSplit, chi, crt_compose, crt_decompose, enumerate_splits,
+                                factorize, make_split, mod_inverse)
+from phasecrt.reps import (BasisKind, RepBasis, build_basis, build_C2, build_E_mom, build_E_pos,
+                           build_pls, factor_kernel)
+from phasecrt.suite import run_suite
 
 PACKAGE = Path(phasecrt.__file__).resolve().parent
 
 ALLOWED = {
+    "dimension": {("numtheory.py", "_dimension"), ("numtheory.py", "CoprimeSplit.__post_init__")},
     "range": {("numtheory.py", "_labels")},
     "divisor": {("numtheory.py", "_cofactor")},
     "crt": {("numtheory.py", "crt_compose"), ("suite.py", "_check_crt"),
@@ -55,6 +62,10 @@ def rule_sites(tree):
                 found.append(("range", scope))
             if "does not divide" in node.value:
                 found.append(("divisor", scope))
+        if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.Lt, ast.GtE)) and isinstance(right, ast.Constant)
+                and right.value == 2 for op, right in zip(node.ops, node.comparators)):
+            found.append(("dimension", scope))
         if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
                 and node.left.value == 0 and [type(op) for op in node.ops] == [ast.LtE, ast.Lt]):
             found.append(("range", scope))
@@ -80,6 +91,8 @@ def test_each_integer_rule_has_one_home():
 def test_the_guard_sees_a_copy_of_each_rule():
     source = """
 def check(q, split, d, M):
+    if M < 2:
+        raise ValueError(f"need M >= 2, got {M}")
     if not 0 <= q < M:
         raise ValueError(f"q={q} out of range [0, {M})")
     if M % d:
@@ -91,8 +104,8 @@ class Lattice:
         return q2 * N2 * L2
 """
     assert rule_sites(ast.parse(source)) == [
-        ("range", "check"), ("range", "check"), ("divisor", "check"), ("crt", "check"),
-        ("crt", "check"), ("crt", "Lattice.row")]
+        ("dimension", "check"), ("range", "check"), ("range", "check"), ("divisor", "check"),
+        ("crt", "check"), ("crt", "check"), ("crt", "Lattice.row")]
 
 
 SPLIT = make_split(15, 3)
@@ -112,6 +125,7 @@ ENTRY_POINTS = [
     ("make_split", lambda x: make_split(15, x), 3),
     ("build_E_pos", lambda x: build_E_pos(15, x), 3),
     ("build_E_mom", lambda x: build_E_mom(15, x), 3),
+    ("mod_inverse", lambda x: mod_inverse(x, 5), 2),
 ]
 
 
@@ -127,12 +141,68 @@ def test_a_non_integer_label_or_divisor_is_refused(call, bad):
 @pytest.mark.parametrize("call, good", [(call, good) for _, call, good in ENTRY_POINTS],
                          ids=[name for name, _, _ in ENTRY_POINTS])
 def test_a_numpy_integer_is_accepted_as_its_int(call, good):
-    want, got = call(good), call(np.int64(good))
+    assert_same(call(np.int64(good)), call(good))
+
+
+def assert_same(got, want):
+    """got equals want: a state's amplitudes, a basis' vectors, a report's body."""
     if hasattr(want, "amplitudes"):  # a state
         want, got = want.amplitudes, got.amplitudes
     if hasattr(want, "as_matrix"):  # a basis
         want, got = want.as_matrix(), got.as_matrix()
+    if hasattr(want, "to_dict"):  # a suite report, without its timing
+        want, got = ({**r.to_dict(), "duration_seconds": None} for r in (want, got))
     assert np.array_equal(got, want) if isinstance(want, np.ndarray) else got == want
+
+
+# the entry points that take one label, each a call of it on the label x
+SCALAR_LABELS = [(name, call) for name, call, _ in ENTRY_POINTS
+                 if name in ("VNLattice", "build_pls", "RepBasis.vector", "position_state",
+                             "momentum_state", "translate")]
+
+
+@pytest.mark.parametrize("labels", [np.array([1]), np.array(1)], ids=["one-element", "0-d"])
+@pytest.mark.parametrize("call", [call for _, call in SCALAR_LABELS],
+                         ids=[name for name, _ in SCALAR_LABELS])
+def test_an_array_is_refused_where_one_label_is_taken(call, labels):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(labels)
+
+
+# (entry point, a call of it on a dimension x); 15 is a dimension, 15.0 not
+DIMENSION_ENTRY_POINTS = [
+    ("factorize", factorize),
+    ("chi", chi),
+    ("enumerate_splits", enumerate_splits),
+    ("make_split", lambda x: make_split(x, 3)),
+    ("CoprimeSplit", lambda x: CoprimeSplit(x, 3, 5, 5, 3, 2, 2)),
+    ("mod_inverse", lambda x: mod_inverse(2, x)),
+    ("position_state", lambda x: position_state(x, 1)),
+    ("momentum_state", lambda x: momentum_state(x, 1)),
+    ("clock", lambda x: clock(x, 3)),
+    ("translate", lambda x: translate(x, 1)),
+    ("MonomialOperator", lambda x: MonomialOperator(x, 1)),
+    ("build_E_pos", lambda x: build_E_pos(x, 3)),
+    ("build_E_mom", lambda x: build_E_mom(x, 3)),
+    ("build_basis", lambda x: build_basis(BasisKind.C2, x, 3)),
+    ("RepBasis", lambda x: RepBasis(BasisKind.E_POS, 1, x, np.eye(15)[None])),
+    ("run_suite", run_suite),
+]
+
+
+@pytest.mark.parametrize("bad", [15.0, np.float64(15.0), True, 1, 0],
+                         ids=["float", "np-float", "bool", "one", "zero"])
+@pytest.mark.parametrize("call", [call for _, call in DIMENSION_ENTRY_POINTS],
+                         ids=[name for name, _ in DIMENSION_ENTRY_POINTS])
+def test_a_dimension_is_an_integer_of_at_least_two(call, bad):
+    with pytest.raises(ValueError):
+        call(bad)
+
+
+@pytest.mark.parametrize("call", [call for _, call in DIMENSION_ENTRY_POINTS],
+                         ids=[name for name, _ in DIMENSION_ENTRY_POINTS])
+def test_a_numpy_integer_dimension_is_accepted_as_its_int(call):
+    assert_same(call(np.int64(15)), call(15))
 
 
 @pytest.mark.parametrize("labels", [np.array([1.0]), np.array([True])],

@@ -33,6 +33,7 @@ GOLDEN = {report["M"]: {c["id"]: c["status"] for c in report["checks"]}
 real_factor_kernel, real_fourier_rows = suite.factor_kernel, suite._fourier_rows
 real_build_basis, real_build_pls = suite.build_basis, suite.build_pls
 real_translate, real_crt_grid = reps.translate, reps.crt_grid
+real_crt_decompose = suite.crt_decompose
 
 
 def sign_flipped_kernel(split, k, q):
@@ -58,6 +59,19 @@ def rephased_c2(kind, M, M1):
     return reps._comb_basis(kind, side, points, coefficients)
 
 
+def e_coefficient_scaled(kind, M, M1):
+    """Each E basis with coefficient [1, 2, 0] of its comb times 1.5: class 1's vector 2 at
+    its first point, label (1, 2) of E_POS and (2, 1) of E_MOM. The vector is no longer
+    unit, nor an eigenvector of translate (E_POS) or, in momentum, of clock (E_MOM)."""
+    basis = real_build_basis(kind, M, M1)
+    if kind not in (BasisKind.E_POS, BasisKind.E_MOM):
+        return basis
+    side, points, coefficients = basis._comb
+    coefficients = np.array(coefficients)
+    coefficients[1, 2, 0] *= 1.5
+    return reps._comb_basis(kind, side, points, coefficients)
+
+
 def c1_with_n1_plus_one(kind, M, M1):
     """C1 built with the inverse co-factor N1 + 1 in place of N1: a momentum comb with
     the wrong phase table, whose rows are read from its coefficients alone."""
@@ -65,6 +79,12 @@ def c1_with_n1_plus_one(kind, M, M1):
         return real_build_basis(kind, M, M1)
     split = make_split(M, M1)
     return reps._comb(kind, "momentum", crt_grid(split), split.N1 + 1)
+
+
+def decompose_q2_off_by_one(split, q):
+    """crt_decompose with every q2 one step further, mod M2."""
+    q1, q2 = real_crt_decompose(split, q)
+    return q1, (q2 + 1) % split.M2
 
 
 def unconjugated_state(state):
@@ -142,6 +162,15 @@ ROWS = {
                  "overlap.phase.C1-C2[{d}]", "overlap.phase.C1-Emom[{d}]"),
         35: fail("basis.eigen.C1[{d}]", "basis.c1c2-identity[{d}]", "overlap.phase.C1-C2[{d}]",
                  "overlap.phase.C1-Emom[{d}]")}),
+    # the one scaled vector fails its E basis' Gram and eigen ids and every overlap with it
+    "E coefficient scaled": (suite, "build_basis", e_coefficient_scaled,
+                             fail("basis.gram.Epos[{d}]", "basis.eigen.Epos[{d}]",
+                                  "basis.gram.Emom[{d}]", "basis.eigen.Emom[{d}]",
+                                  "overlap.phase.C1-Emom[{d}]", "overlap.phase.C2-Epos[{d}]",
+                                  "overlap.phase.Emom-Epos[{d}]")),
+    # every q lifts back to another label; the split's inverses and grid are untouched
+    "crt_decompose off by one in q2": (suite, "crt_decompose", decompose_q2_off_by_one,
+                                       fail("crt.roundtrip[{d}]")),
     # the eigen relations read both operators; on a momentum comb through F^H op F,
     # where the clock shifts and the translate multiplies
     "an off-by-one clock exponent": (reps, "clock", clock_exponent_off_by_one, fail(*EIGEN)),
@@ -188,7 +217,6 @@ ROWS = {
 UNKILLED = {
     "splits.count": "both sides derive from factorize: the enumerated splits and chi(M)",
     "split.invariants": "CoprimeSplit raises on each condition it re-checks when made",
-    "crt.roundtrip": "no row yet corrupts crt_compose or crt_decompose",
     "crt.bijection": "no row yet repeats a point of the suite's own crt_grid",
     "crt.delta-identity": "it reads only the split's co-factors, which CoprimeSplit checks",
     "operators.period.clock": "no row yet corrupts the suite's clock or operator_order",
@@ -196,10 +224,6 @@ UNKILLED = {
     "operators.commutator": "no row yet corrupts the suite's compose or global_phase_exponent",
     "operators.shift.position-lower": "no row yet corrupts the suite's translate",
     "operators.splitting": "no row yet corrupts the suite's clock, translate or compose",
-    "basis.gram.Epos": "no row yet corrupts an E basis; the basis rows target C1 and C2",
-    "basis.gram.Emom": "no row yet corrupts an E basis; the basis rows target C1 and C2",
-    "overlap.phase.Emom-Epos": "its seed form is already a discrepancy, and a sign flip "
-                               "makes it pass",
 }
 
 

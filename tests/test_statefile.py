@@ -76,6 +76,13 @@ class TestStateErrors:
         with pytest.raises(StateFileError):
             state_from_dict({"dim": 2.9, "amplitudes": [[1, 0], [0, 0]]})
 
+    @pytest.mark.parametrize("dim", ["1", "true", "2.0"])
+    def test_dim_that_is_not_a_dimension(self, dim):
+        """dim passes numtheory's dimension rule: an integer >= 2, not a bool or a float."""
+        amplitudes = "[[1, 0]]" if dim != "2.0" else "[[1, 0], [0, 0]]"
+        with pytest.raises(StateFileError, match="dimension must be an integer >= 2"):
+            state_from_dict(json.loads(f'{{"dim": {dim}, "amplitudes": {amplitudes}}}'))
+
     def test_bad_meta(self):
         with pytest.raises(StateFileError):
             state_from_dict({"dim": 2, "amplitudes": [[1, 0], [0, 0]], "meta": 3})
