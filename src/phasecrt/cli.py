@@ -5,7 +5,8 @@ Exit codes: 0 = success (a NotVN classification is still an answer),
 package error (a dimension below 2, a non-coprime or trivial split, a bad state
 file, a tolerance or support threshold out of range) and every OSError (an unwritable --out)
 to 2 in one place.
-PHASECRT_TOLERANCE overrides the comparison tolerance (default 1e-9*sqrt(M)).
+PHASECRT_TOLERANCE overrides suite's comparison tolerance (default 1e-9*sqrt(M));
+no other command reads it.
 """
 
 from __future__ import annotations
@@ -116,10 +117,15 @@ def cmd_map(args) -> int:
 
 
 def cmd_suite(args) -> int:
+    env = os.environ.get("PHASECRT_TOLERANCE")
+    try:
+        tolerance = float(env) if env else None
+    except ValueError:
+        raise ValueError(f"PHASECRT_TOLERANCE={env!r} is not a number") from None
     Ms = [int(tok) for tok in args.M_list.split(",") if tok]
     if not Ms:
         raise ValueError(f"need a comma-separated list of dimensions, got {args.M_list!r}")
-    reports = run_suites(Ms, tolerance=args.tolerance)
+    reports = run_suites(Ms, tolerance=tolerance)
     if args.format == "json":
         text = json.dumps(reports_to_dict(reports), indent=2) + "\n"
     else:
@@ -148,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="phasecrt",
         description="Coprime-split phase-space toolkit for finite Hilbert spaces.",
-        epilog="PHASECRT_TOLERANCE overrides the comparison tolerance "
+        epilog="PHASECRT_TOLERANCE overrides suite's comparison tolerance "
                "(default 1e-9*sqrt(M)).")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -208,17 +214,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-
-    tolerance = None
-    env = os.environ.get("PHASECRT_TOLERANCE")
-    if env:
-        try:
-            tolerance = float(env)
-        except ValueError:
-            print(f"error: PHASECRT_TOLERANCE={env!r} is not a number", file=sys.stderr)
-            return 2
-    if getattr(args, "command", None) == "suite":
-        args.tolerance = tolerance
 
     try:
         return args.func(args)

@@ -2,15 +2,16 @@
 
 Everything here is exact integer arithmetic on plain Python ints or integer arrays.
 The integer rules of the package live here alone: one dimension rule (_dimension),
-one label rule (_labels), one divisor rule (_cofactor) and one CRT formula
-(crt_compose, which crt_grid and reps.build_pls call). The three input rules refuse
-a bool and any non-integer.
+one label rule (_labels), one divisor rule (_cofactor), one split rule
+(CoprimeSplit, which derives everything else from (M, M1)) and one CRT formula
+(crt_compose, which crt_grid and reps.build_pls call). The input rules refuse a
+bool and any non-integer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,36 +84,35 @@ def mod_inverse(a: int, m: int) -> int:
 class CoprimeSplit:
     """A coprime factorization M = M1*M2 with its CRT reconstruction data.
 
-    L1 = M/M1 = M2 and L2 = M/M2 = M1; N1 = L1^{-1} mod M1, N2 = L2^{-1} mod M2,
-    so q = q1*N1*L1 + q2*N2*L2 (mod M) solves q = q1 (mod M1), q = q2 (mod M2).
+    A split is its (M, M1); the rest is derived: M2 = M/M1, L1 = M/M1 = M2,
+    L2 = M/M2 = M1, N1 = L1^{-1} mod M1 and N2 = L2^{-1} mod M2, so
+    q = q1*N1*L1 + q2*N2*L2 (mod M) solves q = q1 (mod M1), q = q2 (mod M2).
+    The split rule lives here: M1 divides M (_cofactor), M1 is not 1 or M, and
+    gcd(M1, M2) = 1. Every field is a Python int.
     """
 
     M: int
     M1: int
-    M2: int
-    L1: int
-    L2: int
-    N1: int
-    N2: int
+    M2: int = field(init=False)
+    L1: int = field(init=False)
+    L2: int = field(init=False)
+    N1: int = field(init=False)
+    N2: int = field(init=False)
 
     def __post_init__(self) -> None:
-        _dimension(self.M)
-        if self.M1 < 2 or self.M2 < 2:
-            raise TrivialSplitError(f"split factors must be >= 2, got ({self.M1}, {self.M2})")
-        if self.M1 * self.M2 != self.M:
-            raise ValueError(f"{self.M1} * {self.M2} != {self.M}")
-        if math.gcd(self.M1, self.M2) != 1:
-            raise NonCoprimeError(f"gcd({self.M1}, {self.M2}) = {math.gcd(self.M1, self.M2)} != 1")
-        if self.L1 != self.M2 or self.L2 != self.M1:
-            raise ValueError("L1, L2 must equal M/M1, M/M2")
-        if self.N1 != mod_inverse(self.L1, self.M1):
-            raise ValueError(f"N1={self.N1} is not the inverse of L1={self.L1} mod {self.M1}")
-        if self.N2 != mod_inverse(self.L2, self.M2):
-            raise ValueError(f"N2={self.N2} is not the inverse of L2={self.L2} mod {self.M2}")
+        M2 = _cofactor(self.M, self.M1)
+        M, M1, M2 = int(self.M), int(self.M1), int(M2)
+        if M1 in (1, M):
+            raise TrivialSplitError(f"M1={M1} gives a trivial split of {M}")
+        if math.gcd(M1, M2) != 1:
+            raise NonCoprimeError(f"gcd({M1}, {M2}) = {math.gcd(M1, M2)} != 1")
+        for name, value in zip(("M", "M1", "M2", "L1", "L2", "N1", "N2"),
+                               (M, M1, M2, M2, M1, mod_inverse(M2, M1), mod_inverse(M1, M2))):
+            object.__setattr__(self, name, value)
 
     def swapped(self) -> "CoprimeSplit":
         """The same factorization with the two factors in the other order."""
-        return CoprimeSplit(self.M, self.M2, self.M1, self.L2, self.L1, self.N2, self.N1)
+        return CoprimeSplit(self.M, self.M2)
 
     def describe(self) -> str:
         return f"{self.M1}x{self.M2}"
@@ -120,12 +120,7 @@ class CoprimeSplit:
 
 def make_split(M: int, M1: int) -> CoprimeSplit:
     """Split M into coprime factors (M1, M/M1) with the inverses populated."""
-    M2 = _cofactor(M, M1)
-    if M1 in (1, M):
-        raise TrivialSplitError(f"M1={M1} gives a trivial split of {M}")
-    if math.gcd(M1, M2) != 1:
-        raise NonCoprimeError(f"gcd({M1}, {M2}) = {math.gcd(M1, M2)} != 1")
-    return CoprimeSplit(M, M1, M2, M2, M1, mod_inverse(M2, M1), mod_inverse(M1, M2))
+    return CoprimeSplit(M, M1)
 
 
 def enumerate_splits(M: int) -> list[CoprimeSplit]:
@@ -149,10 +144,10 @@ def _integer(x) -> bool:
 
 
 def _dimension(M) -> int:
-    """M as it is, if a dimension: a Python or numpy integer (not a bool) >= 2."""
+    """int(M), if M is a dimension: a Python or numpy integer (not a bool) >= 2."""
     if not _integer(M) or M < 2:
         raise ValueError(f"a dimension must be an integer >= 2, got {M!r}")
-    return M
+    return int(M)
 
 
 def _cofactor(M: int, d: int) -> int:

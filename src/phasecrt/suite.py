@@ -42,7 +42,8 @@ from .core import (
     translate,
 )
 from .lattice import NotVN, VNLattice, classify_vn_state
-from .numtheory import chi, crt_compose, crt_decompose, crt_grid, enumerate_splits, factorize
+from .numtheory import (_dimension, chi, crt_compose, crt_decompose, crt_grid, enumerate_splits,
+                        factorize)
 from .reps import (
     BasisKind,
     RepBasis,
@@ -368,7 +369,8 @@ def _check_pls(checks, split, d, tol):
 def run_suite(M: int, tolerance: float | None = None) -> VerificationReport:
     """Run every check for one dimension; see the module docstring for scope."""
     t0 = time.perf_counter()
-    splits = enumerate_splits(M)  # the dimension rule, before the tolerance reads M
+    M = _dimension(M)  # an int, before the tolerance reads it
+    splits = enumerate_splits(M)
     tol = default_tolerance(M) if tolerance is None else tolerance
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")

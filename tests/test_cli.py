@@ -261,6 +261,12 @@ class TestSuiteCommand:
         code, _, err = run(capsys, "suite", "15")
         assert code == 2 and "PHASECRT_TOLERANCE" in err
 
+    @pytest.mark.parametrize("args", [("factor", "15"), ("splits", "30")],
+                             ids=["factor", "splits"])
+    def test_only_suite_reads_the_tolerance_env(self, capsys, monkeypatch, args):
+        monkeypatch.setenv("PHASECRT_TOLERANCE", "tight")
+        assert run(capsys, *args)[0] == 0
+
     @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
     def test_tolerance_env_must_be_finite_and_non_negative(self, capsys, monkeypatch, value):
         monkeypatch.setenv("PHASECRT_TOLERANCE", value)

@@ -1,21 +1,24 @@
 """Every integer input rule of the package lives in numtheory, and holds everywhere.
 
-Four rules stand behind the CRT relabeling: a dimension is an integer M >= 2
+Five rules stand behind the CRT relabeling: a dimension is an integer M >= 2
 (numtheory._dimension), a label lies in [0, n) (numtheory._labels), a divisor d
-of M leaves the cofactor M // d (numtheory._cofactor), and
+of M leaves the cofactor M // d (numtheory._cofactor), a split (M, M1) is neither
+trivial nor of factors that share a prime (CoprimeSplit), and
 q = q1*N1*L1 + q2*N2*L2 mod M (numtheory.crt_compose). The guard reads every
 module of the package and allows a copy of each rule only where the allow-list
 names it: a comparison x < 2 (or x >= 2), the range message or a chained
-comparison 0 <= x < n, the divisor message, and a product of N1 with L1 (or N2
-with L2). CoprimeSplit's own M1 < 2 or M2 < 2 is the trivial-split rule, and the
-suite's CRT delta identity and split invariants state the products on purpose, as
-the claims they check. The entry points then refuse a float, a numpy float or a
-bool with ValueError wherever they take a dimension, a label or a divisor, refuse
-a dimension below 2 and an array where they take one label, and accept numpy
-integers.
+comparison 0 <= x < n, the divisor message, a TrivialSplitError or
+NonCoprimeError made (build_basis re-raises the latter with its basis kind), and
+a product of N1 with L1 (or N2 with L2). The suite's CRT delta identity and split
+invariants state the products on purpose, as the claims they check. The entry
+points then refuse a float, a numpy float or a bool with ValueError wherever they
+take a dimension, a label or a divisor, refuse a dimension below 2 and an array
+where they take one label, and accept numpy integers.
 """
 
 import ast
+import dataclasses
+import json
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +31,15 @@ from phasecrt.numtheory import (CoprimeSplit, chi, crt_compose, crt_decompose, e
                                 factorize, make_split, mod_inverse)
 from phasecrt.reps import (BasisKind, RepBasis, build_basis, build_C2, build_E_mom, build_E_pos,
                            build_pls, factor_kernel)
-from phasecrt.suite import run_suite
+from phasecrt.suite import reports_to_dict, run_suite
 
 PACKAGE = Path(phasecrt.__file__).resolve().parent
 
 ALLOWED = {
-    "dimension": {("numtheory.py", "_dimension"), ("numtheory.py", "CoprimeSplit.__post_init__")},
+    "dimension": {("numtheory.py", "_dimension")},
     "range": {("numtheory.py", "_labels")},
     "divisor": {("numtheory.py", "_cofactor")},
+    "split": {("numtheory.py", "CoprimeSplit.__post_init__"), ("reps.py", "build_basis")},
     "crt": {("numtheory.py", "crt_compose"), ("suite.py", "_check_crt"),
             ("suite.py", "_check_split_invariants")},
 }
@@ -62,6 +66,9 @@ def rule_sites(tree):
                 found.append(("range", scope))
             if "does not divide" in node.value:
                 found.append(("divisor", scope))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("TrivialSplitError", "NonCoprimeError")):
+            found.append(("split", scope))
         if isinstance(node, ast.Compare) and any(
                 isinstance(op, (ast.Lt, ast.GtE)) and isinstance(right, ast.Constant)
                 and right.value == 2 for op, right in zip(node.ops, node.comparators)):
@@ -97,6 +104,8 @@ def check(q, split, d, M):
         raise ValueError(f"q={q} out of range [0, {M})")
     if M % d:
         raise ValueError(f"{d} does not divide {M}")
+    if math.gcd(d, M // d) != 1:
+        raise NonCoprimeError(f"{d} and {M // d} share a prime")
     return (q * split.N1 * split.L1 + q * split.N2 * split.L2) % split.M
 
 class Lattice:
@@ -105,7 +114,7 @@ class Lattice:
 """
     assert rule_sites(ast.parse(source)) == [
         ("dimension", "check"), ("range", "check"), ("range", "check"), ("divisor", "check"),
-        ("crt", "check"), ("crt", "check"), ("crt", "Lattice.row")]
+        ("split", "check"), ("crt", "check"), ("crt", "check"), ("crt", "Lattice.row")]
 
 
 SPLIT = make_split(15, 3)
@@ -123,6 +132,7 @@ ENTRY_POINTS = [
     ("translate", lambda x: translate(15, x), 1),
     ("clock", lambda x: clock(15, x), 3),
     ("make_split", lambda x: make_split(15, x), 3),
+    ("CoprimeSplit", lambda x: CoprimeSplit(15, x), 3),
     ("build_E_pos", lambda x: build_E_pos(15, x), 3),
     ("build_E_mom", lambda x: build_E_mom(15, x), 3),
     ("mod_inverse", lambda x: mod_inverse(x, 5), 2),
@@ -175,7 +185,7 @@ DIMENSION_ENTRY_POINTS = [
     ("chi", chi),
     ("enumerate_splits", enumerate_splits),
     ("make_split", lambda x: make_split(x, 3)),
-    ("CoprimeSplit", lambda x: CoprimeSplit(x, 3, 5, 5, 3, 2, 2)),
+    ("CoprimeSplit", lambda x: CoprimeSplit(x, 3)),
     ("mod_inverse", lambda x: mod_inverse(2, x)),
     ("position_state", lambda x: position_state(x, 1)),
     ("momentum_state", lambda x: momentum_state(x, 1)),
@@ -203,6 +213,21 @@ def test_a_dimension_is_an_integer_of_at_least_two(call, bad):
                          ids=[name for name, _ in DIMENSION_ENTRY_POINTS])
 def test_a_numpy_integer_dimension_is_accepted_as_its_int(call):
     assert_same(call(np.int64(15)), call(15))
+
+
+def test_a_numpy_dimension_gives_a_json_safe_report():
+    def body(M):
+        doc = reports_to_dict([run_suite(M)])
+        for report in doc["reports"]:
+            del report["duration_seconds"]
+        return json.dumps(doc)
+
+    assert body(np.int64(6)) == body(6)
+
+
+def test_a_split_of_numpy_integers_holds_ints():
+    split = make_split(np.int64(15), np.int64(3))
+    assert {type(getattr(split, f.name)) for f in dataclasses.fields(split)} == {int}
 
 
 @pytest.mark.parametrize("labels", [np.array([1.0]), np.array([True])],

@@ -33,7 +33,7 @@ GOLDEN = {report["M"]: {c["id"]: c["status"] for c in report["checks"]}
 real_factor_kernel, real_fourier_rows = suite.factor_kernel, suite._fourier_rows
 real_build_basis, real_build_pls = suite.build_basis, suite.build_pls
 real_translate, real_crt_grid = reps.translate, reps.crt_grid
-real_crt_decompose = suite.crt_decompose
+real_crt_decompose, real_operator_order = suite.crt_decompose, suite.operator_order
 
 
 def sign_flipped_kernel(split, k, q):
@@ -112,6 +112,11 @@ def translate_step_off_by_one(M, L):
     return real_translate(M, (L + 1) % M)
 
 
+def doubled_order(op):
+    """operator_order(op) times two."""
+    return 2 * real_operator_order(op)
+
+
 def grid_with_a_repeated_point(split):
     """crt_grid with entry (1, 0) a second copy of entry (0, 0); its points no longer
     tile [0, M), so each comb over it is checked as its dense rows, where the C1 comb
@@ -185,6 +190,20 @@ ROWS = {
                                                   "overlap.phase.C1-C2[{d}]",
                                                   "overlap.phase.C1-Emom[{d}]",
                                                   "overlap.phase.C2-Epos[{d}]")),
+    # the suite's own grid: its points no longer tile [0, M), and it feeds the kernel
+    "an index table with a repeated point (suite)": (suite, "crt_grid",
+                                                     grid_with_a_repeated_point,
+                                                     fail("crt.bijection[{d}]",
+                                                          "kernel.product[{d}]",
+                                                          "kernel.label-form[{d}]")),
+    # the suite's own translate: V no longer lowers by one, nor splits into its factors
+    "an off-by-one translate step (suite)": (suite, "translate", translate_step_off_by_one,
+                                             fail("operators.commutator",
+                                                  "operators.shift.position-lower",
+                                                  "operators.splitting[{d}]")),
+    "operator_order doubled": (suite, "operator_order", doubled_order,
+                               fail("operators.period.clock", "operators.period.translate",
+                                    "operators.splitting[{d}]")),
     # the suite's grid feeds the kernel; the PLS are built without it
     "two labels swapped in crt_grid (suite)": (suite, "crt_grid", grid_with_two_labels_swapped,
                                                fail("kernel.product[{d}]",
@@ -216,14 +235,9 @@ ROWS = {
 # check-id family: why no row kills it
 UNKILLED = {
     "splits.count": "both sides derive from factorize: the enumerated splits and chi(M)",
-    "split.invariants": "CoprimeSplit raises on each condition it re-checks when made",
-    "crt.bijection": "no row yet repeats a point of the suite's own crt_grid",
-    "crt.delta-identity": "it reads only the split's co-factors, which CoprimeSplit checks",
-    "operators.period.clock": "no row yet corrupts the suite's clock or operator_order",
-    "operators.period.translate": "no row yet corrupts the suite's translate or operator_order",
-    "operators.commutator": "no row yet corrupts the suite's compose or global_phase_exponent",
-    "operators.shift.position-lower": "no row yet corrupts the suite's translate",
-    "operators.splitting": "no row yet corrupts the suite's clock, translate or compose",
+    "split.invariants": "CoprimeSplit derives every field it reads from (M, M1)",
+    "crt.delta-identity": "it reads only the split's co-factors, which CoprimeSplit derives "
+                          "from (M, M1)",
 }
 
 

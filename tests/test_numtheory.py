@@ -110,9 +110,11 @@ class TestMakeSplit:
         with pytest.raises(ValueError):
             make_split(15, M1)
 
-    def test_dataclass_rejects_bad_inverse(self):
-        with pytest.raises(ValueError):
-            CoprimeSplit(M=15, M1=3, M2=5, L1=5, L2=3, N1=1, N2=2)
+    def test_a_split_takes_only_m_and_m1(self):
+        assert CoprimeSplit(15, 3) == make_split(15, 3)
+        assert CoprimeSplit(15, 3).swapped() == make_split(15, 5)
+        with pytest.raises(TypeError):
+            CoprimeSplit(15, 3, 5)
 
     def test_swapped(self):
         s = make_split(15, 3)
