@@ -141,9 +141,9 @@ def position_state(M: int, q0: int) -> StateVector:
 
 def momentum_state(M: int, k0: int) -> StateVector:
     """Plane wave with <q|k0> = omega_M**(q*k0) / sqrt(M)."""
-    _labels("k0", k0, _dimension(M), scalar=True)
-    amps = omega_power(M, FOURIER_SIGN * k0 * np.arange(M)) / math.sqrt(M)
-    return StateVector(amps, normalized=True)
+    M = _dimension(M)
+    amps = omega_power(M, FOURIER_SIGN * _labels("k0", k0, M, scalar=True) * np.arange(M))
+    return StateVector(amps / math.sqrt(M), normalized=True)
 
 
 def fourier_matrix(M: int) -> np.ndarray:
@@ -174,10 +174,9 @@ class MonomialOperator:
     def __post_init__(self) -> None:
         if not all(map(_integer, (self.dim, self.shift, self.phase_slope, self.phase_offset))):
             raise ValueError(f"an operator holds integers only, got {self!r}")
-        _dimension(self.dim)
-        object.__setattr__(self, "shift", self.shift % self.dim)
-        object.__setattr__(self, "phase_slope", self.phase_slope % self.dim)
-        object.__setattr__(self, "phase_offset", self.phase_offset % self.dim)
+        object.__setattr__(self, "dim", _dimension(self.dim))
+        for name in ("shift", "phase_slope", "phase_offset"):  # ints, which do not wrap
+            object.__setattr__(self, name, int(getattr(self, name)) % self.dim)
 
     def is_identity(self) -> bool:
         return self.shift == 0 and self.phase_slope == 0 and self.phase_offset == 0

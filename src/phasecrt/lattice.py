@@ -49,9 +49,9 @@ class VNLattice:
         _labels("shift_k", self.shift_k, self.split.M2, scalar=True)
 
 
-# Every ufunc of a Hermitian-check tile pair or a classifier row block reads and
-# writes contiguous scratch: on a strided operand numpy would allocate a buffer of
-# its own. A tile pair: two complex tiles, their finiteness and one float residual tile
+# Every ufunc of a Hermitian-check tile pair reads and writes contiguous scratch: on a
+# strided operand numpy would allocate a buffer of its own. A tile pair: two complex
+# tiles, their finiteness and one float residual tile
 _TILE = math.isqrt(_SCRATCH_BYTES // (2 * 16 + 2 + 8))
 
 
@@ -200,8 +200,8 @@ def _sort_count(a: np.ndarray, b: np.ndarray, t: float) -> int:
 def _dense_support(rho: DensityMatrix, t: float, M1: int, M2: int):
     """(count, first row-major point, lattice) of |rho @ F| > t, as _pure_support.
 
-    |rho @ F| is read one row block at a time, each block the rows' inverse DFT into
-    reused scratch (bit for bit the rows of mixed_element_matrix(rho)); only the
+    |rho @ F| is read one row block at a time, each block the rows' inverse DFT (bit for
+    bit the rows of mixed_element_matrix(rho)) in temporaries of its own; only the
     magnitudes on the lattice through the first support point are kept. Lattice
     rows before the first support row hold no support; they are kept as 0,
     which fails the lattice test as their true magnitudes would.
@@ -209,22 +209,19 @@ def _dense_support(rho: DensityMatrix, t: float, M1: int, M2: int):
     m = rho.matrix
     M = m.shape[0]
     rows = _block_rows(M)
-    z, mag = np.empty((rows, M), dtype=np.complex128), np.empty((rows, M))
-    hit = np.empty((rows, M), dtype=bool)
     count, first, on_lattice = 0, (0, 0), None
     for i in range(0, M, rows):
-        n = min(rows, M - i)
-        _dft(m[i:i + n], inverse=True, out=z[:n])
-        np.abs(z[:n], out=mag[:n])
-        count += int(np.count_nonzero(np.greater(mag[:n], t, out=hit[:n])))
+        mag = np.abs(_dft(m[i:i + rows], inverse=True))
+        hit = mag > t
+        count += int(np.count_nonzero(hit))
         if on_lattice is None:
-            if not hit[:n].any():
+            if not hit.any():
                 continue
-            first = divmod(i * M + int(hit[:n].argmax()), M)
+            first = divmod(i * M + int(hit.argmax()), M)
             sq, sk = first[0] % M1, first[1] % M2
             on_lattice = np.zeros((len(range(sq, M, M1)), len(range(sk, M, M2))))
         r = (sq - i) % M1  # the block's first lattice row, lattice row j of rho
-        j, block = (i + r - sq) // M1, mag[r:n:M1, sk::M2]
+        j, block = (i + r - sq) // M1, mag[r::M1, sk::M2]
         on_lattice[j:j + len(block)] = block
     return count, first, lambda: (on_lattice.min(), on_lattice)
 

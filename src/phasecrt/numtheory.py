@@ -5,7 +5,8 @@ The integer rules of the package live here alone: one dimension rule (_dimension
 one label rule (_labels), one divisor rule (_cofactor), one split rule
 (CoprimeSplit, which derives everything else from (M, M1)) and one CRT formula
 (crt_compose, which crt_grid and reps.build_pls call). The input rules refuse a
-bool and any non-integer.
+bool and any non-integer and hand on plain ints (integer label arrays as int64),
+so no later product wraps in a narrow or unsigned dtype.
 """
 
 from __future__ import annotations
@@ -151,17 +152,19 @@ def _dimension(M) -> int:
 
 
 def _cofactor(M: int, d: int) -> int:
-    """M // d for an integer divisor d of a dimension M: the rule of every factorization."""
-    _dimension(M)
-    if not _integer(d) or d < 1 or M % d != 0:
+    """The int M // d for an integer divisor d of a dimension M: every factorization's rule."""
+    M = _dimension(M)
+    if not _integer(d) or d < 1 or M % int(d) != 0:
         raise ValueError(f"{d} does not divide {M}")
-    return M // d
+    return M // int(d)
 
 
 def _labels(name: str, labels, n: int, scalar: bool = False) -> int | np.ndarray:
-    """An int label (returned as it is) or, unless scalar, integer labels, each checked to
-    lie in [0, n). A scalar label is one int: an array, even of one element, is refused."""
-    if type(labels) is int or isinstance(labels, np.integer):  # _integer, inlined: hot
+    """An int label or, unless scalar, integer labels as int64, each checked to lie in [0, n).
+    A scalar label is one int: an array, even of one element, is refused."""
+    if type(labels) is not int and isinstance(labels, np.integer):
+        labels = int(labels)  # so no later product wraps in a narrow dtype
+    if type(labels) is int:  # hot: a Python int is returned as it is
         bad = () if 0 <= labels < n else (labels,)
     else:
         labels = np.asarray(labels)
@@ -169,6 +172,7 @@ def _labels(name: str, labels, n: int, scalar: bool = False) -> int | np.ndarray
             raise ValueError(f"{name} must be {'an integer' if scalar else 'integers'}, "
                              f"got {labels!r}")
         bad = labels[(labels < 0) | (labels >= n)].ravel()
+        labels = labels.astype(np.int64, copy=False)
     if len(bad):
         raise ValueError(f"{name}={bad[0]} out of range [0, {n})")
     return labels

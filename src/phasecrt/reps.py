@@ -56,8 +56,8 @@ from .core import (
     phase_exponent,
     translate,
 )
-from .numtheory import (CoprimeSplit, NonCoprimeError, _cofactor, _labels, crt_compose, crt_grid,
-                        make_split)
+from .numtheory import (CoprimeSplit, NonCoprimeError, _cofactor, _integer, _labels, crt_compose,
+                        crt_grid, make_split)
 
 
 class BasisKind(enum.Enum):
@@ -82,24 +82,18 @@ class RepBasis:
 
     __slots__ = ("kind", "M1", "M2", "conjugated", "_comb")
 
-    def __init__(self, kind: BasisKind, M1: int, M2: int, amps: np.ndarray | None,
+    def __init__(self, kind: BasisKind, M1: int, M2: int, amps: np.ndarray,
                  conjugated: bool = False):
-        M = M1 * M2
-        for factor in (M1, M2):  # integer factors of a dimension; a factor 1 is an E kind's
-            _cofactor(M, factor)
-        if amps is not None:  # None only for a comb, whose claim _comb_basis then sets
-            amps = np.asarray(amps, dtype=np.complex128).view()  # read-only, not the caller's
-            if amps.shape != (M1, M2, M):
-                raise ValueError(f"amplitude block must have shape ({M1}, {M2}, {M})")
-            amps.setflags(write=False)
-        self.kind = kind
-        self.M1 = M1
-        self.M2 = M2
-        self.conjugated = conjugated
+        M = int(M1) * int(M2) if _integer(M1) and _integer(M2) else M1 * M2  # no wrap
+        M1, M2 = _cofactor(M, M2), _cofactor(M, M1)  # ints, or refused; a factor 1 is an E kind's
+        amps = np.asarray(amps, dtype=np.complex128).view()  # read-only, not the caller's
+        if amps.shape != (M1, M2, M):
+            raise ValueError(f"amplitude block must have shape ({M1}, {M2}, {M})")
+        amps.setflags(write=False)
+        self.kind, self.M1, self.M2, self.conjugated = kind, M1, M2, conjugated
         # a checked (side, class points, coefficients); see _comb_basis. Amplitudes are
         # the position comb of one class that holds all M points
-        self._comb = None if amps is None else ("position", np.arange(M)[None],
-                                                amps.reshape(1, M, M))
+        self._comb = ("position", np.arange(M)[None], amps.reshape(1, M, M))
 
     @property
     def M(self) -> int:
@@ -156,8 +150,9 @@ def _comb_basis(kind: BasisKind, side: str, points: np.ndarray,
     share their classes. A claim that fails is the one-class comb of its dense rows, so
     every check reads what was built."""
     C, V, _ = coefficients.shape
-    basis = RepBasis(kind, *((C, V) if side == "position" else (V, C)), None)
-    basis._comb = (side, points, coefficients)
+    basis = RepBasis.__new__(RepBasis)  # RepBasis itself takes amplitudes only
+    basis.kind, basis.conjugated, basis._comb = kind, False, (side, points, coefficients)
+    basis.M1, basis.M2 = (C, V) if side == "position" else (V, C)
     return basis if np.array_equal(np.sort(points, axis=1), np.arange(basis.M).reshape(-1, C).T) \
         else _plain(basis)
 
@@ -211,9 +206,8 @@ def build_E_pos(M: int, M1: int) -> RepBasis:
 
     Defined for any divisor M1 of M; no coprimality needed.
     """
-    M2 = _cofactor(M, M1)
-    # Cooley-Tukey table index[q1, q2] = q1 + q2*M1
-    return _comb(BasisKind.E_POS, "position", np.arange(M).reshape(M2, M1).T, 1)
+    M2 = _cofactor(M, M1)  # Cooley-Tukey table index[q1, q2] = q1 + q2*M1
+    return _comb(BasisKind.E_POS, "position", np.arange(M, dtype=np.intp).reshape(M2, M1).T, 1)
 
 
 def build_E_mom(M: int, M1: int) -> RepBasis:
@@ -221,9 +215,8 @@ def build_E_mom(M: int, M1: int) -> RepBasis:
 
     Defined for any divisor M1 of M; no coprimality needed.
     """
-    M2 = _cofactor(M, M1)
-    # Cooley-Tukey table index[k1, k2] = k2 + k1*M2
-    return _comb(BasisKind.E_MOM, "momentum", np.arange(M).reshape(M1, M2), 1)
+    M2 = _cofactor(M, M1)  # Cooley-Tukey table index[k1, k2] = k2 + k1*M2
+    return _comb(BasisKind.E_MOM, "momentum", np.arange(M, dtype=np.intp).reshape(M1, M2), 1)
 
 
 def build_basis(kind: BasisKind, M: int, M1: int) -> RepBasis:
@@ -365,8 +358,13 @@ def _scan(a: RepBasis, b: RepBasis, modulus: bool) -> tuple[np.ndarray, float, s
         dev = np.abs(block)
         dev[i, j[i]] = np.abs((np.abs(d) if modulus else d) - 1.0)
         found = _worst(found, dev, rows, cols)
-    (q1, k2), (r1, r2) = divmod(found[1][0], a.M2), divmod(found[1][1], b.M2)
-    return diag, found[0], f"worst at (q1={q1}, k2={k2}) x (q1={r1}, k2={r2})"
+    return diag, found[0], _pair(a, b, *found[1])
+
+
+def _pair(a: RepBasis, b: RepBasis, i: int, j: int) -> str:
+    """The location of a's label i against b's label j, labels in row-major (q1, k2) order."""
+    (q1, k2), (r1, r2) = divmod(i, a.M2), divmod(j, b.M2)
+    return f"worst at (q1={q1}, k2={k2}) x (q1={r1}, k2={r2})"
 
 
 # Claimed closed forms for the diagonal phase of each cross-basis overlap,
@@ -395,8 +393,9 @@ class OverlapComparison:
     status is "pass" when the delta-times-phase structure holds and every
     diagonal exponent matches the claimed form; "discrepancy" when the
     structure holds but some exponents differ (they are then listed); "fail"
-    when the structure itself is broken; worst then names the label pair of
-    the largest modulus error.
+    when the structure itself is broken. A fail's worst names the label pair
+    of the largest modulus error when it exceeds tol, else (only phases miss a
+    root) the diagonal pair of the largest exponent residual.
     """
 
     kind_a: BasisKind
@@ -428,16 +427,17 @@ def compare_cross_phases(
     diag, max_mod_err, worst = overlap or _scan(basis_a, basis_b, modulus=True)
 
     measured, residual = phase_exponent(diag, M)
-    max_residual = float(np.max(residual))
+    max_residual, (_, at) = _worst(None, residual[None], (0,), np.arange(M))
     q1, k2 = np.divmod(np.arange(M), basis_a.M2)  # labels in row-major (q1, k2) order
     claimed = np.broadcast_to(CROSS_PHASE_FORMS[key](split, q1, k2), (M,)) % M
     mismatches = tuple(  # a NaN phase has no exponent to list
         PhaseDiscrepancy(TorusLabel(int(q1[i]), int(k2[i])), int(measured[i]), int(claimed[i]))
         for i in np.flatnonzero((measured != claimed) & (residual == residual)))
 
-    # a NaN error is below no tolerance
-    if not (max_mod_err < tol and max_residual < PHASE_EXPONENT_RESIDUAL_TOL):
+    if not max_mod_err <= tol:  # a NaN error passes no tolerance
         status = "fail"
+    elif not max_residual < PHASE_EXPONENT_RESIDUAL_TOL:  # a phase off every root
+        status, worst = "fail", _pair(basis_a, basis_b, at, at)
     elif mismatches:
         status = "discrepancy"
     else:

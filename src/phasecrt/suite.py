@@ -18,6 +18,9 @@ swapped split. Each PLS costs two transforms, its own and its conjugate's, taken
 as one FFT per label block on each side: a state keeps its row, its verdict reads
 it, and conjugate_state reads it too. The PLS Gram reads their class coefficients,
 gathered from the block the FFT took; only a PLS off its class makes it dense.
+One rule judges every record, in _add: |measured - expected| <= tolerance, a NaN
+failing, and a failing record appends the location its where() reads. The cross-phase
+records take compare_cross_phases' status, whose modulus test is that rule.
 """
 
 from __future__ import annotations
@@ -123,9 +126,13 @@ def _round12(x):
 
 
 def _add(checks, check_id, description, measured, expected, tolerance,
-         note="", status=None):
+         note="", status=None, where=None):
+    """Record one check. It passes iff |measured - expected| <= tolerance (a NaN fails),
+    unless status is given; a failing record appends where(), its location, to its note."""
     if status is None:
         status = "pass" if abs(measured - expected) <= tolerance else "fail"
+    if status == "fail" and where is not None:
+        note = "; ".join(filter(None, (note, where())))
     checks.append(CheckRecord(check_id, description, status, measured, expected,
                               tolerance, note))
 
@@ -151,7 +158,7 @@ def _walk_fourier(M):
 def _check_mub(checks, M, walk):
     (err, (q, k)), tol = walk[0], 1e-12 * math.sqrt(M)
     _add(checks, "fourier.mub", "every |<q|k>| equals 1/sqrt(M)", err, 0.0, tol,
-         note="" if err <= tol else f"worst at (q={q}, k={k})")  # a NaN fails too
+         where=lambda: f"worst at (q={q}, k={k})")
 
 
 def _check_periods(checks, M):
@@ -175,7 +182,7 @@ def _check_shift_relations(checks, tol, walk):
     (clock_dev, (k, q)), bad = walk[1:]
     _add(checks, "operators.shift.momentum-raise",
          "clock(M,M) maps |k> to |k+1>", clock_dev, 0.0, tol,
-         note="" if clock_dev <= tol else f"worst at (k={k}, q={q})")
+         where=lambda: f"worst at (k={k}, q={q})")
     _add(checks, "operators.shift.position-lower",
          "translate(M,1) maps |q> to |q-1> exactly", bad, 0, 0)
 
@@ -242,26 +249,23 @@ def _check_bases(checks, split, d, tol):
     once and all four stay alive."""
     bases = {kind: build_basis(kind, split.M, split.M1)
              for kind in (BasisKind.C1, BasisKind.C2, BasisKind.E_POS, BasisKind.E_MOM)}
-    for kind, basis in bases.items():
-        residual = basis.gram_residual()
-        # a failing record names its worst label pair, from a second streamed Gram
+    for kind, basis in bases.items():  # a failing record takes a second streamed pass
         _add(checks, f"basis.gram.{kind.value}[{d}]",
-             f"{kind.value} Gram matrix equals the identity", residual, 0.0, tol,
-             note="" if residual <= tol else _scan(basis, basis, modulus=False)[2])
-        residual = eigen_residuals(basis)
+             f"{kind.value} Gram matrix equals the identity", basis.gram_residual(), 0.0, tol,
+             where=lambda: _scan(basis, basis, modulus=False)[2])
         _add(checks, f"basis.eigen.{kind.value}[{d}]",
              f"every {kind.value} vector satisfies both eigen-relations",
-             residual, 0.0, tol, note="" if residual <= tol else _eigen_deviations(basis)[1])
+             eigen_residuals(basis), 0.0, tol, where=lambda: _eigen_deviations(basis)[1])
     # the C1-C2 overlap feeds its phase comparison and, through its diagonal, the identity
     c1c2 = _scan(bases[BasisKind.C1], bases[BasisKind.C2], modulus=True)
     comparisons = {pair: compare_cross_phases(*(bases[kind] for kind in pair), tol=tol,
                                               overlap=c1c2 if pair == _PHASE_PAIRS[0] else None)
                    for pair in _PHASE_PAIRS}
-    err = np.abs(c1c2[0] - 1.0)  # labels in row-major (q1, k2) order
-    at = int(np.argmax(err))
+    err, (q1, k2) = _worst(None, np.abs(c1c2[0] - 1.0).reshape(split.M1, split.M2),
+                           np.arange(split.M1), np.arange(split.M2))
     _add(checks, f"basis.c1c2-identity[{d}]",
-         "C1 and C2 agree vector for vector (overlap exactly 1)", float(err[at]), 0.0, tol,
-         note="" if err[at] <= tol else f"worst at (q1={at // split.M2}, k2={at % split.M2})")
+         "C1 and C2 agree vector for vector (overlap exactly 1)", err, 0.0, tol,
+         where=lambda: f"worst at (q1={q1}, k2={k2})")
     return comparisons
 
 
@@ -281,20 +285,17 @@ def _check_kernel(checks, split, d, tol):
         plain = omega_power(M, -(r1[r, None] * r1 * split.L1 + r2[r, None] * r2 * split.L2))
         found_plain = _worst(found_plain, np.abs(brute - plain / math.sqrt(M)), r, every)
     (dev_inv, (i, j)), dev_plain = found, found_plain[0]
-    worst = f"worst at (q={q[i]}, k={q[j]})"
+    worst = lambda: f"worst at (q={q[i]}, k={q[j]})"
     _add(checks, f"kernel.product[{d}]",
          "<k|q> factorizes into the two single-factor kernels under CRT labels",
-         dev_inv, 0.0, tol, note="" if dev_inv <= tol else worst)
+         dev_inv, 0.0, tol, where=worst)
     matches = [name for name, dev in
                [("with-inverse-factors", dev_inv), ("inverse-free", dev_plain)]
-               if dev < tol]
+               if dev <= tol]
     _add(checks, f"kernel.label-form[{d}]",
-         "which factorized kernel form matches brute force",
-         dev_inv, 0.0, tol,
+         "which factorized kernel form matches brute force", dev_inv, 0.0, tol,
          note=f"matching forms: {matches or ['none']}; "
-              f"inverse-free form max deviation {dev_plain:.3e}"
-              + ("" if "with-inverse-factors" in matches else f"; {worst}"),
-         status="pass" if "with-inverse-factors" in matches else "fail")
+              f"inverse-free form max deviation {dev_plain:.3e}", where=worst)
 
 
 _PHASE_PAIRS = (
@@ -349,10 +350,9 @@ def _check_pls(checks, split, d, tol):
         amps = _rows(stack, np.arange(split.M))
         amps[list(off)] = list(off.values())
         stack = RepBasis(BasisKind.C2, split.M1, split.M2, amps.reshape(split.M1, split.M2, -1))
-    residual = stack.gram_residual()
     _add(checks, f"pls.orthonormal[{d}]",
-         "the M partially localized states are orthonormal", residual, 0.0, tol,
-         note="" if residual <= tol else _scan(stack, stack, modulus=False)[2])
+         "the M partially localized states are orthonormal", stack.gram_residual(), 0.0, tol,
+         where=lambda: _scan(stack, stack, modulus=False)[2])
     # each wrong verdict leaves its shift unseen and its lattice's cells uncovered
     _add(checks, f"pls.lattice-bijection[{d}]",
          "each PLS sits over exactly its shifted lattice; supports tile the grid",

@@ -7,9 +7,10 @@ combs of one side and class count share their classes, and a shift keeps
 them when C divides it. Code that assigned RepBasis._comb anywhere else would
 skip that check, so this test reads every module of the package and every
 test module and allows only RepBasis.__init__ and reps._comb_basis to assign
-it. The constructor sets None (which _comb_basis replaces) or the one-class
-claim of the amplitudes it was given, all of [0, M), the one residue class
-mod 1, by construction.
+it. The constructor takes amplitudes only (None is refused) and sets their
+one-class claim, all of [0, M), the one residue class mod 1, by construction;
+_comb_basis makes its basis without the constructor and sets the claim it
+checks.
 
 A state's verdicts and its conjugate read StateVector._momentum as its DFT
 without taking it again, so only StateVector.__init__ (which sets None) and
@@ -20,6 +21,7 @@ import ast
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import phasecrt
 from phasecrt.reps import BasisKind, RepBasis
@@ -86,6 +88,12 @@ def test_only_the_claim_site_assigns_comb():
     side, points, coefficients = RepBasis(BasisKind.C2, 3, 5, amps)._comb
     assert side == "position" and np.array_equal(points, np.arange(15)[None])
     assert coefficients.shape == (1, 15, 15)
+
+
+@pytest.mark.parametrize("kind", list(BasisKind), ids=lambda kind: kind.value)
+def test_a_basis_without_amplitudes_is_refused(kind):
+    with pytest.raises(ValueError, match="amplitude block"):
+        RepBasis(kind, 3, 5, None)
 
 
 def test_only_the_dft_sites_assign_momentum():

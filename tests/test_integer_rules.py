@@ -13,7 +13,9 @@ a product of N1 with L1 (or N2 with L2). The suite's CRT delta identity and spli
 invariants state the products on purpose, as the claims they check. The entry
 points then refuse a float, a numpy float or a bool with ValueError wherever they
 take a dimension, a label or a divisor, refuse a dimension below 2 and an array
-where they take one label, and accept numpy integers.
+where they take one label, and accept numpy integers of any width, signed or not:
+the rules hand on a numpy integer as its int and integer labels as int64, so no
+later product wraps in a narrow dtype.
 """
 
 import ast
@@ -25,7 +27,8 @@ import numpy as np
 import pytest
 
 import phasecrt
-from phasecrt.core import MonomialOperator, clock, momentum_state, position_state, translate
+from phasecrt.core import (MonomialOperator, clock, momentum_state, operator_order, position_state,
+                           translate)
 from phasecrt.lattice import VNLattice
 from phasecrt.numtheory import (CoprimeSplit, chi, crt_compose, crt_decompose, enumerate_splits,
                                 factorize, make_split, mod_inverse)
@@ -154,6 +157,58 @@ def test_a_numpy_integer_is_accepted_as_its_int(call, good):
     assert_same(call(np.int64(good)), call(good))
 
 
+# numpy's other integer widths, signed and unsigned; every value these tests give them fits
+NARROW_INTEGERS = [np.int8, np.int16, np.uint8, np.uint16, np.uint64]
+NUMPY_INTEGERS = [np.int64, *NARROW_INTEGERS]
+
+
+@pytest.mark.parametrize("dtype", NARROW_INTEGERS, ids=lambda t: t.__name__)
+@pytest.mark.parametrize("call, good", [(call, good) for _, call, good in ENTRY_POINTS],
+                         ids=[name for name, _, _ in ENTRY_POINTS])
+def test_a_numpy_integer_of_any_width_is_accepted_as_its_int(call, good, dtype):
+    assert_same(call(dtype(good)), call(good))
+
+
+EPOS_400 = build_E_pos(400, 20).as_matrix().T.reshape(20, 20, 400)
+
+# (call, a call of it on labels or divisors of one integer type t) whose arithmetic leaves
+# a narrow dtype: 13 * N1 * L1 at 14x15, -q1 * k1 * N1, 210 % 2, n * shift, 20 * 20
+NARROW_PRODUCTS = [
+    ("crt_compose", lambda t: crt_compose(make_split(210, 14), t(13), t(14))),
+    ("factor_kernel", lambda t: factor_kernel(SPLIT, t(1), t(2))),
+    ("clock", lambda t: clock(210, t(2))),
+    ("operator_order", lambda t: operator_order(translate(210, t(1)))),
+    ("MonomialOperator.power", lambda t: MonomialOperator(210, t(100), t(3), t(5)).power(3)),
+    ("RepBasis", lambda t: RepBasis(BasisKind.E_POS, t(20), t(20), EPOS_400)),
+]
+
+
+@pytest.mark.parametrize("dtype", NUMPY_INTEGERS, ids=lambda t: t.__name__)
+@pytest.mark.parametrize("call", [call for _, call in NARROW_PRODUCTS],
+                         ids=[name for name, _ in NARROW_PRODUCTS])
+def test_a_numpy_integer_of_any_width_gives_the_int_result(call, dtype):
+    got, want = call(dtype), call(int)
+    assert_same(got, want)
+    if isinstance(want, (MonomialOperator, RepBasis)):  # it holds ints, as from ints
+        fields = ("dim", "shift", "phase_slope", "phase_offset") \
+            if isinstance(want, MonomialOperator) else ("M1", "M2")
+        assert {type(getattr(got, name)) for name in fields} == {int}
+
+
+@pytest.mark.parametrize("dtype", NUMPY_INTEGERS, ids=lambda t: t.__name__)
+def test_label_arrays_of_any_integer_dtype_give_the_int64_results(dtype):
+    split = make_split(210, 14)
+    q1, q2 = np.arange(14), np.arange(15)[:, None]
+    assert_same(crt_compose(split, q1.astype(dtype), q2.astype(dtype)),
+                crt_compose(split, q1, q2))
+    q = np.arange(min(210, np.iinfo(dtype).max + 1))
+    for got, want in zip(crt_decompose(split, q.astype(dtype)), crt_decompose(split, q)):
+        assert got.dtype == np.int64
+        assert_same(got, want)
+    assert_same(factor_kernel(split, q1.astype(dtype), q1[:, None].astype(dtype)),
+                factor_kernel(split, q1, q1[:, None]))
+
+
 def assert_same(got, want):
     """got equals want: a state's amplitudes, a basis' vectors, a report's body."""
     if hasattr(want, "amplitudes"):  # a state
@@ -213,6 +268,13 @@ def test_a_dimension_is_an_integer_of_at_least_two(call, bad):
                          ids=[name for name, _ in DIMENSION_ENTRY_POINTS])
 def test_a_numpy_integer_dimension_is_accepted_as_its_int(call):
     assert_same(call(np.int64(15)), call(15))
+
+
+@pytest.mark.parametrize("dtype", NARROW_INTEGERS, ids=lambda t: t.__name__)
+@pytest.mark.parametrize("call", [call for _, call in DIMENSION_ENTRY_POINTS],
+                         ids=[name for name, _ in DIMENSION_ENTRY_POINTS])
+def test_a_numpy_integer_dimension_of_any_width_is_accepted_as_its_int(call, dtype):
+    assert_same(call(dtype(15)), call(15))
 
 
 def test_a_numpy_dimension_gives_a_json_safe_report():

@@ -12,6 +12,7 @@ Every check-id family of tests/golden/210.json is killed by some row, or is
 listed in UNKILLED with the reason no row kills it.
 """
 
+import cmath
 import json
 import re
 
@@ -56,6 +57,18 @@ def rephased_c2(kind, M, M1):
     side, points, coefficients = basis._comb
     coefficients = np.array(coefficients)
     coefficients[1, 2, np.argmin(points[1])] *= 1j  # its first nonzero amplitude
+    return reps._comb_basis(kind, side, points, coefficients)
+
+
+def rotated_c2(kind, M, M1):
+    """C2 with vector (1, 2) times e^{0.1i}: still orthonormal and an eigenvector of both
+    relations, but its overlaps' diagonal phases at (1, 2) miss every root of unity."""
+    basis = real_build_basis(kind, M, M1)
+    if kind is not BasisKind.C2:
+        return basis
+    side, points, coefficients = basis._comb
+    coefficients = np.array(coefficients)
+    coefficients[1, 2] *= cmath.rect(1.0, 0.1)
     return reps._comb_basis(kind, side, points, coefficients)
 
 
@@ -160,6 +173,10 @@ ROWS = {
                                fail("basis.gram.C2[{d}]", "basis.eigen.C2[{d}]",
                                     "basis.c1c2-identity[{d}]", "overlap.phase.C1-C2[{d}]",
                                     "overlap.phase.C2-Epos[{d}]")),
+    # only phases fail: each overlap's moduli hold, and its record names label (1, 2)
+    "C2 vector rotated by 0.1 rad": (suite, "build_basis", rotated_c2,
+                                     fail("basis.c1c2-identity[{d}]", "overlap.phase.C1-C2[{d}]",
+                                          "overlap.phase.C2-Epos[{d}]")),
     # N1 + 1 = 3 = 0 mod 3 at 3x5: one constant phase per class, so C1's Gram fails too;
     # N1 + 1 = 4 is a unit mod 5 at 5x7: C1 stays orthonormal, with the wrong eigenvalues
     "C1 built with N1 + 1": (suite, "build_basis", c1_with_n1_plus_one, {

@@ -1,3 +1,5 @@
+import ast
+import cmath
 import json
 import math
 import random
@@ -377,6 +379,25 @@ class TestWorstLocation:
             assert failing[check_id].note.split("; ")[0] == note, check_id
         assert failing["basis.gram.Emom[14x15]"].note == "worst at (q1=0, k2=13) x (q1=0, k2=13)"
 
+    def test_a_phase_only_failure_names_the_label_whose_phase_failed(self, monkeypatch):
+        # C2 vector (1, 2) times e^{0.1i}: every overlap keeps its modulus, so the largest
+        # modulus error is roundoff somewhere else; only that label's phases miss a root
+        def rotate(amps):
+            amps[1, 2] *= cmath.rect(1.0, 0.1)
+
+        split = corrupt_c2(monkeypatch, rotate)
+        checks = []
+        tol = default_tolerance(15)
+        comparisons = suite._check_bases(checks, split, "3x5", tol)
+        suite._check_cross_phases(checks, split, "3x5", tol, comparisons)
+        failing = {c.check_id: c for c in checks if c.status == "fail"}
+        assert set(failing) == {"basis.c1c2-identity[3x5]", "overlap.phase.C1-C2[3x5]",
+                                "overlap.phase.C2-Epos[3x5]"}
+        assert failing["basis.c1c2-identity[3x5]"].note == "worst at (q1=1, k2=2)"
+        for check_id in ("overlap.phase.C1-C2[3x5]", "overlap.phase.C2-Epos[3x5]"):
+            assert failing[check_id].measured <= tol
+            assert failing[check_id].note == "worst at (q1=1, k2=2) x (q1=1, k2=2)"
+
     def test_failing_mub_names_its_worst_point(self, monkeypatch):
         checks = []
         suite._check_mub(checks, 15, suite._walk_fourier(15))
@@ -535,6 +556,66 @@ class TestNanIsTheWorst:
         identity = next(c for c in checks if c.check_id == "basis.c1c2-identity[3x5]")
         assert identity.status == "fail" and math.isnan(identity.measured)
         assert identity.note == "worst at (q1=2, k2=3)"
+
+
+def tolerance_comparisons(tree):
+    """The qualified name of the function around each comparison that reads tol or
+    tolerance (a name or an attribute); an identity test such as tol is None judges
+    nothing."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Compare) and not all(
+                isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops) and any(
+                getattr(operand, "id", getattr(operand, "attr", None)) in ("tol", "tolerance")
+                for operand in [node.left, *node.comparators]):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+class TestOneJudgement:
+    # suite._add decides every record's status from its tolerance, with one rule:
+    # |measured - expected| <= tolerance, a NaN failing; only compare_cross_phases
+    # decides its three-way status itself, with the same comparison on its modulus
+    def test_only_add_judges_a_record_against_its_tolerance(self):
+        # run_suite checks the tolerance it was given; the kernel's label-form record
+        # lists the forms that match, under the same rule
+        tree = ast.parse(Path(suite.__file__).read_text())
+        assert sorted(tolerance_comparisons(tree)) == ["_add", "_check_kernel", "run_suite"]
+
+    def test_the_guard_sees_each_form_of_comparison(self):
+        source = """
+def check(err, tol, record):
+    tol = 1e-9 if tol is None else tol
+    note = "" if err <= tol else "worst"
+    status = "pass" if err < tol and tol >= 0 else "fail"
+    return [x for x in (err,) if x < record.tolerance]
+
+class Report:
+    def passed(self, tolerance):
+        return 0 <= self.measured <= tolerance
+"""
+        assert tolerance_comparisons(ast.parse(source)) == ["check"] * 4 + ["Report.passed"]
+
+    @pytest.mark.parametrize("M", [15, 35])
+    def test_each_float_record_passes_at_its_own_measured_value(self, M):
+        base = run_suite(M)
+        (d,) = base.splits
+        floats = [c for c in base.checks if isinstance(c.measured, float)]
+        assert len(floats) == 18
+        for value in sorted({c.measured for c in floats}):
+            report = {c.check_id: c for c in run_suite(M, tolerance=value).checks}
+            for c in floats:
+                if c.measured == value:  # a pass, or the one discrepancy at 15, as at default
+                    assert report[c.check_id].status == c.status != "fail", c.check_id
+            assert report[f"kernel.label-form[{d}]"].status \
+                == report[f"kernel.product[{d}]"].status
 
 
 def heap_peak_in_square_arrays(M):
