@@ -38,12 +38,12 @@ class DimensionMismatchError(ValueError):
 
 def default_tolerance(M: int) -> float:
     """Amplitude comparison tolerance, scaled for roundoff in M-term sums."""
-    return 1e-9 * math.sqrt(M)
+    return 1e-9 * math.sqrt(_dimension(M))
 
 
 def norm_tolerance(M: int) -> float:
     """Tolerance on |sum |a_q|^2 - 1| for states flagged normalized."""
-    return 1e-12 * M
+    return 1e-12 * _dimension(M)
 
 
 @functools.lru_cache(maxsize=32)
@@ -55,8 +55,11 @@ def _roots(M: int) -> np.ndarray:
 
 
 def omega_power(M: int, exponent) -> complex | np.ndarray:
-    """exp(2j*pi*e/M) for integer e, read bit for bit from the root table at e mod M."""
-    e = np.asarray(exponent)
+    """exp(2j*pi*e/M) for integer e, read bit for bit from the root table at e mod M;
+    the order M is an integer >= 1 (order 1 is a 1-point table)."""
+    if not _integer(M) or M < 1:  # before _roots' cache, which takes 15.0 for 15
+        raise ValueError(f"an order must be an integer >= 1, got {M!r}")
+    M, e = int(M), np.asarray(exponent)
     if not np.issubdtype(e.dtype, np.integer):
         raise ValueError(f"exponent must be an integer, got dtype {e.dtype}")
     out = _roots(M)[e % M]
@@ -65,6 +68,7 @@ def omega_power(M: int, exponent) -> complex | np.ndarray:
 
 def phase_exponent(z, M: int):
     """Nearest integer n with z/|z| = omega_M**n and the residual, per entry (NaN: n = 0)."""
+    M = _dimension(M)
     x = np.angle(z) * M / (2.0 * np.pi)
     n = np.round(x)
     e = np.nan_to_num(n).astype(np.int64) % M
@@ -148,6 +152,7 @@ def momentum_state(M: int, k0: int) -> StateVector:
 
 def fourier_matrix(M: int) -> np.ndarray:
     """F[q, k] = <q|k>; the columns are the momentum states."""
+    M = _dimension(M)
     return _fourier_rows(M, np.arange(M))
 
 
@@ -162,8 +167,9 @@ def _fourier_rows(M: int, rows: np.ndarray) -> np.ndarray:
 class MonomialOperator:
     """Exact unitary |q> -> omega**(phase_slope*q + phase_offset) |q - shift>.
 
-    All three integers live mod dim. Composition, powers and inverses stay in
-    this class, so operator identities reduce to integer comparisons.
+    All three integers live mod dim. Composition and powers (power(-1) is the
+    inverse) stay in this class, so operator identities reduce to integer
+    comparisons.
     """
 
     dim: int
@@ -181,14 +187,9 @@ class MonomialOperator:
     def is_identity(self) -> bool:
         return self.shift == 0 and self.phase_slope == 0 and self.phase_offset == 0
 
-    def inverse(self) -> "MonomialOperator":
-        s, a, b = self.shift, self.phase_slope, self.phase_offset
-        return MonomialOperator(self.dim, -s, -a, -(b + a * s))
-
     def power(self, n: int) -> "MonomialOperator":
-        """n-th power in closed form: offset picks up a triangular cross term."""
-        if n < 0:
-            return self.inverse().power(-n)
+        """n-th power in closed form, for every integer n: offset picks up a triangular
+        cross term (n*(n - 1) is even for negative n too)."""
         s, a, b = self.shift, self.phase_slope, self.phase_offset
         return MonomialOperator(self.dim, n * s, n * a, n * b - a * s * (n * (n - 1) // 2))
 

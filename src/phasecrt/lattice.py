@@ -149,7 +149,7 @@ def mixed_element_matrix(rho: StateVector | DensityMatrix) -> np.ndarray:
 
 def default_support_threshold(M: int) -> float:
     """An order below the smallest legitimate magnitude 1/sqrt(M), far above noise."""
-    return 1e-6 / math.sqrt(M)
+    return 1e-6 / math.sqrt(_dimension(M))
 
 
 def _support_threshold(M: int, threshold: float | None) -> float:

@@ -16,8 +16,9 @@ value and location by one rule (reps._worst). The PLS check walks the labels in
 the same blocks: build, classify, conjugate, classify the conjugate against the
 swapped split. Each PLS costs two transforms, its own and its conjugate's, taken
 as one FFT per label block on each side: a state keeps its row, its verdict reads
-it, and conjugate_state reads it too. The PLS Gram reads their class coefficients,
-gathered from the block the FFT took; only a PLS off its class makes it dense.
+it, and conjugate_state reads it too. The PLS take no Gram of their own: each must
+equal exactly (a NaN is unequal) its vector of the C2 that basis.gram.C2 judged, so
+that Gram is theirs.
 One rule judges every record, in _add: |measured - expected| <= tolerance, a NaN
 failing, and a failing record appends the location its where() reads. The cross-phase
 records take compare_cross_phases' status, whose modulus test is that rule.
@@ -49,8 +50,6 @@ from .numtheory import (_dimension, chi, crt_compose, crt_decompose, crt_grid, e
                         factorize)
 from .reps import (
     BasisKind,
-    RepBasis,
-    _comb_basis,
     _eigen_deviations,
     _label_blocks,
     _rows,
@@ -245,8 +244,8 @@ def _check_operator_splitting(checks, split, d):
 
 def _check_bases(checks, split, d, tol):
     """Gram, eigen and C1-C2 identity records; returns the comparison of each pair
-    of _PHASE_PAIRS. A basis holds only its comb coefficients, so each kind is built
-    once and all four stay alive."""
+    of _PHASE_PAIRS and C2, for the PLS to be compared with. A basis holds only its
+    comb coefficients, so each kind is built once and all four stay alive."""
     bases = {kind: build_basis(kind, split.M, split.M1)
              for kind in (BasisKind.C1, BasisKind.C2, BasisKind.E_POS, BasisKind.E_MOM)}
     for kind, basis in bases.items():  # a failing record takes a second streamed pass
@@ -266,7 +265,7 @@ def _check_bases(checks, split, d, tol):
     _add(checks, f"basis.c1c2-identity[{d}]",
          "C1 and C2 agree vector for vector (overlap exactly 1)", err, 0.0, tol,
          where=lambda: f"worst at (q1={q1}, k2={k2})")
-    return comparisons
+    return comparisons, bases[BasisKind.C2]
 
 
 def _check_kernel(checks, split, d, tol):
@@ -323,19 +322,16 @@ def _check_cross_phases(checks, split, d, tol, comparisons):
              cmp.max_modulus_error, 0.0, tol, note=note, status=cmp.status)
 
 
-def _check_pls(checks, split, d, tol):
-    swapped, grid = split.swapped(), crt_grid(split)
-    coefficients = np.empty((split.M1, split.M2, split.M2), dtype=np.complex128)
+def _check_pls(checks, split, d, c2):
+    """The PLS records; c2 is the C2 basis whose Gram basis.gram.C2 took."""
+    swapped = split.swapped()
     bad = bad_conjugate = wrong_count = 0
-    off = {}  # the amplitudes of each PLS with weight off its class, by label
+    unequal = []  # the labels of the PLS that are not exactly their C2 vector
     for block in _label_blocks(split.M):  # each side's DFTs taken as one FFT per block
         labels = [divmod(int(i), split.M2) for i in block]
         states = [build_pls(split, q1, k2) for q1, k2 in labels]
         amps = _fill_momentum(states)
-        on = coefficients.reshape(split.M, -1)[block] = np.take_along_axis(
-            amps, grid[block // split.M2], axis=1)
-        for i in np.flatnonzero(np.count_nonzero(on, axis=1) != np.count_nonzero(amps, axis=1)):
-            off[block[i]] = states[i].amplitudes
+        unequal += [labels[i] for i in np.flatnonzero(np.any(amps != _rows(c2, block), axis=1))]
         for (q1, k2), state in zip(labels, states):
             verdict = classify_vn_state(state, split)
             bad += int(verdict != VNLattice(split, q1, k2))
@@ -345,14 +341,10 @@ def _check_pls(checks, split, d, tol):
         for (q1, k2), state in zip(labels, states):
             verdict = classify_vn_state(state, swapped)
             bad_conjugate += int(verdict != VNLattice(swapped, k2, q1))
-    stack = _comb_basis(BasisKind.C2, "position", grid, coefficients)
-    if off:  # a PLS off its class: the stack is plain, its other rows read from the claim
-        amps = _rows(stack, np.arange(split.M))
-        amps[list(off)] = list(off.values())
-        stack = RepBasis(BasisKind.C2, split.M1, split.M2, amps.reshape(split.M1, split.M2, -1))
     _add(checks, f"pls.orthonormal[{d}]",
-         "the M partially localized states are orthonormal", stack.gram_residual(), 0.0, tol,
-         where=lambda: _scan(stack, stack, modulus=False)[2])
+         "the M partially localized states equal the C2 vectors exactly, "
+         "so basis.gram.C2 is their Gram", len(unequal), 0, 0,
+         where=lambda: "first at (q1={}, k2={})".format(*unequal[0]))
     # each wrong verdict leaves its shift unseen and its lattice's cells uncovered
     _add(checks, f"pls.lattice-bijection[{d}]",
          "each PLS sits over exactly its shifted lattice; supports tile the grid",
@@ -393,10 +385,10 @@ def run_suite(M: int, tolerance: float | None = None) -> VerificationReport:
         _check_split_invariants(checks, split, d)
         _check_crt(checks, split, d)
         _check_operator_splitting(checks, split, d)
-        comparisons = _check_bases(checks, split, d, tol)
+        comparisons, c2 = _check_bases(checks, split, d, tol)
         _check_kernel(checks, split, d, tol)
         _check_cross_phases(checks, split, d, tol, comparisons)
-        _check_pls(checks, split, d, tol)
+        _check_pls(checks, split, d, c2)
 
     ids = [c.check_id for c in checks]
     if len(ids) != len(set(ids)):

@@ -12,6 +12,9 @@ one-class claim, all of [0, M), the one residue class mod 1, by construction;
 _comb_basis makes its basis without the constructor and sets the claim it
 checks.
 
+The claims themselves are made in reps alone: no other module of the package
+calls _comb_basis or RepBasis, so the comb format is known to reps only.
+
 A state's verdicts and its conjugate read StateVector._momentum as its DFT
 without taking it again, so only StateVector.__init__ (which sets None) and
 core._fill_momentum, which takes that DFT, may assign it.
@@ -94,6 +97,34 @@ def test_only_the_claim_site_assigns_comb():
 def test_a_basis_without_amplitudes_is_refused(kind):
     with pytest.raises(ValueError, match="amplitude block"):
         RepBasis(kind, 3, 5, None)
+
+
+def calls(tree, names):
+    """The line of each call of one of names, by name or as an attribute."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in names]
+
+
+CLAIM_MAKERS = ("_comb_basis", "RepBasis")
+
+
+def test_claims_are_made_in_reps_alone():
+    outside = {path.name: calls(ast.parse(path.read_text()), CLAIM_MAKERS)
+               for path in sorted(ROOTS[0].glob("*.py")) if path.name != "reps.py"}
+    assert {name: lines for name, lines in outside.items() if lines} == {}
+    assert calls(ast.parse((ROOTS[0] / "reps.py").read_text()), CLAIM_MAKERS)
+
+
+def test_the_guard_sees_each_form_of_claim():
+    source = """
+def f(points, coefficients, amps):
+    a = _comb_basis(BasisKind.C2, "position", points, coefficients)
+    b = reps._comb_basis(BasisKind.C2, "position", points, coefficients)
+    c = RepBasis(BasisKind.C2, 3, 5, amps)
+    d = reps.RepBasis(BasisKind.C2, 3, 5, amps)
+    return RepBasis.__new__(RepBasis), _comb(a), basis_rows(b)
+"""
+    assert calls(ast.parse(source), CLAIM_MAKERS) == [3, 4, 5, 6]
 
 
 def test_only_the_dft_sites_assign_momentum():

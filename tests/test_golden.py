@@ -6,13 +6,20 @@ depend on summation order; each check's `status` still pins whether its
 residual is under tolerance. Integer `measured` values, ids, descriptions,
 `expected`, `tolerance`, notes, counts, `passed` and splits all count.
 
+The 210 and 667 reports also pass the benchmark's gate (perfbench/gate.py,
+loaded by path: read-only, no bytecode written next to it) against its own
+golden reports: no golden id goes missing or changes its status or integer
+`measured`.
+
 Regenerate a golden file only for an intended change of the report:
     phasecrt suite 6,10,12,15,21,35 --format json --out tests/golden/w1.json
     phasecrt suite 210 --format json --out tests/golden/210.json
     phasecrt suite 667 --format json --out tests/golden/667.json
 """
 
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +27,7 @@ import pytest
 from phasecrt.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+GATE = Path(__file__).resolve().parent.parent / "perfbench" / "gate.py"
 
 
 def comparable(text: str) -> str:
@@ -38,3 +46,10 @@ def test_report_matches_golden(name, dims, tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert main(["suite", dims, "--format", "json", "--out", str(out)]) == 0
     assert comparable(out.read_text()) == comparable((GOLDEN / f"{name}.json").read_text())
+    if name in ("210", "667"):  # the dimensions the benchmark's gate has golden reports of
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec = importlib.util.spec_from_file_location("_bench_gate", GATE)
+        gate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gate)
+        doc = json.loads(out.read_text())
+        assert gate.check_report(doc, gate.load_golden(int(name))) == (0, [])

@@ -27,9 +27,10 @@ import numpy as np
 import pytest
 
 import phasecrt
-from phasecrt.core import (MonomialOperator, clock, momentum_state, operator_order, position_state,
-                           translate)
-from phasecrt.lattice import VNLattice
+from phasecrt.core import (MonomialOperator, clock, default_tolerance, fourier_matrix,
+                           momentum_state, norm_tolerance, omega_power, operator_order,
+                           phase_exponent, position_state, translate)
+from phasecrt.lattice import VNLattice, default_support_threshold
 from phasecrt.numtheory import (CoprimeSplit, chi, crt_compose, crt_decompose, enumerate_splits,
                                 factorize, make_split, mod_inverse)
 from phasecrt.reps import (BasisKind, RepBasis, build_basis, build_C2, build_E_mom, build_E_pos,
@@ -252,6 +253,11 @@ DIMENSION_ENTRY_POINTS = [
     ("build_basis", lambda x: build_basis(BasisKind.C2, x, 3)),
     ("RepBasis", lambda x: RepBasis(BasisKind.E_POS, 1, x, np.eye(15)[None])),
     ("run_suite", run_suite),
+    ("fourier_matrix", fourier_matrix),
+    ("phase_exponent", lambda x: phase_exponent(1j, x)),
+    ("default_tolerance", default_tolerance),
+    ("norm_tolerance", norm_tolerance),
+    ("default_support_threshold", default_support_threshold),
 ]
 
 
@@ -275,6 +281,21 @@ def test_a_numpy_integer_dimension_is_accepted_as_its_int(call):
                          ids=[name for name, _ in DIMENSION_ENTRY_POINTS])
 def test_a_numpy_integer_dimension_of_any_width_is_accepted_as_its_int(call, dtype):
     assert_same(call(dtype(15)), call(15))
+
+
+# omega_power's order may be 1: build_E_pos(M, M) and build_E_mom(M, 1) read 1-point tables
+@pytest.mark.parametrize("bad", [15.0, np.float64(15.0), 15.5, True, 0, -15],
+                         ids=["float", "np-float", "fraction", "bool", "zero", "negative"])
+def test_an_order_is_an_integer_of_at_least_one(bad):
+    with pytest.raises(ValueError, match="an order must be an integer >= 1"):
+        omega_power(bad, 2)
+
+
+@pytest.mark.parametrize("dtype", NUMPY_INTEGERS, ids=lambda t: t.__name__)
+def test_a_numpy_integer_order_is_read_as_its_int(dtype):
+    exponents = np.arange(-20, 20)
+    assert_same(omega_power(dtype(15), exponents), omega_power(15, exponents))
+    assert omega_power(dtype(1), 7) == omega_power(1, 7) == 1
 
 
 def test_a_numpy_dimension_gives_a_json_safe_report():

@@ -5,8 +5,9 @@ what the bases, the eigen relations and the phase comparisons read), runs the
 suite at M = 15 and 35 (one split each, 3x5 and 5x7), and names the status each
 check id it kills must take, fail or discrepancy, for both or for each M.
 Every failing float record must name where its worst value sits ("worst at"
-in its note), every discrepancy how many labels disagree, and every other id
-keeps its status in tests/golden/w1.json.
+in its note), a failing pls.orthonormal the first PLS that is not its C2 vector,
+every discrepancy how many labels disagree, and every other id keeps its status
+in tests/golden/w1.json.
 
 Every check-id family of tests/golden/210.json is killed by some row, or is
 listed in UNKILLED with the reason no row kills it.
@@ -169,14 +170,16 @@ ROWS = {
     # the suite reads F in row blocks, so the row reader is what it corrupts
     "fourier_matrix entry scaled": (suite, "_fourier_rows", scaled_fourier_rows,
                                     fail("fourier.mub", "operators.shift.momentum-raise")),
+    # the PLS, built without C2, are no longer its vectors
     "C2 amplitude re-phased": (suite, "build_basis", rephased_c2,
                                fail("basis.gram.C2[{d}]", "basis.eigen.C2[{d}]",
                                     "basis.c1c2-identity[{d}]", "overlap.phase.C1-C2[{d}]",
-                                    "overlap.phase.C2-Epos[{d}]")),
+                                    "overlap.phase.C2-Epos[{d}]", "pls.orthonormal[{d}]")),
     # only phases fail: each overlap's moduli hold, and its record names label (1, 2)
     "C2 vector rotated by 0.1 rad": (suite, "build_basis", rotated_c2,
                                      fail("basis.c1c2-identity[{d}]", "overlap.phase.C1-C2[{d}]",
-                                          "overlap.phase.C2-Epos[{d}]")),
+                                          "overlap.phase.C2-Epos[{d}]",
+                                          "pls.orthonormal[{d}]")),
     # N1 + 1 = 3 = 0 mod 3 at 3x5: one constant phase per class, so C1's Gram fails too;
     # N1 + 1 = 4 is a unit mod 5 at 5x7: C1 stays orthonormal, with the wrong eigenvalues
     "C1 built with N1 + 1": (suite, "build_basis", c1_with_n1_plus_one, {
@@ -199,14 +202,15 @@ ROWS = {
     "an off-by-one translate step": (reps, "translate", translate_step_off_by_one,
                                      fail(*EIGEN)),
     # C1 and C2 overlap across classes 0 and 1; each claim is checked when made, so both
-    # Grams see it, where the class blocks alone would pass
+    # Grams see it, where the class blocks alone would pass; the PLS are built without it
     "an index table with a repeated point": (reps, "crt_grid", grid_with_a_repeated_point,
                                              fail("basis.gram.C1[{d}]", "basis.eigen.C1[{d}]",
                                                   "basis.gram.C2[{d}]", "basis.eigen.C2[{d}]",
                                                   "basis.c1c2-identity[{d}]",
                                                   "overlap.phase.C1-C2[{d}]",
                                                   "overlap.phase.C1-Emom[{d}]",
-                                                  "overlap.phase.C2-Epos[{d}]")),
+                                                  "overlap.phase.C2-Epos[{d}]",
+                                                  "pls.orthonormal[{d}]")),
     # the suite's own grid: its points no longer tile [0, M), and it feeds the kernel
     "an index table with a repeated point (suite)": (suite, "crt_grid",
                                                      grid_with_a_repeated_point,
@@ -225,13 +229,15 @@ ROWS = {
     "two labels swapped in crt_grid (suite)": (suite, "crt_grid", grid_with_two_labels_swapped,
                                                fail("kernel.product[{d}]",
                                                     "kernel.label-form[{d}]")),
-    # the C combs are plain when claimed, and their dense rows fail the eigen relations
+    # the C combs are plain when claimed, and their dense rows fail the eigen relations;
+    # the PLS, built without the grid, are no longer C2's vectors
     "two labels swapped in crt_grid (reps)": (reps, "crt_grid", grid_with_two_labels_swapped,
                                               fail("basis.eigen.C1[{d}]", "basis.eigen.C2[{d}]",
                                                    "basis.c1c2-identity[{d}]",
                                                    "overlap.phase.C1-C2[{d}]",
                                                    "overlap.phase.C1-Emom[{d}]",
-                                                   "overlap.phase.C2-Epos[{d}]")),
+                                                   "overlap.phase.C2-Epos[{d}]",
+                                                   "pls.orthonormal[{d}]")),
     # each conjugate is classified on its own transform, not on its PLS's
     "conjugate_state without conjugation": (suite, "conjugate_state", unconjugated_state,
                                             fail("conjugate.duality[{d}]")),
@@ -288,4 +294,6 @@ def test_a_corruption_fails_exactly_its_checks(row, M, monkeypatch):
             assert re.match(r"\d+ labels disagree", c.note), c.check_id
         elif c.check_id in killed and isinstance(c.measured, float):
             assert "worst at (" in c.note, c.check_id
+        elif c.check_id in killed and c.check_id.startswith("pls.orthonormal["):
+            assert re.fullmatch(r"first at \(q1=\d+, k2=\d+\)", c.note), c.check_id
     assert [c.check_id for c in report.checks] == list(GOLDEN[M])

@@ -14,7 +14,7 @@ from phasecrt import lattice, reps, suite
 from phasecrt.core import StateVector, default_tolerance, fourier_matrix
 from phasecrt.lattice import VNLattice
 from phasecrt.numtheory import crt_compose, crt_grid, enumerate_splits, make_split
-from phasecrt.reps import BasisKind, RepBasis, _label_blocks, build_basis
+from phasecrt.reps import BasisKind, RepBasis, _label_blocks, build_basis, build_C2
 from phasecrt.suite import format_table, reports_to_dict, run_suite, run_suites
 
 
@@ -126,11 +126,10 @@ class TestPlsRecords:
         expected = {c["id"]: c["status"]
                     for r in golden["reports"] if r["M"] == 15 for c in r["checks"]}
         failed = {c.check_id: c.measured for c in report.checks if c.status == "fail"}
-        # |<PLS(0, 0)|PLS(1, k2)>| = (1/sqrt(5))**2 at the moved position
-        assert failed.pop("pls.orthonormal[3x5]") == pytest.approx(0.2)
-        # so do |<PLS(0, 0)|PLS(0, k2)>|, which lost that term; ties fall by roundoff
+        # one PLS is not its C2 vector
+        assert failed.pop("pls.orthonormal[3x5]") == 1
         note = next(c.note for c in report.checks if c.check_id == "pls.orthonormal[3x5]")
-        assert re.fullmatch(r"worst at \(q1=0, k2=0\) x \(q1=[01], k2=\d\)", note)
+        assert note == "first at (q1=0, k2=0)"
         # one wrong verdict, 14 distinct shifts, an uncovered lattice
         assert failed == {"pls.lattice-bijection[3x5]": 3, "conjugate.duality[3x5]": 1,
                           "lattice.area[3x5]": 1}
@@ -139,11 +138,10 @@ class TestPlsRecords:
                 assert c.status == expected[c.check_id], c.check_id
         assert len(report.checks) == len(expected)
 
-    def test_pls_with_weight_off_its_class_makes_the_stack_dense(self, monkeypatch):
+    def test_pls_with_weight_off_its_class_fails_and_names_its_label(self, monkeypatch):
         # PLS (0, 0) of 3x5 keeps 0.8 of its amplitudes and puts 0.6 at the point
-        # q1 = 1, q2 = 0 of the lattice: still unit norm, but it overlaps every
-        # PLS (1, k2) by 0.6/sqrt(5). Read from its class coefficients alone, it
-        # would instead lose 0.36 of its norm
+        # q1 = 1, q2 = 0 of the lattice: still unit norm, but off its class, where
+        # its C2 vector holds an exact zero
         real = suite.build_pls
 
         def leaking(split, q01, k02):
@@ -158,8 +156,8 @@ class TestPlsRecords:
         orthonormal = next(c for c in run_suite(15).checks
                            if c.check_id == "pls.orthonormal[3x5]")
         assert orthonormal.status == "fail"
-        assert orthonormal.measured == pytest.approx(0.6 / math.sqrt(5))
-        assert orthonormal.note == "worst at (q1=0, k2=0) x (q1=1, k2=0)"
+        assert orthonormal.measured == 1
+        assert orthonormal.note == "first at (q1=0, k2=0)"
 
     def test_pls_on_another_lattice_keeps_its_area(self, monkeypatch):
         # PLS (0, 0) replaced by PLS (1, 0): M support points on the wrong lattice
@@ -167,7 +165,7 @@ class TestPlsRecords:
         monkeypatch.setattr(suite, "build_pls", lambda split, q01, k02: real(
             split, *((1, 0) if (q01, k02) == (0, 0) else (q01, k02))))
         failed = {c.check_id: c.measured for c in run_suite(15).checks if c.status == "fail"}
-        assert failed.pop("pls.orthonormal[3x5]") == pytest.approx(1.0)
+        assert failed.pop("pls.orthonormal[3x5]") == 1
         assert failed == {"pls.lattice-bijection[3x5]": 3, "conjugate.duality[3x5]": 1}
 
     def test_calls_per_split(self, monkeypatch):
@@ -200,7 +198,7 @@ class TestPlsRecords:
                              + [pytest.param(210, 14, id="210-14")])
     def test_two_dfts_per_pls(self, M, M1, monkeypatch):
         # the verdict's DFT of a PLS is the one its conjugate reads; the conjugate's
-        # verdict takes the other, and the stack's Gram takes none. Each label block
+        # verdict takes the other, and the comparison with C2 takes none. Each label block
         # takes one FFT per side (14x15 of 210 takes its labels in several blocks)
         shapes, real = [], np.fft.fft
 
@@ -211,7 +209,7 @@ class TestPlsRecords:
         monkeypatch.setattr(np.fft, "fft", recorded)
         split = make_split(M, M1)
         checks = []
-        suite._check_pls(checks, split, split.describe(), default_tolerance(M))
+        suite._check_pls(checks, split, split.describe(), build_C2(split))
         blocks = [(len(block), M) for block in _label_blocks(M)]
         assert shapes == [shape for shape in blocks for _ in range(2)]
         assert sum(rows for rows, _ in shapes) == 2 * M
@@ -234,7 +232,7 @@ class TestPlsRecords:
         monkeypatch.setattr(lattice, "_sort_count", sorted_count)
         for split in enumerate_splits(M):
             verdicts.clear()
-            suite._check_pls([], split, split.describe(), default_tolerance(M))
+            suite._check_pls([], split, split.describe(), build_C2(split))
             assert len(verdicts) == 2 * M
             assert all(isinstance(v, VNLattice) for v in verdicts)
 
@@ -284,7 +282,7 @@ class TestWorstLocation:
         split = corrupt_c2(monkeypatch, off_class)
         checks = []
         tol = default_tolerance(15)
-        comparisons = suite._check_bases(checks, split, "3x5", tol)
+        comparisons, _ = suite._check_bases(checks, split, "3x5", tol)
         suite._check_cross_phases(checks, split, "3x5", tol, comparisons)
         notes = {c.check_id: c.note for c in checks if c.status == "fail"}
         assert notes["basis.gram.C2[3x5]"] == "worst at (q1=0, k2=1) x (q1=0, k2=1)"
@@ -361,7 +359,7 @@ class TestWorstLocation:
         build_instead(monkeypatch, bad)
         checks = []
         tol = default_tolerance(210)
-        comparisons = suite._check_bases(checks, split, "14x15", tol)
+        comparisons, _ = suite._check_bases(checks, split, "14x15", tol)
         suite._check_cross_phases(checks, split, "14x15", tol, comparisons)
         failing = {c.check_id: c for c in checks if c.status == "fail"}
         c1, epos = build_basis(BasisKind.C1, 210, 14), build_basis(BasisKind.E_POS, 210, 14)
@@ -388,7 +386,7 @@ class TestWorstLocation:
         split = corrupt_c2(monkeypatch, rotate)
         checks = []
         tol = default_tolerance(15)
-        comparisons = suite._check_bases(checks, split, "3x5", tol)
+        comparisons, _ = suite._check_bases(checks, split, "3x5", tol)
         suite._check_cross_phases(checks, split, "3x5", tol, comparisons)
         failing = {c.check_id: c for c in checks if c.status == "fail"}
         assert set(failing) == {"basis.c1c2-identity[3x5]", "overlap.phase.C1-C2[3x5]",
@@ -608,7 +606,7 @@ class Report:
         base = run_suite(M)
         (d,) = base.splits
         floats = [c for c in base.checks if isinstance(c.measured, float)]
-        assert len(floats) == 18
+        assert len(floats) == 17
         for value in sorted({c.measured for c in floats}):
             report = {c.check_id: c for c in run_suite(M, tolerance=value).checks}
             for c in floats:
@@ -633,9 +631,9 @@ def heap_peak_in_square_arrays(M):
 class TestWorkingSet:
     # no (M, M) array: a basis is its comb coefficients, F is read in row blocks,
     # and products and relations stream in label blocks of core._SCRATCH_BYTES;
-    # measured 2.27-2.30 at 210 (a block is a large share of an (M, M) array there),
-    # 0.20 at 667 and 0.42 at 1155 (the coefficients of 3x385 are M**2 / 3 numbers);
-    # with two dense bases alive they were 3.69, 2.18 and 2.50
+    # measured 2.19 at 210 (a block is a large share of an (M, M) array there),
+    # 0.16 at 667 and 0.37 at 1155; with a PLS coefficient stack they were 2.28,
+    # 0.20 and 0.42, with two dense bases alive 3.69, 2.18 and 2.50
     def test_suite_heap_peak_at_210_stays_within_2_84_square_arrays(self):
         peak = heap_peak_in_square_arrays(210)
         assert peak <= 2.84, f"peak {peak:.2f} (M, M) arrays"
