@@ -8,7 +8,6 @@ The suite submodule verifies every identity numerically.
 """
 
 from .core import (
-    FOURIER_SIGN,
     DimensionMismatchError,
     MonomialOperator,
     StateVector,

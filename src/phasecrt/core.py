@@ -3,8 +3,9 @@
 Conventions, fixed once for the whole package (c = hbar = 1):
 
 * omega_M = exp(2j*pi/M); the momentum label k stands for p = 2*pi*k/M.
-* Fourier kernel <q|k> = omega_M**(FOURIER_SIGN*q*k) / sqrt(M) with
-  FOURIER_SIGN = +1, read by every transform (_dft); <k|q> is its conjugate.
+* Fourier kernel <q|k> = omega_M**(q*k) / sqrt(M); <k|q> is its conjugate.
+  Every entry of F is formed by _fourier_entries, every transform is _dft, and
+  _fourier_conjugate follows from the two.
 
 Every operator is monomial: |q> -> omega_M**(a*q + b) |q - s>, with
 (s, a, b) kept as exact integers mod M, so operator identities are integer
@@ -20,8 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numtheory import _cofactor, _dimension, _integer, _labels
-
-FOURIER_SIGN = +1
 
 # Root-of-unity exponents are found by rounding arg*M/(2*pi) to an integer;
 # the rounding residual must stay below this.
@@ -116,10 +115,9 @@ class StateVector:
 
 def _dft(x: np.ndarray, inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """The unitary DFT along the last axis: position amplitudes to momentum ones,
-    <k|x> = sum_q omega_M**(-FOURIER_SIGN*q*k) x[q] / sqrt(M), or back if inverse.
-    The one transform of the package (numpy's fft has the kernel omega_M**(-q*k))."""
-    fft = np.fft.fft if (FOURIER_SIGN > 0) != inverse else np.fft.ifft
-    return fft(x, axis=-1, norm="ortho", out=out)
+    <k|x> = sum_q omega_M**(-q*k) x[q] / sqrt(M), or back if inverse. The one
+    transform of the package: numpy's fft has the kernel omega_M**(-q*k) = <k|q>."""
+    return (np.fft.ifft if inverse else np.fft.fft)(x, axis=-1, norm="ortho", out=out)
 
 
 def _fill_momentum(states: list[StateVector]) -> np.ndarray:
@@ -144,22 +142,22 @@ def position_state(M: int, q0: int) -> StateVector:
 
 
 def momentum_state(M: int, k0: int) -> StateVector:
-    """Plane wave with <q|k0> = omega_M**(q*k0) / sqrt(M)."""
+    """Plane wave with <q|k0> = omega_M**(q*k0) / sqrt(M): row k0 of the symmetric F."""
     M = _dimension(M)
-    amps = omega_power(M, FOURIER_SIGN * _labels("k0", k0, M, scalar=True) * np.arange(M))
-    return StateVector(amps / math.sqrt(M), normalized=True)
+    return StateVector(_fourier_entries(M, _labels("k0", k0, M, scalar=True), np.arange(M)),
+                       normalized=True)
 
 
 def fourier_matrix(M: int) -> np.ndarray:
     """F[q, k] = <q|k>; the columns are the momentum states."""
     M = _dimension(M)
-    return _fourier_rows(M, np.arange(M))
+    return _fourier_entries(M, np.arange(M), np.arange(M))
 
 
-def _fourier_rows(M: int, rows: np.ndarray) -> np.ndarray:
-    """The rows F[rows] of fourier_matrix(M), with the same bytes; F is symmetric, so
-    row k is also the momentum ket |k>."""
-    F = omega_power(M, np.outer(rows, FOURIER_SIGN * np.arange(M)))
+def _fourier_entries(M: int, rows, cols) -> np.ndarray:
+    """F[rows][:, cols] of fourier_matrix(M), the one place F's entries are formed, so every
+    reader gets the same bytes; F is symmetric, so row k is also the momentum ket |k>."""
+    F = omega_power(M, np.multiply.outer(rows, cols))
     return np.divide(F, math.sqrt(M), out=F)  # in place: F and its exponents at the peak
 
 
@@ -230,7 +228,7 @@ def compose(left: MonomialOperator, right: MonomialOperator) -> MonomialOperator
 def _fourier_conjugate(op: MonomialOperator) -> MonomialOperator:
     """F^H op F, op on momentum amplitudes: |k> -> omega**(s*k + a*s + b) |k + a>."""
     s, a, b = op.shift, op.phase_slope, op.phase_offset
-    return MonomialOperator(op.dim, -FOURIER_SIGN * a, FOURIER_SIGN * s, a * s + b)
+    return MonomialOperator(op.dim, -a, s, a * s + b)
 
 
 def equal_up_to_global_phase(a: MonomialOperator, b: MonomialOperator) -> bool:

@@ -57,7 +57,7 @@ from .core import (
     translate,
 )
 from .numtheory import (CoprimeSplit, NonCoprimeError, _cofactor, _integer, _labels, crt_compose,
-                        crt_grid, make_split)
+                        crt_grid, make_split, mod_inverse)
 
 
 class BasisKind(enum.Enum):
@@ -367,15 +367,17 @@ def _pair(a: RepBasis, b: RepBasis, i: int, j: int) -> str:
     return f"worst at (q1={q1}, k2={k2}) x (q1={r1}, k2={r2})"
 
 
-# Claimed closed forms for the diagonal phase of each cross-basis overlap,
-# as integer exponents of omega_M. Off-diagonal entries vanish for all pairs.
+# Claimed closed forms for the diagonal phase of each cross-basis overlap of the
+# factorization (M1, M2), as integer exponents of omega_M. Off-diagonal entries vanish
+# for all pairs. Only the C-E forms read an inverse co-factor (N1 = M2^-1 mod M1,
+# N2 = M1^-1 mod M2, as in CoprimeSplit), so the E pair is compared at any factorization.
 # The brute-force overlap is always the truth source; compare_cross_phases
 # records a discrepancy wherever a measured exponent differs from these.
 CROSS_PHASE_FORMS = {
-    (BasisKind.C1, BasisKind.C2): lambda split, q1, k2: 0,
-    (BasisKind.C1, BasisKind.E_MOM): lambda split, q1, k2: k2 * q1 * split.N1 * split.M2,
-    (BasisKind.C2, BasisKind.E_POS): lambda split, q1, k2: -k2 * q1 * split.N2 * split.M1,
-    (BasisKind.E_MOM, BasisKind.E_POS): lambda split, q1, k2: k2 * q1,
+    (BasisKind.C1, BasisKind.C2): lambda M1, M2, q1, k2: 0,
+    (BasisKind.C1, BasisKind.E_MOM): lambda M1, M2, q1, k2: k2 * q1 * mod_inverse(M2, M1) * M2,
+    (BasisKind.C2, BasisKind.E_POS): lambda M1, M2, q1, k2: -k2 * q1 * mod_inverse(M1, M2) * M1,
+    (BasisKind.E_MOM, BasisKind.E_POS): lambda M1, M2, q1, k2: k2 * q1,
 }
 
 
@@ -420,7 +422,6 @@ def compare_cross_phases(
         raise ValueError(f"no claimed closed form for pair {key}")
     if basis_a.M1 != basis_b.M1 or basis_a.M2 != basis_b.M2:
         raise ValueError("bases must share the same (M1, M2) orientation")
-    split = make_split(basis_a.M, basis_a.M1)  # the claimed forms read its inverses
     M = basis_a.M
     if tol is None:
         tol = default_tolerance(M)
@@ -429,7 +430,7 @@ def compare_cross_phases(
     measured, residual = phase_exponent(diag, M)
     max_residual, (_, at) = _worst(None, residual[None], (0,), np.arange(M))
     q1, k2 = np.divmod(np.arange(M), basis_a.M2)  # labels in row-major (q1, k2) order
-    claimed = np.broadcast_to(CROSS_PHASE_FORMS[key](split, q1, k2), (M,)) % M
+    claimed = np.broadcast_to(CROSS_PHASE_FORMS[key](basis_a.M1, basis_a.M2, q1, k2), (M,)) % M
     mismatches = tuple(  # a NaN phase has no exponent to list
         PhaseDiscrepancy(TorusLabel(int(q1[i]), int(k2[i])), int(measured[i]), int(claimed[i]))
         for i in np.flatnonzero((measured != claimed) & (residual == residual)))

@@ -10,7 +10,8 @@ a "discrepancy" and does not fail the suite; the constructed linear algebra
 is the truth source. Each check is one batched array expression over a
 bounded block, and no check holds an (M, M) array: a basis is its comb
 coefficients, the eigen relations act on blocks of them, F is read in row blocks
-(one walk feeds the mub and shift records), and products, the CRT delta identity
+from core._fourier_entries (one walk feeds the mub and shift records, and the kernel
+check reads it at CRT labels), and products, the CRT delta identity
 and the kernel relation stream in blocks of labels, each folded into its worst
 value and location by one rule (reps._worst). The PLS check walks the labels in
 the same blocks: build, classify, conjugate, classify the conjugate against the
@@ -33,10 +34,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    FOURIER_SIGN,
     _apply_rows,
     _fill_momentum,
-    _fourier_rows,
+    _fourier_entries,
     clock,
     compose,
     default_tolerance,
@@ -143,7 +143,7 @@ def _walk_fourier(M):
     and of |clock|k> - |k+1>|, and the kets |q> that translate(M, 1) does not lower exactly."""
     mub, raise_, bad, every = None, None, 0, np.arange(M)
     for r in _label_blocks(M):
-        F = _fourier_rows(M, np.append(r, r[-1] + 1) % M)  # the kets |k> and |k + 1>
+        F = _fourier_entries(M, np.append(r, r[-1] + 1) % M, every)  # the kets |k> and |k + 1>
         mub = _worst(mub, np.abs(np.abs(F[:-1]) - 1.0 / math.sqrt(M)), r, every)
         got = _apply_rows(clock(M, M), F[:-1])
         got -= F[1:]
@@ -277,8 +277,7 @@ def _check_kernel(checks, split, d, tol):
     r1, r2 = np.divmod(every, M2)  # the (q1, q2) of a row, the (k1, k2) of a column
     found = found_plain = None
     for r in _label_blocks(M, temporaries=8):  # element-wise, so any blocks give its bytes
-        # <k|q> = conj(F[q, k]) at CRT-composed labels, without a dense F
-        brute = np.conj(omega_power(M, FOURIER_SIGN * q[r, None] * q) / math.sqrt(M))
+        brute = np.conj(_fourier_entries(M, q[r], q))  # <k|q> = conj(F[q, k]) at CRT labels
         found = _worst(found, np.abs(brute - kernel1[r1[r, None], r1] * kernel2[r2[r, None], r2]),
                        r, every)
         plain = omega_power(M, -(r1[r, None] * r1 * split.L1 + r2[r, None] * r2 * split.L2))

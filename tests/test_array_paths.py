@@ -776,7 +776,6 @@ def reference_eigen_record(basis, tol):
 
 def reference_compare_cross_phases(basis_a, basis_b, tol):
     M = basis_a.M
-    split = make_split(M, basis_a.M1)
     claimed = CROSS_PHASE_FORMS[(basis_a.kind, basis_b.kind)]
     g = overlap_matrix(basis_a, basis_b)
     mask = np.eye(M, dtype=bool)
@@ -788,7 +787,7 @@ def reference_compare_cross_phases(basis_a, basis_b, tol):
     for i, label in enumerate(basis_a.labels()):
         n, residual = phase_exponent(diag[i], M)
         max_residual = max(max_residual, residual)
-        want = claimed(split, label.q1, label.k2) % M
+        want = claimed(basis_a.M1, basis_a.M2, label.q1, label.k2) % M
         if n != want:
             mismatches.append(PhaseDiscrepancy(label, n, want))
     if max_mod_err >= tol or max_residual >= PHASE_EXPONENT_RESIDUAL_TOL:

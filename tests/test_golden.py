@@ -11,7 +11,12 @@ loaded by path: read-only, no bytecode written next to it) against its own
 golden reports: no golden id goes missing or changes its status or integer
 `measured`.
 
-Regenerate a golden file only for an intended change of the report:
+Regenerate a golden file only for an intended change of the report, with
+    PYTHONPATH=src python tests/regen_golden.py
+It runs the workloads below and rewrites only the records that comparable tells
+apart from the old file's: the float residual of an unchanged record, and the
+duration_seconds of a report with no changed record, keep their old text. The
+commands it stands for are:
     phasecrt suite 6,10,12,15,21,35 --format json --out tests/golden/w1.json
     phasecrt suite 210 --format json --out tests/golden/210.json
     phasecrt suite 667 --format json --out tests/golden/667.json

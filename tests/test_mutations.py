@@ -3,11 +3,13 @@
 A row monkeypatches one name in a module (phasecrt.suite, or phasecrt.reps for
 what the bases, the eigen relations and the phase comparisons read), runs the
 suite at M = 15 and 35 (one split each, 3x5 and 5x7), and names the status each
-check id it kills must take, fail or discrepancy, for both or for each M.
+check id it kills must take, fail or discrepancy, for both or for each M; {d}
+stands for every split of the report. The rows of AT_210 run at M = 210 too, whose
+7 splits show that each split's check reads what the row corrupts.
 Every failing float record must name where its worst value sits ("worst at"
 in its note), a failing pls.orthonormal the first PLS that is not its C2 vector,
 every discrepancy how many labels disagree, and every other id keeps its status
-in tests/golden/w1.json.
+in tests/golden/w1.json (or tests/golden/210.json).
 
 Every check-id family of tests/golden/210.json is killed by some row, or is
 listed in UNKILLED with the reason no row kills it.
@@ -30,9 +32,10 @@ from phasecrt.suite import run_suite
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = {report["M"]: {c["id"]: c["status"] for c in report["checks"]}
-          for report in json.loads((GOLDEN_DIR / "w1.json").read_text())["reports"]}
+          for name in ("w1.json", "210.json")
+          for report in json.loads((GOLDEN_DIR / name).read_text())["reports"]}
 
-real_factor_kernel, real_fourier_rows = suite.factor_kernel, suite._fourier_rows
+real_factor_kernel, real_fourier_entries = suite.factor_kernel, suite._fourier_entries
 real_build_basis, real_build_pls = suite.build_basis, suite.build_pls
 real_translate, real_crt_grid = reps.translate, reps.crt_grid
 real_crt_decompose, real_operator_order = suite.crt_decompose, suite.operator_order
@@ -43,10 +46,10 @@ def sign_flipped_kernel(split, k, q):
     return np.conj(real_factor_kernel(split, k, q))
 
 
-def scaled_fourier_rows(M, rows):
-    """Rows of the Fourier matrix with its entry (2, 3) times 1.5."""
-    F = real_fourier_rows(M, rows)
-    F[rows == 2, 3] *= 1.5
+def scaled_fourier_entries(M, rows, cols):
+    """Entries of the Fourier matrix with its entry (2, 3) times 1.5."""
+    F = real_fourier_entries(M, rows, cols)
+    F[np.ix_(rows == 2, cols == 3)] *= 1.5
     return F
 
 
@@ -152,7 +155,7 @@ def grid_with_two_labels_swapped(split):
 def sign_flipped_form(pair):
     """CROSS_PHASE_FORMS with the sign of pair's claimed exponent flipped."""
     form = reps.CROSS_PHASE_FORMS[pair]
-    return {**reps.CROSS_PHASE_FORMS, pair: lambda split, q1, k2: -form(split, q1, k2)}
+    return {**reps.CROSS_PHASE_FORMS, pair: lambda M1, M2, q1, k2: -form(M1, M2, q1, k2)}
 
 
 def fail(*check_ids):
@@ -167,9 +170,11 @@ EIGEN = ["basis.eigen.C1[{d}]", "basis.eigen.C2[{d}]", "basis.eigen.Epos[{d}]",
 ROWS = {
     "factor_kernel sign flip": (suite, "factor_kernel", sign_flipped_kernel,
                                 fail("kernel.product[{d}]", "kernel.label-form[{d}]")),
-    # the suite reads F in row blocks, so the row reader is what it corrupts
-    "fourier_matrix entry scaled": (suite, "_fourier_rows", scaled_fourier_rows,
-                                    fail("fourier.mub", "operators.shift.momentum-raise")),
+    # the suite reads F in blocks, its one entry function is what it corrupts; the kernel
+    # of every split reads it at the CRT labels, each failing at (q=2, k=3)
+    "fourier_matrix entry scaled": (suite, "_fourier_entries", scaled_fourier_entries,
+                                    fail("fourier.mub", "operators.shift.momentum-raise",
+                                         "kernel.product[{d}]", "kernel.label-form[{d}]")),
     # the PLS, built without C2, are no longer its vectors
     "C2 amplitude re-phased": (suite, "build_basis", rephased_c2,
                                fail("basis.gram.C2[{d}]", "basis.eigen.C2[{d}]",
@@ -255,6 +260,9 @@ ROWS = {
                                {"overlap.phase.C2-Epos[{d}]": "discrepancy"}),
 }
 
+# the rows that also run at M = 210 (7 splits); a run of the suite there takes about 0.3 s
+AT_210 = ("fourier_matrix entry scaled",)
+
 # check-id family: why no row kills it
 UNKILLED = {
     "splits.count": "both sides derive from factorize: the enumerated splits and chi(M)",
@@ -278,15 +286,16 @@ def test_every_check_family_is_killed_or_named():
     assert families - killed == set(UNKILLED)
 
 
-@pytest.mark.parametrize("M", [15, 35])
-@pytest.mark.parametrize("row", ROWS)
+@pytest.mark.parametrize("row, M", [pytest.param(row, M, id=f"{row}-{M}")
+                                    for row in ROWS for M in (15, 35)]
+                         + [pytest.param(row, 210, id=f"{row}-210") for row in AT_210])
 def test_a_corruption_fails_exactly_its_checks(row, M, monkeypatch):
     module, name, replacement, kills = ROWS[row]
     kills = kills.get(M, kills)
     monkeypatch.setattr(module, name, replacement)
     report = run_suite(M)
-    (d,) = report.splits
-    killed = {check_id.format(d=d): status for check_id, status in kills.items()}
+    killed = {check_id.format(d=d): status for check_id, status in kills.items()
+              for d in report.splits}
     assert {c.check_id: c.status for c in report.checks
             if c.status != GOLDEN[M][c.check_id]} == killed
     for c in report.checks:

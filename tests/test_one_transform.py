@@ -1,12 +1,12 @@
-"""Every Fourier transform of the package is core._dft, read in FOURIER_SIGN.
+"""Every Fourier transform of the package is core._dft, and it agrees with F.
 
-core fixes the kernel <q|k> = omega_M**(FOURIER_SIGN*q*k) / sqrt(M) once. A call
-of numpy's fft anywhere else would fix a direction of its own, so this test reads
-every module of the package and allows a reference to numpy.fft (as an attribute
-or an import, under any alias) only in core._dft. With FOURIER_SIGN flipped, the
-momentum amplitudes of a state, the mixed matrix of a density matrix and the rows
-of a momentum comb must still match oracles built on fourier_matrix(M), which
-reads the sign itself.
+core fixes the kernel <q|k> = omega_M**(q*k) / sqrt(M) once: core._fourier_entries
+forms every entry of F and core._dft takes every transform. A call of numpy's fft
+anywhere else would fix a direction of its own, so this test reads every module of
+the package and allows a reference to numpy.fft (as an attribute or an import,
+under any alias) only in core._dft. The momentum amplitudes of a state, the mixed
+matrix of a density matrix and the rows of a momentum comb must match oracles built
+on fourier_matrix(M), and a momentum state is a column of it, bit for bit.
 """
 
 import ast
@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import phasecrt
-from phasecrt import core, reps
-from phasecrt.core import StateVector, fourier_matrix
+from phasecrt import reps
+from phasecrt.core import StateVector, fourier_matrix, momentum_state
 from phasecrt.lattice import DensityMatrix, mixed_element_matrix
 from phasecrt.numtheory import make_split
 from phasecrt.reps import build_C1, build_E_mom
@@ -66,12 +66,10 @@ def g(x):
     assert [node.lineno for _, node in fft_references(ast.parse(source))] == [3, 4, 5, 8]
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_every_transform_follows_the_fourier_sign(sign, monkeypatch):
-    monkeypatch.setattr(core, "FOURIER_SIGN", sign)
+def test_every_transform_matches_the_fourier_matrix():
     M = 15
-    F = fourier_matrix(M)  # F[q, k] = <q|k> in the patched sign
-    assert F[1, 1] == pytest.approx(np.exp(2j * np.pi * sign / M) / np.sqrt(M))
+    F = fourier_matrix(M)  # F[q, k] = <q|k>
+    assert F[1, 1] == pytest.approx(np.exp(2j * np.pi / M) / np.sqrt(M))
     rng = np.random.default_rng(15)
     psi = rng.normal(size=M) + 1j * rng.normal(size=M)
     state = StateVector(psi / np.linalg.norm(psi), normalized=True)
@@ -91,3 +89,10 @@ def test_every_transform_follows_the_fourier_sign(sign, monkeypatch):
         momentum[labels[:, None], points[c]] = coefficients[c, v]
         np.testing.assert_allclose(reps._rows(basis, labels), momentum @ F.T,
                                    rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("M", [2, 3, 15, 210, 667])
+def test_a_momentum_state_is_a_column_of_the_fourier_matrix(M):
+    F = fourier_matrix(M)
+    for k0 in sorted({0, 1, M // 2, M - 1}):
+        assert momentum_state(M, k0).amplitudes.tobytes() == F[:, k0].tobytes(), k0

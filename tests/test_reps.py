@@ -343,6 +343,15 @@ class TestCrossPhaseComparator:
         expected = {l for l in labels if (2 * l.k2 * l.q1) % 15 != 0}
         assert recorded == expected
 
+    @pytest.mark.parametrize("M, M1", [(12, 2), (36, 6)])
+    def test_e_pair_compares_at_a_non_coprime_factorization(self, M, M1):
+        # the E kinds exist for any divisor M1, and their claimed form reads no inverse
+        em, ep = build_E_mom(M, M1), build_E_pos(M, M1)
+        cmp = compare_cross_phases(em, ep)
+        assert cmp.status == "discrepancy" and cmp.max_modulus_error < 1e-12
+        assert {(d.label, d.measured_exponent) for d in cmp.discrepancies} == {
+            (l, -l.k2 * l.q1 % M) for l in em.labels() if (2 * l.k2 * l.q1) % M != 0}
+
     def test_c2_epos_diagonal_phase_example(self):
         # at (q1=1, k2=1) the phase is omega_5^(-1*1*2)
         c2, ep = build_C2(SPLIT_15), build_E_pos(15, 3)

@@ -260,9 +260,9 @@ def corrupt_c2(monkeypatch, corrupt):
     return make_split(15, 3)
 
 
-def read_fourier_rows_from(monkeypatch, F):
-    """Has the suite read the rows of its Fourier matrix from F."""
-    monkeypatch.setattr(suite, "_fourier_rows", lambda M, rows: F[rows])
+def read_fourier_entries_from(monkeypatch, F):
+    """Has the suite read the entries of its Fourier matrix from F."""
+    monkeypatch.setattr(suite, "_fourier_entries", lambda M, rows, cols: F[np.ix_(rows, cols)])
 
 
 def seed_worst(dev, a, b):
@@ -403,7 +403,7 @@ class TestWorstLocation:
         F = fourier_matrix(15)
         F[4, 11] *= 1.5  # the smaller twin at (11, 4) tells (q, k) from (k, q)
         F[11, 4] *= 1.25
-        read_fourier_rows_from(monkeypatch, F)
+        read_fourier_entries_from(monkeypatch, F)
         checks = []
         suite._check_mub(checks, 15, suite._walk_fourier(15))
         assert checks[0].status == "fail"
@@ -462,7 +462,7 @@ class TestNanIsTheWorst:
         F = fourier_matrix(210)
         F[4, 11] = np.nan  # in the first of four label blocks
         assert len(reps._label_blocks(210)) == 4
-        read_fourier_rows_from(monkeypatch, F)
+        read_fourier_entries_from(monkeypatch, F)
         walk = suite._walk_fourier(210)  # one walk over F feeds both records
         checks = []
         suite._check_shift_relations(checks, default_tolerance(210), walk)
