@@ -41,7 +41,7 @@ def default_tolerance(M: int) -> float:
 
 
 def norm_tolerance(M: int) -> float:
-    """Tolerance on |sum |a_q|^2 - 1| for states flagged normalized."""
+    """Tolerance on the Hermitian and trace residuals of a DensityMatrix."""
     return 1e-12 * _dimension(M)
 
 
@@ -77,22 +77,17 @@ def phase_exponent(z, M: int):
 class StateVector:
     """A length-M complex amplitude vector over the position basis."""
 
-    __slots__ = ("amplitudes", "normalized", "_momentum")
+    __slots__ = ("amplitudes", "_momentum")
 
-    def __init__(self, amplitudes, normalized: bool = False):
+    def __init__(self, amplitudes):
         arr = np.array(amplitudes, dtype=np.complex128)
         if arr.ndim != 1:
             raise ValueError("amplitudes must be a 1-D sequence")
         _dimension(arr.size)
         if not np.isfinite(arr).all():
             raise ValueError("amplitudes must all be finite")
-        if normalized:
-            dev = abs(float((np.abs(arr) ** 2).sum()) - 1.0)
-            if dev >= norm_tolerance(arr.size):
-                raise ValueError(f"norm deviates from 1 by {dev:.3e}")
         arr.setflags(write=False)
         self.amplitudes = arr
-        self.normalized = normalized
         self._momentum = None
 
     @property
@@ -110,7 +105,7 @@ class StateVector:
         return self._momentum
 
     def __repr__(self) -> str:
-        return f"StateVector(dim={self.dim}, normalized={self.normalized})"
+        return f"StateVector(dim={self.dim})"
 
 
 def _dft(x: np.ndarray, inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
@@ -138,14 +133,13 @@ def position_state(M: int, q0: int) -> StateVector:
     _labels("q0", q0, _dimension(M), scalar=True)
     amps = np.zeros(M, dtype=np.complex128)
     amps[q0] = 1.0
-    return StateVector(amps, normalized=True)
+    return StateVector(amps)
 
 
 def momentum_state(M: int, k0: int) -> StateVector:
     """Plane wave with <q|k0> = omega_M**(q*k0) / sqrt(M): row k0 of the symmetric F."""
     M = _dimension(M)
-    return StateVector(_fourier_entries(M, _labels("k0", k0, M, scalar=True), np.arange(M)),
-                       normalized=True)
+    return StateVector(_fourier_entries(M, _labels("k0", k0, M, scalar=True), np.arange(M)))
 
 
 def fourier_matrix(M: int) -> np.ndarray:
@@ -255,7 +249,7 @@ def apply(op: MonomialOperator, state: StateVector) -> StateVector:
     """op acting on state by exact index/phase arithmetic."""
     if op.dim != state.dim:
         raise DimensionMismatchError(f"dims differ: {op.dim} vs {state.dim}")
-    return StateVector(_apply_rows(op, state.amplitudes), normalized=state.normalized)
+    return StateVector(_apply_rows(op, state.amplitudes))
 
 
 def _apply_rows(op: MonomialOperator, amps: np.ndarray) -> np.ndarray:

@@ -44,9 +44,10 @@ class VNLattice:
     shift_q: int = 0
     shift_k: int = 0
 
-    def __post_init__(self) -> None:
-        _labels("shift_q", self.shift_q, self.split.M1, scalar=True)
-        _labels("shift_k", self.shift_k, self.split.M2, scalar=True)
+    def __post_init__(self) -> None:  # the label rule's ints, which do not wrap
+        M1, M2 = self.split.M1, self.split.M2
+        object.__setattr__(self, "shift_q", _labels("shift_q", self.shift_q, M1, scalar=True))
+        object.__setattr__(self, "shift_k", _labels("shift_k", self.shift_k, M2, scalar=True))
 
 
 # Every ufunc of a Hermitian-check tile pair reads and writes contiguous scratch: on a

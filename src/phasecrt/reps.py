@@ -102,7 +102,7 @@ class RepBasis:
     def vector(self, q1: int, k2: int) -> StateVector:
         q1 = _labels("q1", q1, self.M1, scalar=True)
         k2 = _labels("k2", k2, self.M2, scalar=True)
-        return StateVector(_rows(self, np.array([q1 * self.M2 + k2]))[0], normalized=True)
+        return StateVector(_rows(self, np.array([q1 * self.M2 + k2]))[0])
 
     def labels(self) -> Iterator[TorusLabel]:
         for q1 in range(self.M1):
@@ -198,7 +198,7 @@ def build_pls(split: CoprimeSplit, q01: int, k02: int) -> StateVector:
     q2 = np.arange(split.M2)
     row = crt_compose(split, q01, q2)  # crt_grid(split)[q01]
     amps[row] = omega_power(split.M2, split.N2 * k02 * q2) / math.sqrt(split.M2)
-    return StateVector(amps, normalized=True)
+    return StateVector(amps)
 
 
 def build_E_pos(M: int, M1: int) -> RepBasis:
@@ -239,7 +239,7 @@ def conjugate_state(state: StateVector) -> StateVector:
     amplitudes of the input, which makes the map an exact involution: applying
     it twice returns the original state.
     """
-    return StateVector(np.conj(state.momentum_amplitudes()), normalized=state.normalized)
+    return StateVector(np.conj(state.momentum_amplitudes()))
 
 
 def conjugate_basis(basis: RepBasis) -> RepBasis:

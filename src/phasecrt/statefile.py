@@ -45,7 +45,7 @@ def state_from_dict(doc: dict) -> tuple[StateVector, dict]:
     try:
         amps = np.array([complex(re, im) for re, im in pairs
                          if type(re) is not bool and type(im) is not bool], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # Overflow: an int past any float
         raise StateFileError(f"amplitudes must be [re, im] pairs: {exc}") from exc
     if len(amps) != dim:  # complex() reads a JSON true as 1, so bool pairs were dropped above
         raise StateFileError("amplitudes must be numbers, not booleans")

@@ -118,10 +118,11 @@ class VerificationReport:
 
 
 def _round12(x):
-    """Fix floats at 12 significant digits so reports are byte-reproducible."""
+    """Fix floats at 12 significant digits so reports are byte-reproducible; a non-finite
+    float, which strict JSON has no token for, is written as null."""
     if isinstance(x, bool) or isinstance(x, int):
         return x
-    return float(f"{float(x):.11e}")
+    return float(f"{float(x):.11e}") if math.isfinite(x) else None
 
 
 def _add(checks, check_id, description, measured, expected, tolerance,

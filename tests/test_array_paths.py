@@ -353,7 +353,7 @@ def test_classify_matches_reference(case):
     dense = classify_vn_state(rho, split, threshold)
     assert dense == reference_classify(rho, split, threshold)
     # both input kinds agree on the normalized state
-    unit = StateVector(psi.amplitudes / np.linalg.norm(psi.amplitudes), normalized=True)
+    unit = StateVector(psi.amplitudes / np.linalg.norm(psi.amplitudes))
     assert classify_vn_state(unit, split, threshold) == dense
     for state, verdict in ((psi, pure), (rho, dense)):
         if isinstance(verdict, VNLattice):
@@ -747,7 +747,7 @@ def reference_momentum_eigen_residuals(basis):
             phi = np.zeros(M, dtype=np.complex128)
             phi[points[label.k2]] = coefficients[label.k2, label.q1]
             want = omega_power(n, exponent(label)) * phi
-            got = apply(conjugate, StateVector(phi, normalized=True)).amplitudes
+            got = apply(conjugate, StateVector(phi)).amplitudes
             worst = max(worst, float(np.linalg.norm(got - want)))
     return worst
 

@@ -9,6 +9,7 @@ from phasecrt.core import StateVector
 from phasecrt.numtheory import make_split
 from phasecrt.reps import BasisKind, build_basis, build_pls, conjugate_basis
 from phasecrt.statefile import save_state
+from test_mutations import ROWS
 
 
 BAD_THRESHOLDS = ["nan", "inf", "0", "-1"]
@@ -256,6 +257,19 @@ class TestSuiteCommand:
         assert code == 1
         assert "RESULT: FAIL" in out
 
+    def test_a_builder_fault_is_a_failed_suite_with_its_report(self, capsys, monkeypatch,
+                                                               tmp_path):
+        # a PLS builder that misses the unit norm fails records; it is not an error
+        module, name, replacement, _ = ROWS["PLS normalized by sqrt(M1)"]
+        monkeypatch.setattr(module, name, replacement)
+        path = tmp_path / "report.json"
+        code, _, err = run(capsys, "suite", "15", "--format", "json", "--out", str(path))
+        assert code == 1 and err == ""
+        doc = json.loads(path.read_text())
+        assert doc["passed"] is False
+        assert [c["id"] for c in doc["reports"][0]["checks"] if c["status"] == "fail"] == [
+            "pls.orthonormal[3x5]", "pls.lattice-bijection[3x5]", "conjugate.duality[3x5]"]
+
     def test_bad_tolerance_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PHASECRT_TOLERANCE", "tight")
         code, _, err = run(capsys, "suite", "15")
@@ -321,6 +335,12 @@ class TestClassify:
         path.write_bytes(bytes.fromhex("fffe00626164"))
         code, out, err = run(capsys, "classify", str(path), "3")
         assert code == 2 and out == "" and "cannot read state file" in err
+
+    def test_amplitude_past_any_float_is_a_file_error(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": 15, "amplitudes": [[1%s, 0]%s]}' % ("0" * 400, ", [0, 0]" * 14))
+        code, out, err = run(capsys, "classify", str(path), "3")
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 class TestUnwritableOut:

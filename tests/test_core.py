@@ -89,11 +89,6 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector([[1.0, 0.0], [0.0, 1.0]])
 
-    def test_normalized_flag_enforced(self):
-        StateVector([1.0, 0.0], normalized=True)
-        with pytest.raises(ValueError):
-            StateVector([1.0, 1.0], normalized=True)
-
     def test_label_ranges(self):
         with pytest.raises(ValueError):
             position_state(15, 15)

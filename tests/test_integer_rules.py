@@ -173,7 +173,8 @@ def test_a_numpy_integer_of_any_width_is_accepted_as_its_int(call, good, dtype):
 EPOS_400 = build_E_pos(400, 20).as_matrix().T.reshape(20, 20, 400)
 
 # (call, a call of it on labels or divisors of one integer type t) whose arithmetic leaves
-# a narrow dtype: 13 * N1 * L1 at 14x15, -q1 * k1 * N1, 210 % 2, n * shift, 20 * 20
+# a narrow dtype: 13 * N1 * L1 at 14x15, -q1 * k1 * N1, 210 % 2, n * shift, 20 * 20, and
+# a lattice's shifts, which its readers subtract
 NARROW_PRODUCTS = [
     ("crt_compose", lambda t: crt_compose(make_split(210, 14), t(13), t(14))),
     ("factor_kernel", lambda t: factor_kernel(SPLIT, t(1), t(2))),
@@ -181,6 +182,7 @@ NARROW_PRODUCTS = [
     ("operator_order", lambda t: operator_order(translate(210, t(1)))),
     ("MonomialOperator.power", lambda t: MonomialOperator(210, t(100), t(3), t(5)).power(3)),
     ("RepBasis", lambda t: RepBasis(BasisKind.E_POS, t(20), t(20), EPOS_400)),
+    ("VNLattice", lambda t: VNLattice(SPLIT, t(1), t(2))),
 ]
 
 
@@ -190,9 +192,9 @@ NARROW_PRODUCTS = [
 def test_a_numpy_integer_of_any_width_gives_the_int_result(call, dtype):
     got, want = call(dtype), call(int)
     assert_same(got, want)
-    if isinstance(want, (MonomialOperator, RepBasis)):  # it holds ints, as from ints
-        fields = ("dim", "shift", "phase_slope", "phase_offset") \
-            if isinstance(want, MonomialOperator) else ("M1", "M2")
+    fields = {MonomialOperator: ("dim", "shift", "phase_slope", "phase_offset"),
+              RepBasis: ("M1", "M2"), VNLattice: ("shift_q", "shift_k")}.get(type(want))
+    if fields:  # it holds ints, as from ints
         assert {type(getattr(got, name)) for name in fields} == {int}
 
 

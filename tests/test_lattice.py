@@ -275,7 +275,7 @@ class TestClassify:
         # lives in dimension 15, so the dimension alone makes it no match
         rng = np.random.default_rng(17)
         raw = rng.normal(size=6) + 1j * rng.normal(size=6)
-        state = StateVector(raw / np.linalg.norm(raw), normalized=True)
+        state = StateVector(raw / np.linalg.norm(raw))
         mags = np.sort(np.abs(mixed_element_matrix(state)), axis=None)
         threshold = float(mags[-16] + mags[-15]) / 2
         for rho in (state, DensityMatrix.from_state(state)):

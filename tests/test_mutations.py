@@ -1,10 +1,11 @@
 """Each row corrupts one construction the suite reads, and names the checks it kills.
 
-A row monkeypatches one name in a module (phasecrt.suite, or phasecrt.reps for
-what the bases, the eigen relations and the phase comparisons read), runs the
-suite at M = 15 and 35 (one split each, 3x5 and 5x7), and names the status each
-check id it kills must take, fail or discrepancy, for both or for each M; {d}
-stands for every split of the report. The rows of AT_210 run at M = 210 too, whose
+A row monkeypatches one name in a module (phasecrt.suite, phasecrt.reps for what
+the bases, the eigen relations and the phase comparisons read, or phasecrt.core for
+the transform of a state's momentum amplitudes), runs the suite at M = 15 and 35
+(one split each, 3x5 and 5x7), and names the status each check id it kills must
+take, fail or discrepancy, for both or for each M; {d} stands for every split of
+the report. The rows of AT_210 run at M = 210 too, whose
 7 splits show that each split's check reads what the row corrupts.
 Every failing float record must name where its worst value sits ("worst at"
 in its note), a failing pls.orthonormal the first PLS that is not its C2 vector,
@@ -17,14 +18,16 @@ listed in UNKILLED with the reason no row kills it.
 
 import cmath
 import json
+import math
 import re
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from phasecrt import reps, suite
+from phasecrt import core, reps, suite
 from phasecrt.core import MonomialOperator, StateVector
 from phasecrt.numtheory import crt_grid, make_split
 from phasecrt.reps import BasisKind
@@ -39,6 +42,7 @@ real_factor_kernel, real_fourier_entries = suite.factor_kernel, suite._fourier_e
 real_build_basis, real_build_pls = suite.build_basis, suite.build_pls
 real_translate, real_crt_grid = reps.translate, reps.crt_grid
 real_crt_decompose, real_operator_order = suite.crt_decompose, suite.operator_order
+real_dft = core._dft
 
 
 def sign_flipped_kernel(split, k, q):
@@ -106,7 +110,7 @@ def decompose_q2_off_by_one(split, q):
 
 def unconjugated_state(state):
     """The momentum amplitudes of state as positions, without the complex conjugation."""
-    return StateVector(state.momentum_amplitudes(), normalized=state.normalized)
+    return StateVector(state.momentum_amplitudes())
 
 
 def rephased_pls(split, q01, k02):
@@ -116,7 +120,22 @@ def rephased_pls(split, q01, k02):
         return state
     amps = np.array(state.amplitudes)
     amps[np.flatnonzero(amps)[0]] *= 1j
-    return StateVector(amps, normalized=True)
+    return StateVector(amps)
+
+
+def pls_normalized_by_sqrt_m1(split, q01, k02):
+    """build_pls dividing by sqrt(M1) in place of sqrt(M2), its one square root: every
+    PLS has norm M2/M1, and the builder's own constructor call takes it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reps, "math", SimpleNamespace(sqrt=lambda _: math.sqrt(split.M1)))
+        return real_build_pls(split, q01, k02)
+
+
+def unscaled_dft(x, inverse=False, out=None):
+    """core._dft without its 1/sqrt(M), as numpy's fft without norm="ortho": the forward
+    transform is sqrt(M) times too large, the inverse sqrt(M) times too small."""
+    scale = math.sqrt(x.shape[-1])
+    return np.multiply(real_dft(x, inverse, out), 1 / scale if inverse else scale, out=out)
 
 
 def clock_exponent_off_by_one(M, d):
@@ -249,6 +268,16 @@ ROWS = {
     "PLS amplitude re-phased": (suite, "build_pls", rephased_pls,
                                 fail("pls.orthonormal[{d}]", "pls.lattice-bijection[{d}]",
                                      "conjugate.duality[{d}]", "lattice.area[{d}]")),
+    # no PLS is unit: none is its C2 vector, and each magnitude misses 1/sqrt(M), so no
+    # verdict is a lattice, the state's nor its conjugate's
+    "PLS normalized by sqrt(M1)": (suite, "build_pls", pls_normalized_by_sqrt_m1,
+                                   fail("pls.orthonormal[{d}]", "pls.lattice-bijection[{d}]",
+                                        "conjugate.duality[{d}]")),
+    # every state's momentum amplitudes are sqrt(M) too large, so no verdict, which reads
+    # both sides, is a lattice; reps and lattice call the transform they imported
+    "state transform not unitary": (core, "_dft", unscaled_dft,
+                                    fail("pls.lattice-bijection[{d}]",
+                                         "conjugate.duality[{d}]")),
     # the overlap keeps its delta-times-phase structure; 6 and 20 labels disagree at 15
     # and 35 (C1-C2's form is 0, so flipping its sign changes nothing)
     "C1-Emom form sign flip": (reps, "CROSS_PHASE_FORMS",
@@ -261,7 +290,7 @@ ROWS = {
 }
 
 # the rows that also run at M = 210 (7 splits); a run of the suite there takes about 0.3 s
-AT_210 = ("fourier_matrix entry scaled",)
+AT_210 = ("fourier_matrix entry scaled", "PLS normalized by sqrt(M1)")
 
 # check-id family: why no row kills it
 UNKILLED = {

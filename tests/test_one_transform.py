@@ -72,7 +72,7 @@ def test_every_transform_matches_the_fourier_matrix():
     assert F[1, 1] == pytest.approx(np.exp(2j * np.pi / M) / np.sqrt(M))
     rng = np.random.default_rng(15)
     psi = rng.normal(size=M) + 1j * rng.normal(size=M)
-    state = StateVector(psi / np.linalg.norm(psi), normalized=True)
+    state = StateVector(psi / np.linalg.norm(psi))
     # <k|psi> = sum_q conj(<q|k>) psi[q]
     np.testing.assert_allclose(state.momentum_amplitudes(), F.conj().T @ state.amplitudes,
                                rtol=0, atol=1e-14)

@@ -220,7 +220,7 @@ class TestConjugation:
     def test_involution_is_exact(self):
         rng = np.random.default_rng(21)
         raw = rng.normal(size=15) + 1j * rng.normal(size=15)
-        v = StateVector(raw / np.linalg.norm(raw), normalized=True)
+        v = StateVector(raw / np.linalg.norm(raw))
         w = conjugate_state(conjugate_state(v))
         assert np.allclose(w.amplitudes, v.amplitudes, atol=1e-13)
 

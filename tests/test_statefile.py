@@ -72,6 +72,13 @@ class TestStateErrors:
         with pytest.raises(StateFileError):
             state_from_dict(json.loads('{"dim": 2, "amplitudes": [[1, 0], [0, false]]}'))
 
+    def test_amplitude_past_any_float(self, tmp_path):
+        """An integer too large for a float is malformed content, not an OverflowError."""
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": 2, "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 400))
+        with pytest.raises(StateFileError, match="amplitudes must be"):
+            load_state(path)
+
     def test_float_dim(self):
         with pytest.raises(StateFileError):
             state_from_dict({"dim": 2.9, "amplitudes": [[1, 0], [0, 0]]})

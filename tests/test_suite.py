@@ -118,7 +118,7 @@ class TestPlsRecords:
             amps = state.amplitudes.copy()
             q = crt_grid(split)[0, 1]
             amps[q + 1], amps[q] = amps[q], 0
-            return StateVector(amps, normalized=True)
+            return StateVector(amps)
 
         monkeypatch.setattr(suite, "build_pls", moved)
         report = run_suite(15)
@@ -150,7 +150,7 @@ class TestPlsRecords:
                 return state
             amps = 0.8 * state.amplitudes
             amps[crt_grid(split)[1, 0]] = 0.6
-            return StateVector(amps, normalized=True)
+            return StateVector(amps)
 
         monkeypatch.setattr(suite, "build_pls", leaking)
         orthonormal = next(c for c in run_suite(15).checks
@@ -749,6 +749,29 @@ class TestReportSerialization:
         table = format_table(reports)
         assert "RESULT: PASS" in table
         assert "M = 15" in table
+
+    def test_a_nan_measurement_is_written_as_strict_json(self, monkeypatch):
+        # one NaN coefficient of C2 makes every record that reads it NaN; RFC 8259 has
+        # no NaN token, so each is null, the record still fails and the table says nan
+        side, points, coefficients = build_basis(BasisKind.C2, 15, 3)._comb
+        coefficients = np.array(coefficients)
+        coefficients[1, 2, 0] = np.nan
+        build_instead(monkeypatch, reps._comb_basis(BasisKind.C2, side, points, coefficients))
+        reports = [run_suite(15)]
+        nan_ids = {c.check_id for c in reports[0].checks
+                   if isinstance(c.measured, float) and math.isnan(c.measured)}
+        assert nan_ids
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        doc = json.loads(json.dumps(reports_to_dict(reports)), parse_constant=refuse)
+        assert doc["passed"] is False
+        written = {c["id"]: c for c in doc["reports"][0]["checks"]}
+        for check_id in nan_ids:
+            assert written[check_id]["measured"] is None
+            assert written[check_id]["status"] == "fail"
+        assert "measured=nan" in format_table(reports)
 
     def test_custom_tolerance_is_recorded(self):
         report = run_suite(15, tolerance=1e-7)
