@@ -169,21 +169,31 @@ def _pure_support(psi: StateVector, t: float, M1: int, M2: int):
     count takes |<q|psi><psi|k>| as a[q]*b[k] (a = |psi|, b = |psi~|), no (M, M) array.
     A rounded product is monotone in each factor, so the support has exactly the rows
     a[q]*max(b) > t and the columns b[k]*max(a) > t, and a lattice's least product is
-    that of its least factors. A bounding rectangle of at most M products (every
+    that of its least factors, so none overflows if 2*max(a)*max(b) (2 for the sum in a
+    complex product) does not. A bounding rectangle of at most M products (every
     lattice's: M2 rows by M1 columns) is compared in one broadcast, a larger one counted
     on one sort of b. The magnitudes, |mixed_element_matrix(psi)|, round apart from
     the products, so the products alone decide the geometry."""
     v, vk = psi.amplitudes, psi.momentum_amplitudes()
     a, b = np.abs(v), np.abs(vk)
-    rows, cols = np.flatnonzero(a * b.max() > t), np.flatnonzero(b * a.max() > t)
+    a_max, b_max = a.max(), b.max()
+    if math.isfinite(2.0 * float(a_max) * float(b_max)):  # once, on Python floats
+        return _product_support(v, vk, a, b, a_max, b_max, t, M1, M2)
+    quiet = np.errstate(over="ignore", invalid="ignore")  # an overflowed product is inf
+    count, first, read_lattice = quiet(_product_support)(v, vk, a, b, a_max, b_max, t, M1, M2)
+    return count, first, quiet(read_lattice)
+
+
+def _product_support(v, vk, a, b, a_max, b_max, t, M1, M2):
+    (rows,), (cols,) = (a * b_max > t).nonzero(), (b * a_max > t).nonzero()
     if rows.size * cols.size > a.size:
         q = int(rows[0])
         count, k = _sort_count(a[rows], b, t), int((a[q] * b > t).argmax())
     else:  # M points in at most M products fill the rectangle: its corner comes first
-        count = int(np.count_nonzero(a[rows, None] * b[cols] > t))
+        count = int(np.count_nonzero(np.multiply.outer(a[rows], b[cols]) > t))
         q, k = (int(rows[0]), int(cols[0])) if count else (0, 0)
     r, c = slice(q % M1, None, M1), slice(k % M2, None, M2)  # the lattice's rows, columns
-    return count, (q, k), lambda: (a[r].min() * b[c].min(), np.abs(np.outer(v[r], np.conj(vk[c]))))
+    return count, (q, k), lambda: (a[r].min() * b[c].min(), np.abs(np.multiply.outer(v[r], vk[c].conj())))
 
 
 def _sort_count(a: np.ndarray, b: np.ndarray, t: float) -> int:
@@ -256,22 +266,22 @@ def classify_vn_state(
     DensityMatrix's is read from |rho @ F| one row block at a time (a row FFT into
     reused scratch), so rho.matrix is the only (M, M) array the verdict touches.
     """
-    M = split.M
+    M, M1, M2 = split.M, split.M1, split.M2
     t = _support_threshold(_dim(rho), threshold)
     read = _pure_support if isinstance(rho, StateVector) else _dense_support
-    count, (first_q, first_k), read_lattice = read(rho, t, split.M1, split.M2)
+    count, (first_q, first_k), read_lattice = read(rho, t, M1, M2)
     if count != M:
         return NotVN("wrong count", f"support has {count} points, expected {M}")
-    lattice = VNLattice(split, first_q % split.M1, first_k % split.M2)
+    shift_q, shift_k = first_q % M1, first_k % M2
     least, on_lattice = read_lattice()
     # M points above t, all of them on the lattice: the support is the lattice
     if rho.dim != M or not least > t:
         return NotVN(
             "wrong support geometry",
-            f"support is not the {split.describe()} lattice shifted to "
-            f"({lattice.shift_q}, {lattice.shift_k})",
+            f"support is not the {split.describe()} lattice shifted to ({shift_q}, {shift_k})",
         )
-    dev = float(np.abs(on_lattice - 1.0 / math.sqrt(M)).max())
-    if dev >= default_tolerance(M):
+    x = 1.0 / math.sqrt(M)  # dev is max|m - x| bit for bit: rounding is monotone and symmetric
+    dev = max(float(on_lattice.max()) - x, x - float(on_lattice.min()))
+    if not dev < default_tolerance(M):  # a NaN magnitude fails too
         return NotVN("non-uniform magnitude", f"max deviation from 1/sqrt(M) is {dev:.3e}")
-    return lattice
+    return VNLattice(split, shift_q, shift_k)

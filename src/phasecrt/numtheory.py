@@ -40,11 +40,6 @@ class PrimeFactorization:
     def num_primes(self) -> int:
         return len(self.factors)
 
-    @property
-    def prime_powers(self) -> tuple[int, ...]:
-        """The pairwise-coprime blocks p**e whose product is M."""
-        return tuple(p**e for p, e in self.factors)
-
 
 def factorize(M: int) -> PrimeFactorization:
     """Factor a dimension M by trial division. Deterministic; M is desk scale."""
@@ -127,16 +122,13 @@ def make_split(M: int, M1: int) -> CoprimeSplit:
 def enumerate_splits(M: int) -> list[CoprimeSplit]:
     """All coprime bipartitions of M, canonicalized to M1 < M2, ascending in M1.
 
-    There are 2**(N-1) - 1 of them for N distinct primes; none when M is a
-    prime power. The opposite orientation of any split is make_split(M, M2).
+    Each is a divisor M1 < M/M1 with gcd(M1, M/M1) = 1, found by trial division, not
+    by factorize, which chi reads. There are 2**(N-1) - 1 for N distinct primes; none
+    when M is a prime power. The opposite orientation of any split is make_split(M, M2).
     """
-    blocks = factorize(M).prime_powers
-    lows = []
-    for mask in range(1, 1 << len(blocks)):
-        m1 = math.prod(b for i, b in enumerate(blocks) if mask >> i & 1)
-        if m1 < M // m1:
-            lows.append(m1)
-    return [make_split(M, m1) for m1 in sorted(lows)]
+    M = _dimension(M)
+    return [make_split(M, d) for d in range(2, math.isqrt(M) + 1)
+            if M % d == 0 and math.gcd(d, M // d) == 1]
 
 
 def _integer(x) -> bool:

@@ -334,13 +334,15 @@ def _check_pls(checks, split, d, c2):
         unequal += [labels[i] for i in np.flatnonzero(np.any(amps != _rows(c2, block), axis=1))]
         for (q1, k2), state in zip(labels, states):
             verdict = classify_vn_state(state, split)
-            bad += int(verdict != VNLattice(split, q1, k2))
+            bad += int(not isinstance(verdict, VNLattice) or verdict.split != split
+                       or (verdict.shift_q, verdict.shift_k) != (q1, k2))
             wrong_count += int(isinstance(verdict, NotVN) and verdict.reason == "wrong count")
         states = [conjugate_state(state) for state in states]  # each reads its state's row
         _fill_momentum(states)
         for (q1, k2), state in zip(labels, states):
             verdict = classify_vn_state(state, swapped)
-            bad_conjugate += int(verdict != VNLattice(swapped, k2, q1))
+            bad_conjugate += int(not isinstance(verdict, VNLattice) or verdict.split != swapped
+                                 or (verdict.shift_q, verdict.shift_k) != (k2, q1))
     _add(checks, f"pls.orthonormal[{d}]",
          "the M partially localized states equal the C2 vectors exactly, "
          "so basis.gram.C2 is their Gram", len(unequal), 0, 0,

@@ -9,7 +9,9 @@ classify_vn_state counts a pure state's support through
 |psi(q)| * |psi~(k)| and streams a density matrix's |rho @ F| in row blocks
 of one row FFT each; the row FFT is checked against the seed's dense rho @ F,
 and the streamed verdicts against the whole |mixed_element_matrix(rho)|. The
-tiled Hermitian residual of DensityMatrix equals max|rho - rho^H| bit for bit.
+magnitude deviation classify reads from the largest and least lattice magnitudes
+equals max|m - 1/sqrt(M)| bit for bit. The tiled Hermitian residual of
+DensityMatrix equals max|rho - rho^H| bit for bit.
 States whose DFTs core._fill_momentum takes as one batched FFT keep each
 state's own DFT bit for bit, and classify and conjugate as fresh states do.
 The references below evaluate the docstring sums label by label with
@@ -37,6 +39,7 @@ float residuals within rtol 1e-12.
 """
 
 import contextlib
+import functools
 import math
 
 import numpy as np
@@ -309,11 +312,16 @@ CLASSIFY_SPLITS = [s for M in (6, 15, 30, 330) for split in enumerate_splits(M)
                    for s in (split, split.swapped())]
 
 
+def largest_product(psi):
+    """max|psi(q)| * max|psi~(k)|: the largest product of a pure verdict."""
+    return float(np.abs(psi.amplitudes).max() * np.abs(psi.momentum_amplitudes()).max())
+
+
 @st.composite
 def classify_cases(draw):
     """(psi, split, threshold): PLS, conjugated PLS, random, perturbed and
     near-threshold vectors, some of them unnormalized, classified against
-    every oriented split of their dimension."""
+    every oriented split of their dimension, some above their every product."""
     M = draw(st.sampled_from([6, 15, 30, 330]))
     built = draw(st.sampled_from([s for s in CLASSIFY_SPLITS if s.M == M]))
     q01 = draw(st.integers(0, built.M1 - 1))
@@ -337,10 +345,12 @@ def classify_cases(draw):
     if draw(st.booleans()):
         amps = amps * 10.0 ** draw(st.floats(-2, 2))
     split = draw(st.sampled_from([s for s in CLASSIFY_SPLITS if s.M == M]))
+    psi = StateVector(amps)
     threshold = draw(st.one_of(
         st.none(),
-        st.floats(0.1, 10).map(lambda f: f * default_support_threshold(M))))
-    return StateVector(amps), split, threshold
+        st.floats(0.1, 10).map(lambda f: f * default_support_threshold(M)),
+        st.just(2 * largest_product(psi))))  # every product below it: an empty rectangle
+    return psi, split, threshold
 
 
 @settings(max_examples=300, deadline=None)
@@ -513,7 +523,11 @@ def test_classify_cases_reach_both_count_routes():
         (*rectangle_of(M, M + 1), split, M + 1),
         (position_state(M, 4), t0, split, M),  # one candidate row
         (pls, 1.0, split, 0),  # a threshold above every product: an empty rectangle
+        (pls, 2 * largest_product(pls), split, 0),  # classify_cases' threshold above them
+        # at the largest product, exact here (each is 1 * |psi~(k)|): none is above it
+        (position_state(M, 4), largest_product(position_state(M, 4)), split, 0),
     ]
+    explicit = len(cases)
     # thresholds at the exact products, and a float step either side
     rng = np.random.default_rng(5)
     noise = StateVector(rng.normal(size=M) + 1j * rng.normal(size=M))
@@ -531,9 +545,11 @@ def test_classify_cases_reach_both_count_routes():
         else:
             assert rectangle_size(psi, t) == size
             assert verdict == reference_classify(psi, s, t)
-    assert routes[:6] == ["rectangle", "sort", "rectangle", "sort", "rectangle", "rectangle"]
+            if size == 0:
+                assert verdict == NotVN("wrong count", f"support has 0 points, expected {s.M}")
+    assert routes[:explicit] == ["rectangle", "sort", "rectangle", "sort"] + ["rectangle"] * 4
     assert classify_vn_state(pls, split) == VNLattice(split, 1, 2)
-    assert {"rectangle", "sort"} <= set(routes[6:])
+    assert {"rectangle", "sort"} <= set(routes[explicit:])
 
 
 def test_a_pure_verdict_reads_its_geometry_on_the_products_it_counted():
@@ -564,6 +580,58 @@ def test_a_pure_verdict_reads_its_geometry_on_the_products_it_counted():
             assert is_lattice != (verdict == NotVN(
                 "wrong support geometry", f"support is not the 2x15 lattice shifted to "
                 f"({first.shift_q}, {first.shift_k})")), (q, t, verdict)
+
+
+@functools.cache
+def maximally_mixed(M):
+    return DensityMatrix(np.eye(M) / M)
+
+
+def float_steps(x, n):
+    """x moved n floats up, or -n floats down."""
+    for _ in range(abs(n)):
+        x = float(np.nextafter(x, math.inf if n > 0 else -math.inf))
+    return x
+
+
+@st.composite
+def lattice_magnitudes(draw):
+    """(split, m): magnitudes on a lattice of split, on both sides of x = 1/sqrt(M), some
+    a few floats from x or from x -+ the magnitude tolerance, some subnormal, 0 or inf,
+    and some repeated."""
+    split = draw(st.sampled_from(CLASSIFY_SPLITS))
+    x, tol = 1 / math.sqrt(split.M), default_tolerance(split.M)
+    steps = st.integers(-3, 3)
+    value = st.one_of(
+        st.builds(lambda n: float_steps(x, n), steps),
+        st.builds(lambda sign, n: float_steps(x + sign * tol, n), st.sampled_from([-1, 1]), steps),
+        st.floats(0, 2 * x),
+        st.floats(0, 1e-307),
+        st.just(math.inf),
+    )
+    m = draw(st.lists(value, min_size=1, max_size=8)) * draw(st.integers(1, 3))
+    return split, np.array(draw(st.permutations(m)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_magnitudes())
+def test_the_deviation_is_read_from_the_extreme_magnitudes_bit_for_bit(case):
+    split, m = case
+    x = 1 / math.sqrt(split.M)
+    want = float(np.abs(m - x).max())
+    got = max(float(m.max()) - x, x - float(m.min()))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    # fed these lattice magnitudes, classify judges them by the reference deviation
+    rho = maximally_mixed(split.M)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_dense_support",
+                   lambda rho, t, M1, M2: (split.M, (0, 0), lambda: (1.0, m)))
+        verdict = classify_vn_state(rho, split)
+    if want < default_tolerance(split.M):
+        assert verdict == VNLattice(split, 0, 0)
+    else:
+        assert verdict == NotVN("non-uniform magnitude",
+                                f"max deviation from 1/sqrt(M) is {want:.3e}")
 
 
 # ------------------------------------------ tiled and streamed dense path --

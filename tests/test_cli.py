@@ -342,6 +342,15 @@ class TestClassify:
         code, out, err = run(capsys, "classify", str(path), "3")
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    def test_products_past_any_float_are_counted(self, capsys, tmp_path):
+        # |psi(0)| * max|psi~| overflows: such products are inf, above the threshold, and
+        # the verdict is read without a warning (pytest turns every warning into an error)
+        path = tmp_path / "huge.json"
+        path.write_text('{"dim": 15, "amplitudes": [[1e300, 0]%s]}' % (", [0.1, 0]" * 14))
+        code, out, err = run(capsys, "classify", str(path), "3")
+        assert (code, err) == (0, "")
+        assert out == "NotVN: wrong count (support has 225 points, expected 15)\n"
+
 
 class TestUnwritableOut:
     @pytest.mark.parametrize("argv", [["suite", "7"], ["basis", "15", "3", "C2"],

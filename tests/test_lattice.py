@@ -291,3 +291,43 @@ class TestClassify:
     def test_wrong_orientation_rejected(self):
         verdict = classify_vn_state(build_pls(SPLIT_15, 0, 0), SPLIT_15.swapped())
         assert isinstance(verdict, NotVN)
+
+
+class TestFloatLimits:
+    """Products |psi(q)| * |psi~(k)| past the float range: an overflowed product is
+    inf, above every threshold, an underflowed one 0, and no verdict warns (pytest
+    turns every warning into an error)."""
+
+    @pytest.mark.parametrize("kind", ["pls", "random"])
+    @pytest.mark.parametrize("threshold", [None, 5e-324, 1e300, 1.7e308])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e160, 1e300])
+    def test_the_count_is_that_of_the_rounded_products(self, scale, threshold, kind):
+        rng = np.random.default_rng(7)
+        amps = (build_pls(SPLIT_15, 1, 2).amplitudes if kind == "pls"
+                else rng.normal(size=15) + 1j * rng.normal(size=15))
+        psi = StateVector(scale * amps)
+        t = default_support_threshold(15) if threshold is None else threshold
+        with np.errstate(over="ignore"):
+            products = np.outer(np.abs(psi.amplitudes), np.abs(psi.momentum_amplitudes()))
+        count = int(np.count_nonzero(products > t))
+        verdict = classify_vn_state(psi, SPLIT_15, threshold)
+        assert isinstance(verdict, NotVN)
+        assert (verdict.reason == "wrong count") == (count != 15)
+        if count != 15:
+            assert verdict.detail == f"support has {count} points, expected 15"
+
+    def test_overflowed_lattice_magnitudes_fail_the_magnitude_test(self):
+        # every lattice product overflows and the roundoff off the lattice stays below t
+        psi = StateVector(1e160 * build_pls(SPLIT_15, 1, 2).amplitudes)
+        assert classify_vn_state(psi, SPLIT_15, 1.7e308) == NotVN(
+            "non-uniform magnitude", "max deviation from 1/sqrt(M) is inf")
+
+    def test_a_nan_magnitude_fails_the_magnitude_test(self, monkeypatch):
+        # the record rule of suite._add: a NaN deviation is no pass
+        on = np.full((5, 3), 1 / math.sqrt(15))
+        on[2, 1] = math.nan
+        monkeypatch.setattr(lattice, "_dense_support",
+                            lambda rho, t, M1, M2: (15, (1, 2), lambda: (1.0, on)))
+        rho = DensityMatrix.from_state(build_pls(SPLIT_15, 1, 2))
+        assert classify_vn_state(rho, SPLIT_15) == NotVN(
+            "non-uniform magnitude", "max deviation from 1/sqrt(M) is nan")

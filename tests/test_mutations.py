@@ -1,8 +1,9 @@
 """Each row corrupts one construction the suite reads, and names the checks it kills.
 
 A row monkeypatches one name in a module (phasecrt.suite, phasecrt.reps for what
-the bases, the eigen relations and the phase comparisons read, or phasecrt.core for
-the transform of a state's momentum amplitudes), runs the suite at M = 15 and 35
+the bases, the eigen relations and the phase comparisons read, phasecrt.core for
+the transform of a state's momentum amplitudes, or phasecrt.numtheory for the
+factorization behind chi), runs the suite at M = 15 and 35
 (one split each, 3x5 and 5x7), and names the status each check id it kills must
 take, fail or discrepancy, for both or for each M; {d} stands for every split of
 the report. The rows of AT_210 run at M = 210 too, whose
@@ -27,7 +28,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from phasecrt import core, reps, suite
+from phasecrt import core, numtheory, reps, suite
 from phasecrt.core import MonomialOperator, StateVector
 from phasecrt.numtheory import crt_grid, make_split
 from phasecrt.reps import BasisKind
@@ -42,7 +43,7 @@ real_factor_kernel, real_fourier_entries = suite.factor_kernel, suite._fourier_e
 real_build_basis, real_build_pls = suite.build_basis, suite.build_pls
 real_translate, real_crt_grid = reps.translate, reps.crt_grid
 real_crt_decompose, real_operator_order = suite.crt_decompose, suite.operator_order
-real_dft = core._dft
+real_dft, real_factorize = core._dft, numtheory.factorize
 
 
 def sign_flipped_kernel(split, k, q):
@@ -177,6 +178,11 @@ def sign_flipped_form(pair):
     return {**reps.CROSS_PHASE_FORMS, pair: lambda M1, M2, q1, k2: -form(M1, M2, q1, k2)}
 
 
+def factorize_without_its_last_prime(M):
+    """factorize(M) with its largest prime dropped: N is one too small, so chi(M) halves."""
+    return numtheory.PrimeFactorization(M, real_factorize(M).factors[:-1])
+
+
 def fail(*check_ids):
     return dict.fromkeys(check_ids, "fail")
 
@@ -278,6 +284,9 @@ ROWS = {
     "state transform not unitary": (core, "_dft", unscaled_dft,
                                     fail("pls.lattice-bijection[{d}]",
                                          "conjugate.duality[{d}]")),
+    # chi(M) reads the factorization; the splits, found by trial division, do not
+    "factorize drops its last prime": (numtheory, "factorize", factorize_without_its_last_prime,
+                                       fail("splits.count")),
     # the overlap keeps its delta-times-phase structure; 6 and 20 labels disagree at 15
     # and 35 (C1-C2's form is 0, so flipping its sign changes nothing)
     "C1-Emom form sign flip": (reps, "CROSS_PHASE_FORMS",
@@ -294,7 +303,6 @@ AT_210 = ("fourier_matrix entry scaled", "PLS normalized by sqrt(M1)")
 
 # check-id family: why no row kills it
 UNKILLED = {
-    "splits.count": "both sides derive from factorize: the enumerated splits and chi(M)",
     "split.invariants": "CoprimeSplit derives every field it reads from (M, M1)",
     "crt.delta-identity": "it reads only the split's co-factors, which CoprimeSplit derives "
                           "from (M, M1)",
