@@ -74,13 +74,21 @@ def phase_exponent(z, M: int):
     return (int(e) if np.ndim(z) == 0 else e), abs(x - n)
 
 
+def _complex_array(name: str, values) -> np.ndarray:
+    """values as a new complex array; an entry that is not a number is a ValueError."""
+    try:
+        return np.array(values, dtype=np.complex128)
+    except TypeError as e:  # numpy's "must be real number, not dict"
+        raise ValueError(f"{name} must be numbers: {e}") from None
+
+
 class StateVector:
     """A length-M complex amplitude vector over the position basis."""
 
     __slots__ = ("amplitudes", "_momentum")
 
     def __init__(self, amplitudes):
-        arr = np.array(amplitudes, dtype=np.complex128)
+        arr = _complex_array("amplitudes", amplitudes)
         if arr.ndim != 1:
             raise ValueError("amplitudes must be a 1-D sequence")
         _dimension(arr.size)

@@ -15,10 +15,11 @@ pure state |<q|psi><psi|k>| = |psi(q)| * |psi~(k)|, so classifying a
 StateVector needs one FFT and no (M, M) array: its support is counted on its
 bounding rectangle (at most M products, as for every VN verdict) or else on
 one sort. The classifier streams a DensityMatrix: |rho @ F| is read one row
-block at a time, each block a row FFT (O(M^2 log M) in all, no F), and only
-the lattice magnitudes are kept, so rho.matrix is the only (M, M) array of a
-dense verdict. DensityMatrix checks its Hermitian residual over tiles, and
-from_state keeps the outer product it builds without a copy.
+block at a time, each block a row FFT (O(M^2 log M) in all, no F) into buffers
+allocated once per verdict, and only the lattice magnitudes are kept, so
+rho.matrix is the only (M, M) array of a dense verdict. DensityMatrix checks
+its Hermitian residual over tiles and reads finiteness only where a residual is
+not finite; from_state keeps the outer product it builds without a copy.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _SCRATCH_BYTES, StateVector, _dft, default_tolerance, norm_tolerance
+from .core import _SCRATCH_BYTES, StateVector, _complex_array, _dft, default_tolerance, norm_tolerance
 from .numtheory import CoprimeSplit, _dimension, _labels
 
 
@@ -52,8 +53,8 @@ class VNLattice:
 
 # Every ufunc of a Hermitian-check tile pair reads and writes contiguous scratch: on a
 # strided operand numpy would allocate a buffer of its own. A tile pair: two complex
-# tiles, their finiteness and one float residual tile
-_TILE = math.isqrt(_SCRATCH_BYTES // (2 * 16 + 2 + 8))
+# tiles and one float residual tile
+_TILE = math.isqrt(_SCRATCH_BYTES // (2 * 16 + 8))
 
 
 def _block_rows(M: int) -> int:
@@ -65,27 +66,30 @@ def _block_rows(M: int) -> int:
 def _hermitian_residual(arr: np.ndarray) -> float:
     """max|arr - arr^H| bit for bit, read over square tiles of the upper triangle.
 
-    |a_ij - conj(a_ji)| is symmetric under transposition, so each pair of
-    mirrored tiles is read once: tile (i, j) and the transpose of tile (j, i)
-    are copied side by side into flat scratch. Raises ValueError on a
-    non-finite entry first, wherever it sits.
+    |a_ij - conj(a_ji)| is symmetric under transposition, so each pair of mirrored
+    tiles is read once: tile (i, j) and the transpose of tile (j, i) are copied side
+    by side into flat scratch. Only a non-finite tile residual reads arr for
+    finiteness: a ValueError if an entry, wherever it sits, is not finite, else the
+    residual is past the floats, inf. Run it with overflow and invalid warnings off.
     """
     M = arr.shape[0]
     side = min(M, _TILE)
     pair, mag = np.empty(2 * side * side, dtype=np.complex128), np.empty(side * side)
-    finite = np.empty(2 * side * side, dtype=bool)
     herm = 0.0
     for i in range(0, M, side):
         for j in range(i, M, side):
             a = arr[i:i + side, j:j + side]
             n = a.size
-            ours, theirs = pair[:n].reshape(a.shape), pair[n:2 * n].reshape(a.shape)
-            np.copyto(ours, a)
-            np.copyto(theirs, arr[j:j + side, i:i + side].T)
-            if not np.isfinite(pair[:2 * n], out=finite[:2 * n]).all():
-                raise ValueError("matrix entries must be finite")
+            ours, theirs = pair[:n], pair[n:2 * n]
+            np.copyto(ours.reshape(a.shape), a)
+            np.copyto(theirs.reshape(a.shape), arr[j:j + side, i:i + side].T)
             np.subtract(ours, np.conjugate(theirs, out=theirs), out=theirs)
-            herm = max(herm, float(np.abs(theirs, out=mag[:n].reshape(a.shape)).max()))
+            h = float(np.maximum.reduce(np.abs(theirs, out=mag[:n])))
+            if not math.isfinite(h):  # max() would drop a NaN
+                if not np.isfinite(arr).all():
+                    raise ValueError("matrix entries must be finite")
+                return math.inf
+            herm = max(herm, h)
     return herm
 
 
@@ -99,20 +103,23 @@ class DensityMatrix:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix):
-        self._adopt(np.array(matrix, dtype=np.complex128))
+        self._adopt(_complex_array("matrix entries", matrix))
 
     @classmethod
     def from_state(cls, state: StateVector) -> "DensityMatrix":
         v = state.amplitudes
-        n2 = float(np.sum(np.abs(v) ** 2))
-        if n2 == 0.0:
-            raise ValueError("cannot build a density matrix from the zero vector")
+        with np.errstate(over="ignore"):
+            n2 = float(np.sum(np.abs(v) ** 2))
+        if not (n2 and math.isfinite(n2) and math.isfinite(1 / n2)):  # 0 for a tiny state too
+            why = f"a squared norm of {n2}" if v.any() else "the zero vector"
+            raise ValueError(f"cannot build a density matrix from {why}")
         m = np.outer(v, v.conj())
         m *= 1 / n2  # equals np.outer(...) / n2 up to the sign of a zero part
         rho = cls.__new__(cls)
         rho._adopt(m)
         return rho
 
+    @np.errstate(over="ignore", invalid="ignore")  # a sum past the floats is inf
     def _adopt(self, arr: np.ndarray) -> None:
         """Validate arr and keep it, read-only, as the matrix: a non-finite
         entry is reported before a non-Hermitian one, that before the trace."""
@@ -123,7 +130,7 @@ class DensityMatrix:
         if herm >= norm_tolerance(M):
             raise ValueError(f"matrix is not Hermitian (residual {herm:.3e})")
         tr = complex(np.trace(arr))
-        if abs(tr - 1.0) >= norm_tolerance(M):
+        if not abs(tr - 1.0) < norm_tolerance(M):  # a NaN trace fails too
             raise ValueError(f"trace is {tr}, expected 1")
         arr.setflags(write=False)
         self.matrix = arr
@@ -208,22 +215,26 @@ def _sort_count(a: np.ndarray, b: np.ndarray, t: float) -> int:
         start += up.astype(np.intp) - down
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _dense_support(rho: DensityMatrix, t: float, M1: int, M2: int):
     """(count, first row-major point, lattice) of |rho @ F| > t, as _pure_support.
 
     |rho @ F| is read one row block at a time, each block the rows' inverse DFT (bit for
-    bit the rows of mixed_element_matrix(rho)) in temporaries of its own; only the
-    magnitudes on the lattice through the first support point are kept. Lattice
-    rows before the first support row hold no support; they are kept as 0,
-    which fails the lattice test as their true magnitudes would.
+    bit the rows of mixed_element_matrix(rho)) in buffers allocated once per verdict;
+    only the magnitudes on the lattice through the first support point are kept.
+    Lattice rows before the first support row hold no support; they are kept as 0,
+    which fails the lattice test as their true magnitudes would. A magnitude past the
+    floats is inf and counted, a NaN one is not, and neither warns.
     """
     m = rho.matrix
     M = m.shape[0]
     rows = _block_rows(M)
+    z, mags, hits = (np.empty((rows, M), dtype=d) for d in (np.complex128, np.float64, bool))
     count, first, on_lattice = 0, (0, 0), None
     for i in range(0, M, rows):
-        mag = np.abs(_dft(m[i:i + rows], inverse=True))
-        hit = mag > t
+        n = min(rows, M - i)
+        mag = np.abs(_dft(m[i:i + n], inverse=True, out=z[:n]), out=mags[:n])
+        hit = np.greater(mag, t, out=hits[:n])
         count += int(np.count_nonzero(hit))
         if on_lattice is None:
             if not hit.any():

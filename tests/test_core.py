@@ -83,6 +83,12 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector([1.0, bad])
 
+    @pytest.mark.parametrize("bad", [object(), {}])
+    def test_rejects_entries_that_are_not_numbers(self, bad):
+        # numpy raises TypeError for these; the package's error is a ValueError
+        with pytest.raises(ValueError, match="amplitudes must be numbers"):
+            StateVector([bad, 1])
+
     def test_rejects_short_or_multidim(self):
         with pytest.raises(ValueError):
             StateVector([1.0])

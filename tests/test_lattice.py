@@ -73,6 +73,18 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="zero vector"):
             DensityMatrix.from_state(StateVector(np.zeros(6)))
 
+    @pytest.mark.parametrize("scale, n2", [(1e200, "inf"), (1e-160, "6e-320"), (1e-200, "0.0")])
+    def test_from_state_refuses_a_squared_norm_out_of_float_range(self, scale, n2):
+        # the state is not zero, but its squared norm or that norm's reciprocal is 0 or inf
+        with pytest.raises(ValueError, match=f"from a squared norm of {n2}$"):
+            DensityMatrix.from_state(StateVector(scale * np.ones(6)))
+
+    @pytest.mark.parametrize("matrix", [[[{}, 0], [0, 1]], [[1, object()], [0, 0]]])
+    def test_rejects_entries_that_are_not_numbers(self, matrix):
+        # numpy raises TypeError for these; the package's error is a ValueError
+        with pytest.raises(ValueError, match="matrix entries must be numbers"):
+            DensityMatrix(matrix)
+
     def test_rejects_non_hermitian(self):
         mat = np.eye(4, dtype=complex) / 4
         mat[0, 1] = 0.5
@@ -114,7 +126,9 @@ class TestDenseMemory:
         rho = DensityMatrix.from_state(build_pls(split, 3, 7))
         assert classify_vn_state(rho, split) == VNLattice(split, 3, 7)
         peak = self.peak(lambda: classify_vn_state(rho, split))
-        assert peak < self.SQUARE / 4, f"peak {peak / self.SQUARE:.2f} (M, M) arrays"
+        # the row-block buffers, allocated once per verdict, and the M lattice magnitudes
+        bound = lattice._SCRATCH_BYTES + 8 * self.M + 4096
+        assert peak <= bound, f"peak {peak} bytes, bound {bound}"
 
     def test_constructor_copies_its_argument(self):
         arr = np.eye(self.M, dtype=complex) / self.M
@@ -294,9 +308,10 @@ class TestClassify:
 
 
 class TestFloatLimits:
-    """Products |psi(q)| * |psi~(k)| past the float range: an overflowed product is
-    inf, above every threshold, an underflowed one 0, and no verdict warns (pytest
-    turns every warning into an error)."""
+    """Products |psi(q)| * |psi~(k)| and sums over a density matrix past the float
+    range: an overflowed value is inf, above every threshold, an underflowed one 0,
+    and neither a verdict nor a DensityMatrix warns (pytest turns every warning into
+    an error)."""
 
     @pytest.mark.parametrize("kind", ["pls", "random"])
     @pytest.mark.parametrize("threshold", [None, 5e-324, 1e300, 1.7e308])
@@ -321,6 +336,30 @@ class TestFloatLimits:
         psi = StateVector(1e160 * build_pls(SPLIT_15, 1, 2).amplitudes)
         assert classify_vn_state(psi, SPLIT_15, 1.7e308) == NotVN(
             "non-uniform magnitude", "max deviation from 1/sqrt(M) is inf")
+
+    def test_a_hermitian_residual_past_the_floats_is_inf(self):
+        m = np.eye(6) / 6
+        m[0, 3], m[3, 0] = 1e308, -1e308  # 1e308 - (-1e308) overflows
+        with pytest.raises(ValueError, match=r"not Hermitian \(residual inf\)"):
+            DensityMatrix(m)
+
+    def test_a_nan_trace_fails_the_trace_test(self):
+        # the diagonal's pairwise sum meets +inf and -inf, so the trace reads NaN
+        d = np.zeros(32)
+        d[[0, 8, 16, 24]], d[[1, 9, 17, 25]], d[2] = 1e308, -1e308, 1.0
+        with pytest.raises(ValueError, match=r"trace is \(nan\+0j\), expected 1"):
+            DensityMatrix(np.diag(d))
+
+    def test_dense_magnitudes_past_the_floats_are_counted(self):
+        h = np.eye(6) / 6
+        h[0, 3] = h[3, 0] = h[0, 4] = h[4, 0] = 1e308  # Hermitian, trace 1
+        rho = DensityMatrix(h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mags = np.abs(mixed_element_matrix(rho))
+        assert np.isinf(mags).any()
+        count = int(np.count_nonzero(mags > default_support_threshold(6)))
+        assert classify_vn_state(rho, SPLIT_6) == NotVN(
+            "wrong count", f"support has {count} points, expected 6")
 
     def test_a_nan_magnitude_fails_the_magnitude_test(self, monkeypatch):
         # the record rule of suite._add: a NaN deviation is no pass
